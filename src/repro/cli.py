@@ -173,8 +173,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
         # warmup shards the fleet, and the strategies built afterwards
         # get shard-resident monitors automatically
         sim.run(300.0, dt=1.0, parallel=args.parallel,
-                resume=resilient and args.resume,
-                control_plane=args.control_plane)
+                resume=resilient and args.resume)
         return sim, instances
 
     mode = f" (parallel x{args.parallel})" if args.parallel else ""
@@ -259,7 +258,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         sim.run(
             args.duration, dt=args.dt,
             coalesce=args.coalesce, parallel=args.parallel,
-            resume=args.resume, control_plane=args.control_plane,
+            resume=args.resume,
         )
         trace = sim.aggregate_trace
         print(
@@ -407,7 +406,7 @@ def _cmd_ops_serve(args: argparse.Namespace) -> int:
         sim.run(
             args.duration, dt=args.dt,
             coalesce=args.coalesce, parallel=args.parallel,
-            resume=args.resume, control_plane=args.control_plane,
+            resume=args.resume,
         )
         trace = sim.aggregate_trace
         print(
@@ -495,11 +494,6 @@ def _add_attack_args(parser: argparse.ArgumentParser) -> None:
                         help="rack-shard the fleet across N spawn worker"
                              " processes with shard-resident attacker"
                              " monitors (0 = serial; docs/parallel.md)")
-    parser.add_argument("--control-plane", choices=("pipe", "shm"),
-                        default="shm",
-                        help="parallel barrier transport: shm slot plane"
-                             " with batched epochs (default) or the classic"
-                             " pickled pipes (docs/parallel.md)")
     _add_resilience_args(parser)
 
 
@@ -518,11 +512,6 @@ def _add_fleet_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--parallel", type=int, default=0, metavar="N",
                         help="rack-shard across N spawn worker processes"
                              " (0 = serial; docs/parallel.md)")
-    parser.add_argument("--control-plane", choices=("pipe", "shm"),
-                        default="shm",
-                        help="parallel barrier transport: shm slot plane"
-                             " with batched epochs (default) or the classic"
-                             " pickled pipes (docs/parallel.md)")
     parser.add_argument("--faults", action="store_true",
                         help="install the standard chaos fault schedule")
     _add_resilience_args(parser)

@@ -780,15 +780,18 @@ class DatacenterSimulation:
         call sequence and the completed trace is bit-identical to an
         uninterrupted run. See ``docs/resilience.md``.
 
-        ``control_plane`` selects the parallel barrier transport:
-        ``"shm"`` (default) runs steady-state control frames over the
-        shared-memory slot plane with batched plan epochs, ``"pipe"``
-        is the classic pickled-pipe protocol — both bit-identical, see
-        ``docs/parallel.md``. Only read when the parallel engine is
-        first created.
+        ``control_plane`` is kept only for the benchmark harness, which
+        passes ``"shm"``: the shared-memory slot plane is the only
+        parallel barrier transport (``docs/parallel.md``), and any other
+        value raises.
         """
         if seconds <= 0:
             raise SimulationError(f"run needs positive duration: {seconds}")
+        if control_plane != "shm":
+            raise SimulationError(
+                f"unknown control plane {control_plane!r}: shm is the only"
+                " parallel barrier transport"
+            )
         if parallel or self._parallel is not None:
             if on_tick is not None:
                 raise SimulationError(
@@ -809,14 +812,11 @@ class DatacenterSimulation:
                         self,
                         workers=parallel,
                         resume_dir=cfg.checkpoint_dir,
-                        control_plane=control_plane,
                     )
                     self._replay_until = self._parallel.clock.now
                     self._replay_cursor = self._start_time
                 else:
-                    self._parallel = ParallelFleetEngine(
-                        self, workers=parallel, control_plane=control_plane
-                    )
+                    self._parallel = ParallelFleetEngine(self, workers=parallel)
             elif resume:
                 raise SimulationError(
                     "resume must be requested on the first parallel run;"

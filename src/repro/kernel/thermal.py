@@ -11,11 +11,13 @@ container can read — the paper's example of *indirect* manipulation
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
+
+import numpy as np
 
 from repro.errors import KernelError
 from repro.kernel.scheduler import TickResult
-from repro.sim.rng import DeterministicRNG
+from repro.sim.rng import DeterministicRNG, keyed_gauss_array
 
 
 @dataclass
@@ -52,6 +54,9 @@ class ThermalSubsystem:
         #: of tick ``n`` — index-addressed so the columnar engine can
         #: compute the same draws without visiting the stateful stream
         self._noise_calls = 0
+        #: keys of the ``temp-noise-{core}`` streams in sensor order, built
+        #: at the first tick (cold columnar hosts never tick this object)
+        self._noise_keys: Optional[np.ndarray] = None
         self.sensors: List[CoreSensor] = [
             CoreSensor(core=c, temp_c=self.AMBIENT_C) for c in range(ncpus)
         ]
@@ -82,11 +87,18 @@ class ThermalSubsystem:
         alpha = min(1.0, dt / self.TAU_S)
         index = self._noise_calls
         self._noise_calls = index + 1
-        for sensor in self.sensors:
+        keys = self._noise_keys
+        if keys is None:
+            keys = self._noise_keys = np.array(
+                [self._rng.keyed(f"temp-noise-{s.core}").key for s in self.sensors],
+                dtype=np.uint64,
+            )
+        # one vector draw for every core: element c equals the scalar
+        # keyed_gauss of stream temp-noise-{c} bit for bit (the columnar
+        # engine draws the same array the same way)
+        noises = keyed_gauss_array(keys, index, self.NOISE_SIGMA).tolist()
+        for sensor, noise in zip(self.sensors, noises):
             util = result.utilization.get(sensor.core, 0.0)
             effective = (1 - self.COUPLING) * util + self.COUPLING * mean_util
             target = self.AMBIENT_C + self.FULL_LOAD_DELTA_C * effective
-            noise = self._rng.keyed(f"temp-noise-{sensor.core}").gauss(
-                index, self.NOISE_SIGMA
-            )
             sensor.temp_c += (target - sensor.temp_c) * alpha + noise * alpha

@@ -12,11 +12,10 @@ the shards at exactly the barriers the serial driver already honors.
 
 Bulk telemetry — per-sample wall-power rows and attacker-monitor
 readings — travels through a :class:`repro.sim.telemetry.TelemetryPlane`
-(a double-buffered ``multiprocessing.shared_memory`` segment of float64
-slots written at global indices), so the pipe protocol is small pickled
-control frames only. The driver stamps each shm-carrying frame with the
-bank index; banks alternate so a worker never overwrites a row the
-driver has not consumed.
+(a multi-bank ``multiprocessing.shared_memory`` segment of float64
+slots written at global indices), so control frames stay small. The
+driver stamps each shm-carrying frame with the bank index; banks rotate
+so a worker never overwrites a row the driver has not consumed.
 
 Driver/worker control frames (logical tuples; ``ops`` are queued
 attacker ``exec``/``reap`` operations, ``oids`` are observer ids of
@@ -42,31 +41,30 @@ shard-resident attack monitors to sample)::
     ("crash",)                             -> no reply; worker exits (test hook)
     ("close",)                             -> worker exits
 
-Frames travel over one of two planes. Under ``control_plane="shm"``
-(the default) the steady-state verbs — ``plan``, ``epoch``, bare
-``commit``/``step`` (encoded as one-tick epochs), and op-less ``begin``
-— are written into fixed-layout shared-memory slots with a doorbell
-sequence counter (:mod:`repro.sim.controlplane`): zero pickling, zero
-syscalls per barrier. Everything else rides the ``Pipe`` slow path as
-pickled tuples, as do worker errors and tracer-drain replies (the
-request stays on the slots; the reply's status slot says the payload is
-on the pipe). ``control_plane="pipe"`` is the escape hatch that keeps
-every frame on the pipe. The supervisor's frame log always records the
-*logical* tuples, so replay-after-respawn reproduces shm-carried frames
-over the pipe verbatim.
+Steady-state frames — ``plan``, ``epoch``, bare ``commit``/``step``
+(encoded as one-tick epochs), and op-less ``begin`` — ride fixed-layout
+shared-memory slots with a doorbell sequence counter
+(:mod:`repro.sim.controlplane`): zero pickling, zero syscalls per
+barrier. Everything else rides the ``Pipe`` slow path as pickled
+tuples, as do worker errors and tracer-drain replies (the request stays
+on the slots; the reply's status slot says the payload is on the pipe).
+The supervisor's frame log records the *logical* tuples, so
+replay-after-respawn reproduces slot-carried frames over the pipe
+verbatim.
 
-Batched plan epochs cut steady-state round trips up to ``epoch_ticks``×:
-when coalescing plans ``k`` consecutive ticks with no cross-shard event
-— the merged plan horizon is the nearest shard event, every breaker is
-below its knee, no sample row is due beyond per-tick banks, no
-checkpoint boundary or armed observation intervenes — the driver runs
-the serial planning loop locally (the fingerprint, dark set, and safety
-verdict are constant over the window by the same invariant serial
-coalescing relies on) and ships all ``k`` ticks as one ``epoch`` frame;
-workers execute plan+commit per entry, bit-identical to ``k`` separate
-barriers. Without coalescing, fixed base-dt ticks batch the same way.
-The telemetry plane carries ``epoch_ticks + 1`` banks so every
-row-carrying tick of an epoch lands in its own bank.
+Batched plan epochs cut steady-state round trips up to
+``_EPOCH_TICKS``×: when coalescing plans ``k`` consecutive ticks with
+no cross-shard event — the merged plan horizon is the nearest shard
+event, every breaker is below its knee, no sample row is due beyond
+per-tick banks, no checkpoint boundary or armed observation
+intervenes — the driver runs the serial planning loop locally (the
+fingerprint, dark set, and safety verdict are constant over the window
+by the same invariant serial coalescing relies on) and ships all ``k``
+ticks as one ``epoch`` frame; workers execute plan+commit per entry,
+bit-identical to ``k`` separate barriers. Without coalescing, fixed
+base-dt ticks batch the same way. The telemetry plane carries
+``_EPOCH_TICKS + 1`` banks so every row-carrying tick of an epoch
+lands in its own bank.
 
 With tracing enabled (``DatacenterSimulation.enable_tracing`` before the
 first parallel run), every ``("ok", ...)`` reply grows a third element:
@@ -79,7 +77,7 @@ extra frames (see ``repro.obs`` and ``docs/observability.md``).
 ``plan`` replies carry the shard's *dark-set delta* (indices newly dark /
 newly lit since the last plan) and its demand fingerprints as bare floats
 in host order — the driver knows each shard's host list, so no indices
-cross the pipe. Row payloads never do either: ``want_row`` makes the
+cross the barrier. Row payloads never do either: ``want_row`` makes the
 worker write its hosts' sampled watts into the stamped bank (``NaN`` =
 crashed machine = trace gap), and the driver folds the row out of the
 plane in global host order, so float sums stay bit-identical to serial.
@@ -171,9 +169,9 @@ _DEFAULT_BARRIER_TIMEOUT_S = 600.0
 #: recovery traffic (replaying them would recurse), plus the test hooks
 _UNLOGGED_FRAMES = frozenset({"crash", "close", "checkpoint", "replay", "hang"})
 
-#: ticks batched per epoch frame under the shm control plane (engine
-#: default; ``ParallelFleetEngine(epoch_ticks=...)`` overrides it)
-_DEFAULT_EPOCH_TICKS = 8
+#: ticks batched per epoch frame (the control plane's epoch capacity;
+#: the telemetry plane carries one bank more)
+_EPOCH_TICKS = 8
 
 #: doorbell busy-poll: spin this many iterations before backing off to
 #: short sleeps — a barrier turnaround at steady state lands within the
@@ -266,6 +264,8 @@ class ShardSpec:
     fault_seed: int
     #: shared-memory telemetry plane to attach to
     telemetry_name: str
+    #: shared-memory control plane segment to attach to
+    control_name: str
     total_servers: int
     observer_capacity: int
     #: the cloud's full launch/terminate history (workers filter by host)
@@ -276,15 +276,8 @@ class ShardSpec:
     trace: bool = False
     #: worker tracer ring capacity (events)
     trace_capacity: int = 65536
-    #: telemetry plane bank count (epoch_ticks + 1 under the shm control
-    #: plane, the classic double buffer under pipe)
-    telemetry_banks: int = 2
-    #: shared-memory control plane segment (None: pipe-only protocol)
-    control_name: Optional[str] = None
     #: per-shard host counts, in shard order (control-plane geometry)
     control_host_counts: Tuple[int, ...] = ()
-    #: epoch frame capacity (control-plane geometry)
-    control_epoch_ticks: int = _DEFAULT_EPOCH_TICKS
     #: "columnar" (vectorized cold-host ticks) or "objects" (per-kernel)
     host_mode: str = "objects"
     #: trace spill segment directory (None: ring overflow drops events)
@@ -447,7 +440,7 @@ class _ShardRuntime:
             self.host_engine.adopt_all()
         self.plane = TelemetryPlane.attach(
             spec.telemetry_name, spec.total_servers, spec.observer_capacity,
-            banks=spec.telemetry_banks,
+            banks=_EPOCH_TICKS + 1,
         )
         #: observer id -> (plane slot, shard-resident monitor)
         self.monitors: Dict[str, tuple] = {}
@@ -546,7 +539,7 @@ class _ShardRuntime:
             self.injector.tracer = self.tracer
         self.plane = TelemetryPlane.attach(
             spec.telemetry_name, spec.total_servers, spec.observer_capacity,
-            banks=spec.telemetry_banks,
+            banks=_EPOCH_TICKS + 1,
         )
         self._hang_s = 0.0
         return self
@@ -888,21 +881,16 @@ def _shard_worker_main(
             runtime = _ShardRuntime.from_snapshot(spec, restore_from)
         else:
             runtime = _ShardRuntime(spec)
-        cplane = None
-        base_seq = 0
-        if spec.control_name is not None:
-            cplane = ControlPlane.attach(
-                spec.control_name,
-                spec.control_host_counts,
-                spec.control_epoch_ticks,
-            )
-            # the doorbell baseline MUST be read before "ready" goes out:
-            # the driver may post its first slot frame the instant it
-            # sees the handshake, and a later baseline read would swallow
-            # that frame's sequence bump. For a respawn the ordering also
-            # skips the stale in-flight frame — the supervisor resends it
-            # over the pipe after replay.
-            base_seq = cplane.req_seq(spec.shard_index)
+        cplane = ControlPlane.attach(
+            spec.control_name, spec.control_host_counts, _EPOCH_TICKS
+        )
+        # the doorbell baseline MUST be read before "ready" goes out:
+        # the driver may post its first slot frame the instant it sees
+        # the handshake, and a later baseline read would swallow that
+        # frame's sequence bump. For a respawn the ordering also skips
+        # the stale in-flight frame — the supervisor resends it over the
+        # pipe after replay.
+        base_seq = cplane.req_seq(spec.shard_index)
     except Exception:
         try:
             conn.send_bytes(_dumps(("error", traceback.format_exc())))
@@ -910,57 +898,19 @@ def _shard_worker_main(
             return
     conn.send_bytes(_dumps(("ready",)))
     try:
-        if cplane is None:
-            _serve_pipe(runtime, conn)
-        else:
-            try:
-                _serve_dual(runtime, conn, cplane, spec.shard_index, base_seq)
-            finally:
-                cplane.close()
+        _serve(runtime, conn, cplane, spec.shard_index, base_seq)
     finally:
-        runtime.plane.close()
-
-
-def _serve_pipe(runtime: _ShardRuntime, conn) -> None:
-    """The classic single-transport command loop (control_plane="pipe")."""
-    while True:
         try:
-            blob = conn.recv_bytes()
-        except (EOFError, OSError):
-            return
-        msg = pickle.loads(blob)
-        if msg[0] == "close":
-            return
-        if msg[0] == "crash":  # test hook: die without a word
-            os._exit(1)
-        if msg[0] == "hang":  # test hook: stall the next reply
-            runtime._hang_s = float(msg[1])
-            conn.send_bytes(_dumps(("ok", None)))
-            continue
-        try:
-            result = runtime.dispatch(msg)
-            if runtime.tracer is not None:
-                # flush this barrier's span buffer in the reply, so
-                # the driver merges a clock-aligned global timeline
-                reply = ("ok", result, runtime.tracer.drain())
-            else:
-                reply = ("ok", result)
-        except Exception:
-            reply = ("error", traceback.format_exc())
-        if runtime._hang_s > 0.0:
-            # armed by a ("hang") frame: simulate a wedged worker at
-            # the next barrier (a respawned runtime starts at 0.0,
-            # so the supervisor's re-sent frame sails through)
-            time.sleep(runtime._hang_s)
-            runtime._hang_s = 0.0
-        conn.send_bytes(_dumps(reply))
+            cplane.close()
+        finally:
+            runtime.plane.close()
 
 
-def _serve_dual(
+def _serve(
     runtime: _ShardRuntime, conn, cplane: ControlPlane, idx: int,
     base_seq: int,
 ) -> None:
-    """The two-plane command loop (control_plane="shm").
+    """The worker command loop: slot frames plus the pipe slow path.
 
     Busy-polls the request doorbell with a spin-then-sleep backoff,
     checking the pipe for slow-path frames on a coarser cadence (the
@@ -974,18 +924,18 @@ def _serve_dual(
     while True:
         # -- wait for the next request on either plane ---------------
         w0 = time.perf_counter()
-        source = None
+        from_pipe = None
         spins = 0
         sleep_s = _DOORBELL_SLEEP_S
-        while source is None:
+        while from_pipe is None:
             if cplane.req_seq(idx) != last_seq:
                 last_seq = cplane.req_seq(idx)
-                source = "shm"
+                from_pipe = False
                 break
             if spins % 64 == 0 or spins > _DOORBELL_SPINS:
                 try:
                     if conn.poll(0):
-                        source = "pipe"
+                        from_pipe = True
                         break
                 except (EOFError, OSError):
                     return
@@ -994,7 +944,7 @@ def _serve_dual(
                 time.sleep(sleep_s)
                 sleep_s = min(sleep_s * 2.0, _DOORBELL_SLEEP_MAX_S)
         wait_s = time.perf_counter() - w0
-        if source == "pipe":
+        if from_pipe:
             try:
                 blob = conn.recv_bytes()
             except (EOFError, OSError):
@@ -1020,11 +970,10 @@ def _serve_dual(
             drained = runtime.tracer.drain()
         if runtime._hang_s > 0.0:
             # stall before replying: the reply-slot generation counter
-            # (the supervisor's heartbeat) goes silent, same as a pipe
-            # worker sitting on its reply
+            # (the supervisor's heartbeat) and any pipe reply go silent
             time.sleep(runtime._hang_s)
             runtime._hang_s = 0.0
-        if source == "pipe":
+        if from_pipe:
             if error is not None:
                 conn.send_bytes(_dumps(("error", error)))
             elif runtime.tracer is not None:
@@ -1120,19 +1069,9 @@ class ParallelFleetEngine:
         sim,
         workers: int,
         resume_dir: Optional[str] = None,
-        control_plane: str = "shm",
-        epoch_ticks: int = _DEFAULT_EPOCH_TICKS,
     ):
         if workers < 1:
             raise SimulationError(f"parallel needs at least one worker: {workers}")
-        if control_plane not in ("pipe", "shm"):
-            raise SimulationError(
-                f"unknown control plane: {control_plane!r} (use 'pipe' or 'shm')"
-            )
-        if epoch_ticks < 1:
-            raise SimulationError(f"epoch_ticks must be >= 1: {epoch_ticks}")
-        self.control_plane_mode = control_plane
-        self._epoch_ticks = epoch_ticks if control_plane == "shm" else 1
         self.sim = sim
         self._validate_fresh(sim)
         self.total_servers = len(sim.cloud.hosts)
@@ -1156,14 +1095,6 @@ class ParallelFleetEngine:
                     f"{manifest.get('hosts', 'objects')!r}, this simulation"
                     f" uses hosts={sim.host_mode!r}; resume needs an"
                     " identically constructed simulation"
-                )
-            if manifest["control"] != (control_plane, self._epoch_ticks):
-                ck_plane, ck_ticks = manifest["control"]
-                raise SimulationError(
-                    f"checkpoint was taken under --control-plane {ck_plane}"
-                    f" with {ck_ticks} epoch tick(s), this run uses"
-                    f" {control_plane} with {self._epoch_ticks}; resume"
-                    " with the same control-plane configuration"
                 )
         # a resumed engine's clock continues from the checkpoint instant;
         # the caller-facing replay cursor in DatacenterSimulation.run
@@ -1269,27 +1200,6 @@ class ParallelFleetEngine:
                 for i in range(n)
             ]
 
-        # under batched epochs every row-carrying tick of an epoch needs
-        # its own bank: with epoch_ticks + 1 banks, a bank is never
-        # rewritten before the post-epoch fold has consumed it
-        self._banks = 2 if control_plane == "pipe" else max(2, self._epoch_ticks + 1)
-        self.plane = TelemetryPlane.create(
-            self.total_servers, self.observer_capacity, banks=self._banks
-        )
-        #: driver-side doorbell sequence per shard (shm mode)
-        self._cp_seq: List[int] = [0] * n
-        if control_plane == "shm":
-            self.cplane = ControlPlane.create(
-                [len(hosts) for hosts in self.shard_hosts], self._epoch_ticks
-            )
-        self.ipc = IpcMetrics(
-            workers=n,
-            shm_segment_bytes=self.plane.segment_bytes
-            + (0 if self.cplane is None else self.cplane.segment_bytes),
-            registry=sim.metrics.registry,
-        )
-        sim.metrics.ipc = self.ipc
-
         self.faults: Optional[_DriverFaultReplayer] = None
         shard_schedules: List[Optional[FaultSchedule]] = [None] * n
         fault_seed = 0
@@ -1304,46 +1214,68 @@ class ParallelFleetEngine:
             self.faults = _DriverFaultReplayer(driver_schedule, fault_seed)
             self.faults.tracer = self._tracer
 
+        #: driver-side doorbell sequence per shard
+        self._cp_seq: List[int] = [0] * n
         launch_log = tuple(sim.cloud.launch_log)
-        specs = [
-            ShardSpec(
-                profile=sim.profile,
-                seed=sim.seed,
-                start_time=sim._start_time,
-                host_indices=tuple(self.shard_hosts[i]),
-                racks=tuple(groups[i]),
-                tenant_profile=sim.tenant_profile,
-                tenants_per_host=sim.tenants_per_host,
-                population_mode=sim.population_mode,
-                power_config=sim.power_config,
-                breaker_knee_ratio=sim.breaker_knee_ratio,
-                fault_schedule=shard_schedules[i],
-                fault_seed=fault_seed,
-                telemetry_name=self.plane.name,
-                total_servers=self.total_servers,
-                observer_capacity=self.observer_capacity,
-                launch_log=launch_log,
-                shard_index=i,
-                trace=self._tracer is not None,
-                trace_capacity=(
-                    self._tracer.capacity if self._tracer is not None else 65536
-                ),
-                telemetry_banks=self._banks,
-                control_name=None if self.cplane is None else self.cplane.name,
-                control_host_counts=tuple(
-                    len(hosts) for hosts in self.shard_hosts
-                ),
-                control_epoch_ticks=self._epoch_ticks,
-                host_mode=sim.host_mode,
-                spill_dir=(
-                    self._tracer.spill_dir if self._tracer is not None else None
-                ),
-            )
-            for i in range(n)
-        ]
-
-        self._specs = specs
+        # every resource is acquired inside the guard: a failure anywhere
+        # in start-up (segment creation included) unlinks what exists
         try:
+            # every row-carrying tick of an epoch needs its own bank: with
+            # _EPOCH_TICKS + 1 banks, a bank is never rewritten before the
+            # post-epoch fold has consumed it
+            self.plane = TelemetryPlane.create(
+                self.total_servers, self.observer_capacity,
+                banks=_EPOCH_TICKS + 1,
+            )
+            self.cplane = ControlPlane.create(
+                [len(hosts) for hosts in self.shard_hosts], _EPOCH_TICKS
+            )
+            self.ipc = IpcMetrics(
+                workers=n,
+                shm_segment_bytes=(
+                    self.plane.segment_bytes + self.cplane.segment_bytes
+                ),
+                registry=sim.metrics.registry,
+            )
+            sim.metrics.ipc = self.ipc
+            self._specs = [
+                ShardSpec(
+                    profile=sim.profile,
+                    seed=sim.seed,
+                    start_time=sim._start_time,
+                    host_indices=tuple(self.shard_hosts[i]),
+                    racks=tuple(groups[i]),
+                    tenant_profile=sim.tenant_profile,
+                    tenants_per_host=sim.tenants_per_host,
+                    population_mode=sim.population_mode,
+                    power_config=sim.power_config,
+                    breaker_knee_ratio=sim.breaker_knee_ratio,
+                    fault_schedule=shard_schedules[i],
+                    fault_seed=fault_seed,
+                    telemetry_name=self.plane.name,
+                    control_name=self.cplane.name,
+                    total_servers=self.total_servers,
+                    observer_capacity=self.observer_capacity,
+                    launch_log=launch_log,
+                    shard_index=i,
+                    trace=self._tracer is not None,
+                    trace_capacity=(
+                        self._tracer.capacity
+                        if self._tracer is not None
+                        else 65536
+                    ),
+                    control_host_counts=tuple(
+                        len(hosts) for hosts in self.shard_hosts
+                    ),
+                    host_mode=sim.host_mode,
+                    spill_dir=(
+                        self._tracer.spill_dir
+                        if self._tracer is not None
+                        else None
+                    ),
+                )
+                for i in range(n)
+            ]
             try:
                 self._ctx = multiprocessing.get_context("spawn")
             except ValueError as exc:  # pragma: no cover - platform-specific
@@ -1352,7 +1284,7 @@ class ParallelFleetEngine:
                     " method, which this platform does not provide; run with"
                     " parallel=0"
                 ) from exc
-            for idx, spec in enumerate(specs):
+            for idx, spec in enumerate(self._specs):
                 parent, child = self._ctx.Pipe()
                 proc = self._ctx.Process(
                     target=_shard_worker_main,
@@ -1625,21 +1557,22 @@ class ParallelFleetEngine:
         # served twice, and _collect switches to the pipe on failure
         self.conns[idx].send_bytes(_dumps(msg))
 
-    def _post(self, idx: int, msg: tuple) -> Tuple[str, int]:
-        """Ship one control frame; returns its ``(transport, bytes)``.
+    def _post(self, idx: int, msg: tuple) -> Tuple[bool, int]:
+        """Ship one control frame; returns ``(on_slots, bytes)``.
 
-        The frame log records the *logical* tuple regardless of which
-        plane carried it, so replay-after-respawn reproduces shm frames
-        over the pipe verbatim.
+        Slot-encodable frames ride the control plane; everything else
+        goes pickled over the pipe. The frame log records the *logical*
+        tuple regardless of which transport carried it, so
+        replay-after-respawn reproduces slot frames over the pipe
+        verbatim.
         """
         if self._supervise and msg[0] not in _UNLOGGED_FRAMES:
             self._frame_log[idx].append(msg)
-        if self.cplane is not None:
-            posted = self.cplane.post(idx, msg)
-            if posted is not None:
-                seq, nbytes = posted
-                self._cp_seq[idx] = seq
-                return ("shm", nbytes)
+        posted = self.cplane.post(idx, msg)
+        if posted is not None:
+            seq, nbytes = posted
+            self._cp_seq[idx] = seq
+            return (True, nbytes)
         blob = _dumps(msg)
         try:
             self.conns[idx].send_bytes(blob)
@@ -1648,7 +1581,7 @@ class ParallelFleetEngine:
                 idx, msg, _ShardFailure("died", f"pipe write failed: {exc}", exc)
             )
             # _handle_failure either raised or respawned + resent msg
-        return ("pipe", len(blob))
+        return (False, len(blob))
 
     def _await_shm_reply(self, idx: int) -> None:
         """Busy-poll the reply generation counter, bounded by liveness.
@@ -1657,7 +1590,7 @@ class ParallelFleetEngine:
         frame has bumped it to the doorbell value; one that died or
         wedged has not, and the spin loop degrades to short sleeps with
         periodic ``is_alive``/timeout checks — the same died/hung
-        classification as the pipe path.
+        classification as the pipe slow path.
         """
         cplane = self.cplane
         want = self._cp_seq[idx]
@@ -1684,15 +1617,15 @@ class ParallelFleetEngine:
                     )
 
     def _collect(
-        self, idx: int, sent: Tuple[str, int], msg: Optional[tuple] = None
+        self, idx: int, sent: Tuple[bool, int], msg: Optional[tuple] = None
     ):
-        transport, nbytes = sent
+        on_slots, nbytes = sent
         # epoch frames amortize their round trip over the batched ticks
         ticks = len(msg[1]) if msg is not None and msg[0] == "epoch" else 1
         while True:
             t0 = time.perf_counter()
             try:
-                if transport == "shm":
+                if on_slots:
                     self._await_shm_reply(idx)
                     reply = None
                     received = 0
@@ -1702,7 +1635,7 @@ class ParallelFleetEngine:
             except _ShardFailure as failure:
                 self._handle_failure(idx, msg, failure)
                 # respawned and resent over the pipe: collect there
-                transport = "pipe"
+                on_slots = False
                 continue
             except (EOFError, OSError) as exc:
                 self._handle_failure(
@@ -1710,14 +1643,14 @@ class ParallelFleetEngine:
                     msg,
                     _ShardFailure("died", f"pipe read failed: {exc}", exc),
                 )
-                transport = "pipe"
+                on_slots = False
                 continue
             break
         self._last_reply_wall[idx] = time.monotonic()
         self.ipc.record_barrier_wait(
             idx, time.perf_counter() - t0, ticks=ticks
         )
-        if transport == "shm":
+        if on_slots:
             self.ipc.record_doorbell_wait(self.cplane.reply_wait_s(idx))
             status = self.cplane.reply_status(idx)
             if status == ControlPlane.OK:
@@ -1792,10 +1725,10 @@ class ParallelFleetEngine:
     def _next_bank(self) -> int:
         """Rotate the bank cursor before a frame that carries shm data.
 
-        Two banks (a double buffer) under the pipe plane; ``epoch_ticks
-        + 1`` under the shm plane, so every row-carrying tick of a
-        batched epoch lands in its own bank and none is overwritten
-        before the driver folds it after the single epoch reply.
+        The plane has ``_EPOCH_TICKS + 1`` banks, so every row-carrying
+        tick of a batched epoch lands in its own bank and none is
+        overwritten before the driver folds it after the single epoch
+        reply.
         """
         self._bank = (self._bank + 1) % self.plane.banks
         return self._bank
@@ -1842,34 +1775,6 @@ class ParallelFleetEngine:
             dark.update(shard_dark)
         return dark, tuple(demands), safe, horizon
 
-    def _record_samples(self, due: list, bank: int) -> None:
-        """Fold one trace sample per due time out of the plane's row."""
-        sim = self.sim
-        plane = self.plane
-        row = [plane.read_wall(bank, i) for i in range(self.total_servers)]
-        self.ipc.shm_row_bytes += plane.row_bytes
-        for when in due:
-            t = when
-            if self.faults is not None:
-                last = (
-                    sim.aggregate_trace.times[-1]
-                    if sim.aggregate_trace.times
-                    else 0.0
-                )
-                t = self.faults.jitter.jittered_time(
-                    when, sim.sample_interval_s, floor=last
-                )
-            total = 0.0
-            for i, watts in enumerate(row):
-                if watts is None:
-                    sim.server_traces[i].note_gap(t)
-                    continue
-                sim.server_traces[i].append(t, watts)
-                total += watts
-            sim.aggregate_trace.append(t, total)
-            sim.metrics.samples += 1
-            sim._sample_count += 1
-
     def _shard_oids(self, idx: int, oids: tuple) -> tuple:
         return tuple(
             oid for oid in oids if self._observer_slots[oid][0] == idx
@@ -1890,8 +1795,9 @@ class ParallelFleetEngine:
     def _finish_tick(
         self, remaining: float, dt: float, step: float, verb: str
     ) -> float:
-        """The post-plan half of one classic tick: advance, one barrier,
-        fold the row — exactly the serial loop's commit sequence."""
+        """One unbatched tick (the run's armed final tick): advance, one
+        ``verb`` barrier, fold the row — exactly the serial loop's
+        commit sequence."""
         sim = self.sim
         engine = sim.fastforward
         n = len(self.conns)
@@ -1917,7 +1823,7 @@ class ParallelFleetEngine:
         if changed:
             engine.stability.reset()
         if due:
-            self._record_samples(due, bank)
+            self._fold_rows([(bank, self._stamp(due, self._trace_floor()))])
         if oids:
             self._read_observers(bank, oids)
         sim.metrics.record_tick(step, dt)
@@ -1930,38 +1836,6 @@ class ParallelFleetEngine:
                 step=step,
             )
         return remaining - step
-
-    def _classic_tick(self, remaining: float, dt: float, coalesce: bool) -> float:
-        """One tick with its own plan + commit barriers (pipe protocol)."""
-        sim = self.sim
-        engine = sim.fastforward
-        step = min(dt, remaining)
-        if coalesce:
-            plans = self._broadcast(("plan", step))
-            dark, demands, safe, horizon = self._merge_plans(plans)
-            stable = (
-                engine.stability.observe((demands, frozenset(dark))) and safe
-            )
-            horizon = min(horizon, sim.next_sample_time)
-            horizon = min(
-                horizon,
-                fold_driver_horizons(self.clock.now, sim.horizon_sources),
-            )
-            if self.faults is not None:
-                horizon = min(
-                    horizon, self.faults.next_barrier(self.clock.now)
-                )
-            step = engine.plan_step(
-                now=self.clock.now,
-                remaining=remaining,
-                base_dt=dt,
-                horizon=horizon,
-                stable=stable,
-            )
-            verb = "commit"
-        else:
-            verb = "step"
-        return self._finish_tick(remaining, dt, step, verb)
 
     def _checkpoint_pending(self) -> bool:
         """Whether the run loop will checkpoint at the next barrier.
@@ -1988,19 +1862,36 @@ class ParallelFleetEngine:
 
         Advances the clock, rotates the bank for a row-carrying tick,
         replays driver-visible fault events at the new instant, and
-        precomputes the jittered sample stamps — threading the jitter
-        ``floor`` across the epoch because the trace rows themselves are
-        folded only after the single epoch reply. Sample counters move
-        here (not at fold time) so ``next_sample_time`` evolves exactly
-        as it would between serial barriers.
+        precomputes the sample stamps — threading the jitter ``floor``
+        across the epoch because the trace rows themselves are folded
+        only after the single epoch reply.
         """
-        sim = self.sim
         self.clock.advance(step)
         now = self.clock.now
         due = self._due_times(now)
         want_row = bool(due)
         bank = self._next_bank() if want_row else self._bank
         changed = self.faults is not None and self.faults.advance(now)
+        stamps = self._stamp(due, floor)
+        if stamps:
+            floor = stamps[-1]
+        return bank, want_row, stamps, floor, changed
+
+    def _trace_floor(self) -> float:
+        """The last recorded sample time (the jitter floor), or 0.0."""
+        times = self.sim.aggregate_trace.times
+        return times[-1] if times else 0.0
+
+    def _stamp(self, due: list, floor: float) -> list:
+        """Trace timestamps for the due sample times, in order.
+
+        Each stamp is the due time, jittered through the driver's fault
+        replayer when one is installed; ``floor`` (the previous stamp)
+        keeps jittered stamps monotone. Sample counters move here, not
+        at fold time, so ``next_sample_time`` evolves exactly as it
+        would between serial barriers.
+        """
+        sim = self.sim
         stamps = []
         for when in due:
             t = when
@@ -2012,11 +1903,13 @@ class ParallelFleetEngine:
             floor = t
             sim._sample_count += 1
             sim.metrics.samples += 1
-        return bank, want_row, stamps, floor, changed
+        return stamps
 
     def _fold_rows(self, folds: list) -> None:
-        """Fold the epoch's row-carrying banks into the traces, in tick
-        order, with the stamps :meth:`_plan_tick` precomputed."""
+        """Fold ``(bank, stamps)`` rows into the traces, in order.
+
+        Watts are summed in global host order, so the aggregate trace
+        folds left-to-right exactly as the serial sampler does."""
         sim = self.sim
         plane = self.plane
         for bank, stamps in folds:
@@ -2071,9 +1964,7 @@ class ParallelFleetEngine:
         frames: list = []
         folds: list = []
         spans: list = []
-        floor = (
-            sim.aggregate_trace.times[-1] if sim.aggregate_trace.times else 0.0
-        )
+        floor = self._trace_floor()
         while True:
             hint = min(dt, remaining)
             stable = engine.stability.peek(fp) and safe
@@ -2118,7 +2009,7 @@ class ParallelFleetEngine:
             if (
                 remaining <= _EPS
                 or self.clock.now + _EPS >= shard_horizon
-                or len(frames) >= self._epoch_ticks
+                or len(frames) >= _EPOCH_TICKS
                 or self._checkpoint_pending()
                 or not safe
             ):
@@ -2140,9 +2031,7 @@ class ParallelFleetEngine:
         frames: list = []
         folds: list = []
         spans: list = []
-        floor = (
-            sim.aggregate_trace.times[-1] if sim.aggregate_trace.times else 0.0
-        )
+        floor = self._trace_floor()
         driver_changed = False
         while True:
             step = min(dt, remaining)
@@ -2163,7 +2052,7 @@ class ParallelFleetEngine:
             remaining -= step
             if (
                 remaining <= _EPS
-                or len(frames) >= self._epoch_ticks
+                or len(frames) >= _EPOCH_TICKS
                 or self._checkpoint_pending()
             ):
                 break
@@ -2238,7 +2127,6 @@ class ParallelFleetEngine:
             "total_servers": self.total_servers,
             "start_time": sim._start_time,
             "ckpt_origin": self._ckpt_origin,
-            "control": (self.control_plane_mode, self._epoch_ticks),
             "hosts": sim.host_mode,
             "sample": (
                 sim._sample_origin,
@@ -2326,17 +2214,16 @@ class ParallelFleetEngine:
                 if changed:
                     engine.stability.reset()
                 if due:
-                    self._record_samples(due, bank)
+                    self._fold_rows(
+                        [(bank, self._stamp(due, self._trace_floor()))]
+                    )
             remaining = seconds
-            batch = self.cplane is not None and self._epoch_ticks > 1
             ops = sim._ops
             while remaining > _EPS:
-                if batch and coalesce:
+                if coalesce:
                     remaining = self._epoch_coalesce(remaining, dt)
-                elif batch:
-                    remaining = self._epoch_fixed(remaining, dt)
                 else:
-                    remaining = self._classic_tick(remaining, dt, coalesce)
+                    remaining = self._epoch_fixed(remaining, dt)
                 if self._resilience is not None and not sim.checkpoint_extras:
                     self.checkpoint_if_due()
                 if ops is not None:

@@ -38,10 +38,10 @@ from repro.errors import SimulationError
 SNAPSHOT_VERSION = 1
 
 #: version stamp embedded in the driver-side manifest
-#: (2: manifests record the control-plane configuration — transport mode
-#: and epoch-tick budget — so a resume cannot silently change the frame
-#: schedule the logged replay frames were recorded under)
-MANIFEST_VERSION = 2
+#: (3: the control-plane pin is gone — the shm slot plane with a fixed
+#: epoch capacity is the only barrier transport, so no resume can change
+#: the frame schedule the logged replay frames were recorded under)
+MANIFEST_VERSION = 3
 
 
 @dataclass(frozen=True)

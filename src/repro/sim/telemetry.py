@@ -19,9 +19,9 @@ with ``S = total_servers`` and ``C = observer_capacity``. The banks
 rotate per row-carrying barrier: the driver stamps each control frame
 with the bank index, so a worker never overwrites a row the driver has
 not consumed yet, even across coalesced steps. Two banks (a classic
-double buffer) suffice for the one-barrier-per-tick pipe protocol; the
-shared-memory control plane (:mod:`repro.sim.controlplane`) batches up
-to ``epoch_ticks`` row-carrying ticks into one barrier, so the engine
+double buffer) would suffice for one barrier per tick; the shared-memory
+control plane (:mod:`repro.sim.controlplane`) batches up to
+``epoch_ticks`` row-carrying ticks into one barrier, so the engine
 sizes the plane with ``epoch_ticks + 1`` banks — every tick of an
 epoch lands in its own bank and the driver folds them all after the
 single reply.

@@ -6,7 +6,10 @@ import pytest
 from repro.errors import KernelError
 from repro.kernel.kernel import Machine
 from repro.kernel.namespaces import NamespaceType
+from repro.kernel.scheduler import TickResult
+from repro.kernel.thermal import ThermalSubsystem
 from repro.runtime.workload import constant, idle
+from repro.sim.rng import DeterministicRNG
 
 
 @pytest.fixture
@@ -239,6 +242,32 @@ class TestThermal:
             if s.core != k.scheduler.placement_of(task)
         ]
         assert busy > max(others) + 5
+
+    def test_noise_draws_match_per_core_streams(self):
+        # the tick draws every core's noise in one vector call; it must
+        # equal the scalar draw of each core's temp-noise-{core} stream
+        rng = DeterministicRNG(23)
+        thermal = ThermalSubsystem(6, rng)
+        temps = [ThermalSubsystem.AMBIENT_C] * 6
+        for index in range(40):
+            util = {c: ((index + c) % 5) / 4.0 for c in range(6)}
+            thermal.tick(TickResult(dt=1.0, utilization=util))
+            mean = sum(util.values()) / 6
+            alpha = min(1.0, 1.0 / ThermalSubsystem.TAU_S)
+            for c in range(6):
+                effective = (
+                    (1 - ThermalSubsystem.COUPLING) * util[c]
+                    + ThermalSubsystem.COUPLING * mean
+                )
+                target = (
+                    ThermalSubsystem.AMBIENT_C
+                    + ThermalSubsystem.FULL_LOAD_DELTA_C * effective
+                )
+                noise = rng.keyed(f"temp-noise-{c}").gauss(
+                    index, ThermalSubsystem.NOISE_SIGMA
+                )
+                temps[c] += (target - temps[c]) * alpha + noise * alpha
+        assert [s.temp_c for s in thermal.sensors] == temps
 
     def test_millidegree_rendering(self, machine):
         sensor = machine.kernel.thermal.sensor(0)

@@ -6,16 +6,19 @@ Four contracts from ``docs/parallel.md``:
    through the request/reply slots exactly (NaN hint encoding, bare
    commit/step fusing into one-tick epochs), and everything else refuses
    the slots (``post`` returns ``None``) so it ships pickled instead.
-2. **Golden equivalence** — ``--control-plane shm`` is bit-identical to
-   ``--control-plane pipe`` and to the serial driver, chaos included.
+2. **Golden equivalence** — the sharded engine (shm slots, batched
+   epochs) is bit-identical to the serial driver, the oracle, chaos and
+   coalescing included; ``"shm"`` is the only accepted transport.
 3. **Epoch batching** — steady state under shm posts *zero* pickled
    control frames, and batched epochs cut the barrier round-trip count
    well below one-per-tick.
 4. **Recovery** — a worker killed under batched epochs is respawned and
-   replayed (epoch frames included) bit-identically, and a checkpoint
-   manifest pins the control-plane configuration across resumes.
+   replayed (epoch frames included) bit-identically, a resume from a
+   checkpoint matches the uninterrupted run, and an engine whose start-up
+   fails leaks no shared-memory segment.
 """
 
+import errno
 import os
 
 import pytest
@@ -251,16 +254,13 @@ class TestBankFlip:
             plane.unlink()
 
     def test_engine_sizes_banks_for_epochs(self):
-        shm = build(servers=4, rack_size=2)
-        pipe = build(servers=4, rack_size=2)
+        sim = build(servers=4, rack_size=2)
         try:
-            shm.run(10.0, parallel=2)
-            pipe.run(10.0, parallel=2, control_plane="pipe")
-            assert shm._parallel.plane.banks == shm._parallel._epoch_ticks + 1
-            assert pipe._parallel.plane.banks == telemetry.BANKS
+            sim.run(10.0, parallel=2)
+            engine = sim._parallel
+            assert engine.plane.banks == engine.cplane.epoch_ticks + 1
         finally:
-            shm.close()
-            pipe.close()
+            sim.close()
 
 
 # ---------------------------------------------------------------------------
@@ -268,22 +268,19 @@ class TestBankFlip:
 
 
 class TestShmGoldenTrace:
-    def run_three(self, seconds, *, coalesce, interval=1.0, chaos=False,
+    def run_pair(self, seconds, *, coalesce, interval=1.0, chaos=False,
                   dt=1.0):
+        """Serial (the oracle) and sharded snapshots of the same run."""
         sims = []
         snaps = []
         try:
-            for plane in (None, "pipe", "shm"):
+            for parallel in (0, 2):
                 sim = build(
                     interval,
                     schedule=chaos_schedule() if chaos else None,
                 )
                 sims.append(sim)
-                if plane is None:
-                    sim.run(seconds, dt=dt, coalesce=coalesce)
-                else:
-                    sim.run(seconds, dt=dt, coalesce=coalesce, parallel=2,
-                            control_plane=plane)
+                sim.run(seconds, dt=dt, coalesce=coalesce, parallel=parallel)
                 snaps.append(snapshot(sim))
         finally:
             for sim in sims:
@@ -291,26 +288,28 @@ class TestShmGoldenTrace:
         return snaps
 
     def test_base_ticks_bit_identical(self):
-        serial, pipe, shm = self.run_three(120.0, coalesce=False)
-        assert serial == pipe == shm
+        serial, shm = self.run_pair(120.0, coalesce=False)
+        assert serial == shm
 
     def test_coalesced_chaos_bit_identical(self):
-        serial, pipe, shm = self.run_three(
+        serial, shm = self.run_pair(
             900.0, coalesce=True, interval=30.0, chaos=True
         )
-        assert serial == pipe == shm
+        assert serial == shm
         assert serial["faults"]["injected:machine-crash"] == 1
         assert serial["faults"]["samples-jittered"] > 0
 
     def test_chaos_base_ticks_bit_identical(self):
-        serial, pipe, shm = self.run_three(420.0, coalesce=False, chaos=True)
-        assert serial == pipe == shm
+        serial, shm = self.run_pair(420.0, coalesce=False, chaos=True)
+        assert serial == shm
         assert serial["trip_log"] == shm["trip_log"]
 
-    def test_invalid_mode_rejected(self):
+    @pytest.mark.parametrize("mode", ("quantum", "pipe"))
+    def test_invalid_mode_rejected(self, mode):
         sim = build(servers=4, rack_size=2)
         with pytest.raises(SimulationError, match="control"):
-            sim.run(10.0, parallel=2, control_plane="quantum")
+            sim.run(10.0, parallel=2, control_plane=mode)
+        assert sim._parallel is None
 
 
 # ---------------------------------------------------------------------------
@@ -334,23 +333,18 @@ class TestEpochBatching:
             sim.close()
 
     def test_epochs_batch_barrier_round_trips(self):
-        shm = build(servers=4, rack_size=2)
-        pipe = build(servers=4, rack_size=2)
+        sim = build(servers=4, rack_size=2)
         try:
-            shm.run(120.0, parallel=2)
-            pipe.run(120.0, parallel=2, control_plane="pipe")
-            shm_trips = (
-                shm.metrics.ipc.shm_control_frames
-                + shm.metrics.ipc.pipe_control_frames
-            )
-            pipe_trips = pipe.metrics.ipc.control_frames
-            # 8-tick epochs: ~one barrier per 8 ticks instead of per tick
-            assert shm_trips * 4 <= pipe_trips
-            assert shm.metrics.ipc.shm_control_frames > 0
-            assert pipe.metrics.ipc.shm_control_frames == 0
+            sim.run(120.0, parallel=2)
+            ipc = sim.metrics.ipc
+            trips = ipc.shm_control_frames + ipc.pipe_control_frames
+            # unbatched, every shard takes one frame per tick; 8-tick
+            # epochs need ~one barrier per 8 ticks instead
+            unbatched = sim.metrics.ticks * len(sim._parallel.conns)
+            assert trips * 4 <= unbatched
+            assert ipc.shm_control_frames > 0
         finally:
-            shm.close()
-            pipe.close()
+            sim.close()
 
     def test_epoch_spans_carry_tick_counts(self):
         sim = build(servers=4, rack_size=2)
@@ -364,17 +358,6 @@ class TestEpochBatching:
             assert epochs
             assert any(attrs.get("ticks", 0) > 1 for attrs in epochs)
             assert all(attrs["shards"] == 2 for attrs in epochs)
-        finally:
-            sim.close()
-
-    def test_pipe_mode_never_batches(self):
-        sim = build(servers=4, rack_size=2)
-        try:
-            sim.enable_tracing()
-            sim.run(60.0, parallel=2, control_plane="pipe")
-            names = {e.name for e in sim.tracer.timeline()}
-            assert "barrier.epoch" not in names
-            assert sim._parallel._epoch_ticks == 1
         finally:
             sim.close()
 
@@ -436,21 +419,6 @@ class TestKillMidEpoch:
 
 
 class TestManifestPinsControlPlane:
-    def test_resume_with_different_plane_rejected(self, tmp_path):
-        part = build(interval=30.0, servers=4, rack_size=2)
-        part.enable_resilience(
-            checkpoint_dir=str(tmp_path), checkpoint_every=120.0
-        )
-        part.run(300, parallel=2, coalesce=True)
-        part.close()
-        res = build(interval=30.0, servers=4, rack_size=2)
-        res.enable_resilience(
-            checkpoint_dir=str(tmp_path), checkpoint_every=120.0
-        )
-        with pytest.raises(SimulationError, match="control-plane"):
-            res.run(300, parallel=2, coalesce=True, resume=True,
-                    control_plane="pipe")
-
     def test_resume_same_plane_accepted(self, tmp_path):
         golden = build(interval=30.0, servers=4, rack_size=2)
         golden.run(600, parallel=2, coalesce=True)
@@ -471,3 +439,29 @@ class TestManifestPinsControlPlane:
         res_snap = snapshot(res)
         res.close()
         assert golden_snap == res_snap
+
+
+class TestStartupFailure:
+    def test_control_plane_failure_leaks_no_segment(self, monkeypatch):
+        if not os.path.isdir("/dev/shm"):
+            pytest.skip("no /dev/shm on this platform")
+        prefix = f"{telemetry.SEGMENT_PREFIX}-{os.getpid()}-"
+
+        def segments():
+            return {n for n in os.listdir("/dev/shm") if n.startswith(prefix)}
+
+        def no_space(*args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(
+            "repro.sim.parallel.ControlPlane.create", no_space
+        )
+        before = segments()
+        sim = build(servers=4, rack_size=2)
+        with pytest.raises(OSError) as info:
+            sim.run(10.0, parallel=2)
+        assert info.value.errno == errno.ENOSPC
+        # the telemetry plane was created first; the failed start-up
+        # must have unlinked it
+        assert segments() == before
+        assert sim._parallel is None

@@ -128,6 +128,15 @@ class TestSnapshotFiles:
         with pytest.raises(SimulationError, match="version"):
             read_snapshot(path)
 
+    def test_stale_manifest_version_rejected(self, tmp_path):
+        # version 2 manifests pinned a control-plane configuration that
+        # no longer exists; a resume from one must refuse, not misparse
+        atomic_write(
+            manifest_path(str(tmp_path)), pickle.dumps({"version": 2})
+        )
+        with pytest.raises(SimulationError, match="version 2"):
+            load_manifest(str(tmp_path))
+
     def test_missing_manifest_names_resume(self, tmp_path):
         with pytest.raises(SimulationError, match="nothing to resume"):
             load_manifest(str(tmp_path))
