@@ -1,0 +1,377 @@
+"""The per-host half of the fleet loop, shared by both drivers.
+
+A :class:`FleetSlice` owns a run of consecutive racks of one fleet — all
+of them for the serial :class:`~repro.datacenter.simulation.
+DatacenterSimulation`, one shard's for a :mod:`repro.sim.parallel`
+worker — together with those hosts' breakers, wall-power memo, benign
+tenants (columnar :class:`TenantPopulation` or per-object drivers),
+columnar host engine and fault injector. One loop iteration is::
+
+    dark = fleet.dark()
+    plan = fleet.plan(now, hint, dark, coalesce)   # tenants step here
+    ...                                            # driver sizes the tick
+    changed = fleet.commit(step, dark)             # tick, breakers, faults
+
+Both drivers run exactly this code, so the tick order, the coalescing
+fingerprint and the slice horizon are one decision, not two copies that
+must agree. Every index a slice reports is fleet-global (its *labels*);
+RNG forks are keyed on global indices too, so a slice over hosts
+``(2, 3)`` evolves bit-identically to hosts 2 and 3 of the whole fleet.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, fields
+from typing import List, Optional, Sequence, Tuple
+
+from repro.datacenter.breaker import CircuitBreaker
+from repro.datacenter.population import TenantPopulation, container_name_for
+from repro.datacenter.tenants import DiurnalProfile, DiurnalTenantDriver
+from repro.datacenter.topology import Rack, ServerPowerConfig, WallPowerCache
+from repro.errors import SimulationError
+from repro.runtime import cloud as cloud_mod
+from repro.runtime.cloud import ProviderProfile
+from repro.sim.faults import FaultInjector, FaultSchedule
+from repro.sim.rng import DeterministicRNG
+
+
+@dataclass(frozen=True)
+class FleetConfig:
+    """Everything that decides how a fleet is built (and so its traces).
+
+    Field names follow the ``DatacenterSimulation`` constructor. Two
+    fleets built from equal configs evolve bit-identically, which is why
+    a checkpoint manifest pins the whole config and resume compares it.
+    """
+
+    profile: ProviderProfile
+    seed: int
+    start_time: float
+    servers: int
+    rack_size: int
+    breaker_rated_watts: float
+    tenant_profile: Optional[DiurnalProfile]
+    tenants_per_host: int
+    #: "columnar" (TenantPopulation arrays) or "objects" (per-object drivers)
+    population: str
+    #: "columnar" (vectorized cold-host ticks) or "objects" (per-kernel)
+    hosts: str
+    power_config: ServerPowerConfig
+    breaker_knee_ratio: float
+
+    def __post_init__(self) -> None:
+        if self.servers < 1 or self.rack_size < 1:
+            raise SimulationError("need at least one server and rack slot")
+        if self.tenants_per_host < 1:
+            raise SimulationError(
+                f"tenants_per_host must be >= 1: {self.tenants_per_host}"
+            )
+        if self.population not in ("columnar", "objects"):
+            raise SimulationError(
+                "population must be 'columnar' or 'objects':"
+                f" {self.population!r}"
+            )
+        if self.hosts not in ("columnar", "objects"):
+            raise SimulationError(
+                f"hosts must be 'columnar' or 'objects': {self.hosts!r}"
+            )
+        if self.hosts == "columnar" and self.population != "columnar":
+            raise SimulationError(
+                "hosts='columnar' requires the columnar population: the"
+                " cold-host deferral couples to its demand columns"
+            )
+        if not 0.0 < self.breaker_knee_ratio <= 1.0:
+            raise SimulationError(
+                "breaker knee ratio must be in (0, 1]:"
+                f" {self.breaker_knee_ratio}"
+            )
+
+    @property
+    def rack_count(self) -> int:
+        return -(-self.servers // self.rack_size)
+
+    def rack_hosts(self, rack: int) -> range:
+        """Global indices of the servers on rack ``rack``."""
+        start = rack * self.rack_size
+        return range(start, min(start + self.rack_size, self.servers))
+
+    def differences(self, other: "FleetConfig") -> List[str]:
+        """Names of the fields whose values differ from ``other``'s."""
+        return [
+            f.name
+            for f in fields(self)
+            if getattr(self, f.name) != getattr(other, f.name)
+        ]
+
+
+class FleetSlice:
+    """The hosts of some consecutive racks and everything they own.
+
+    ``hosts`` are prebuilt cloud hosts for the slice's servers (the
+    serial fleet passes its cloud's); ``None`` builds them through
+    :func:`repro.runtime.cloud.build_cloud_host` against ``clock``.
+    ``racks`` are the global rack indices held (default: all).
+    """
+
+    def __init__(
+        self,
+        config: FleetConfig,
+        clock,
+        rng: DeterministicRNG,
+        hosts: Optional[Sequence[object]] = None,
+        racks: Optional[Sequence[int]] = None,
+    ):
+        self.config = config
+        self.clock = clock
+        self.rack_indices: Tuple[int, ...] = tuple(
+            range(config.rack_count) if racks is None else racks
+        )
+        members = [tuple(config.rack_hosts(r)) for r in self.rack_indices]
+        #: fleet-global index of each host, in slice order
+        self.labels: Tuple[int, ...] = tuple(g for m in members for g in m)
+        if hosts is None:
+            hosts = [
+                cloud_mod.build_cloud_host(config.profile, clock, rng, g)
+                for g in self.labels
+            ]
+        if len(hosts) != len(self.labels):
+            raise SimulationError("hosts must match the slice's servers 1:1")
+        self.hosts = list(hosts)
+        self.kernels = [h.kernel for h in self.hosts]
+        engines = [h.engine for h in self.hosts]
+        self._local_index = {g: l for l, g in enumerate(self.labels)}
+        #: the serial fleet's labels are its positions: skip translation
+        self._identity = self.labels == tuple(range(len(self.labels)))
+        self._rack_members = members
+
+        #: per-tick wall-power memo shared by the breaker feed, the
+        #: coalescing knee guard, and the trace row
+        self.cache = WallPowerCache(config.power_config)
+        self.racks: List[Rack] = [
+            Rack(
+                name=f"rack-{r}",
+                kernels=[self.kernels[self._local_index[g]] for g in m],
+                breaker=CircuitBreaker(
+                    name=f"breaker-{r}",
+                    rated_watts=config.breaker_rated_watts * len(m)
+                    / config.rack_size,
+                ),
+                power_config=config.power_config,
+                power_cache=self.cache,
+            )
+            for r, m in zip(self.rack_indices, members)
+        ]
+
+        # Tenant RNG forks are keyed by the *global* tenant id, so the
+        # draws are the same whichever slice holds the host.
+        k = config.tenants_per_host
+        self.population: Optional[TenantPopulation] = None
+        if config.population == "columnar":
+            self.population = TenantPopulation.for_hosts(
+                rng,
+                self.kernels,
+                engines,
+                host_labels=self.labels,
+                tenants_per_host=k,
+                profile=config.tenant_profile,
+            )
+            #: per-object views for probing (bit-identical to drivers)
+            self.tenants = self.population.views()
+        else:
+            self.tenants = [
+                DiurnalTenantDriver(
+                    kernel=host.kernel,
+                    rng=rng.fork(f"tenant-{g * k + j}"),
+                    profile=config.tenant_profile,
+                    engine=host.engine,
+                    container_name=container_name_for(j, k),
+                )
+                for g, host in zip(self.labels, self.hosts)
+                for j in range(k)
+            ]
+
+        #: deterministic fault replay (``None`` = perfect substrate)
+        self.injector: Optional[FaultInjector] = None
+
+        #: columnar host engine: cold hosts tick as numpy column sweeps
+        #: and materialize to full kernels lazily. It is indexed by slice
+        #: position; everything the slice reports stays fleet-global.
+        self.host_engine = None
+        if config.hosts == "columnar":
+            from repro.kernel.columnar import ColumnarHostEngine
+
+            self.host_engine = ColumnarHostEngine(
+                self.kernels,
+                engines,
+                clock,
+                power_config=config.power_config,
+                population=self.population,
+            )
+            for local, engine in enumerate(engines):
+                engine.host_engine = self.host_engine
+                engine.host_index = local
+            self.cache.host_engine = self.host_engine
+            self.host_engine.adopt_all()
+
+    def install_faults(self, schedule: FaultSchedule, seed: int) -> FaultInjector:
+        """Attach a fault injector seeded with ``seed`` to these hosts."""
+        injector = FaultInjector(
+            schedule,
+            DeterministicRNG(seed),
+            kernels=self.kernels,
+            engines=[h.engine for h in self.hosts],
+            racks=self.racks,
+            kernel_labels=self.labels,
+            rack_labels=self.rack_indices,
+            populations=() if self.population is None else (self.population,),
+        )
+        injector.host_engine = self.host_engine
+        self.injector = injector
+        return injector
+
+    def local(self, label: int) -> int:
+        """Slice position of global host ``label``."""
+        return self._local_index[label]
+
+    # -- state queries --------------------------------------------------
+
+    def dark(self) -> set:
+        """Global indices of hosts without power (tripped or crashed)."""
+        dark = set()
+        for members, rack in zip(self._rack_members, self.racks):
+            if rack.breaker.tripped:
+                dark.update(members)
+        if self.injector is not None:
+            labels = self.labels
+            dark.update(labels[local] for local in self.injector.crashed_now())
+        return dark
+
+    def crashed_kernel_ids(self) -> frozenset:
+        """``id(kernel)`` of crashed servers (they draw no rack power)."""
+        if self.injector is None:
+            return frozenset()
+        kernels = self.kernels
+        return frozenset(id(kernels[local]) for local in self.injector.crashed_now())
+
+    def breakers_safe(self) -> bool:
+        """Whether every rack is far enough from its breaker's trip knee.
+
+        Above the knee the thermal trip integral is live and trip timing
+        must be resolved at base-``dt`` resolution; at or below it a
+        phase-stable (constant-power) window cannot trip, so skipping is
+        legal. Tripped racks are dark and cannot get darker.
+        """
+        crashed = self.crashed_kernel_ids()
+        knee = self.config.breaker_knee_ratio
+        for rack in self.racks:
+            if rack.breaker.tripped:
+                continue
+            if rack.wall_power(crashed) / rack.breaker.rated_watts > knee:
+                return False
+        return True
+
+    def row(self) -> list:
+        """Per-host wall watts in slice order: ``None`` crashed, 0.0 dark."""
+        crashed = self.injector.crashed_now() if self.injector is not None else ()
+        dark = self.dark()
+        watts = self.cache.watts
+        return [
+            None if local in crashed else (0.0 if g in dark else watts(kernel))
+            for local, (g, kernel) in enumerate(zip(self.labels, self.kernels))
+        ]
+
+    # -- the loop body --------------------------------------------------
+
+    def advance_faults(self) -> bool:
+        """Apply due fault events now; True when any state changed."""
+        return self.injector is not None and self.injector.advance(self.clock.now)
+
+    def plan(
+        self, now: float, hint: float, dark: set, coalesce: bool = True
+    ) -> Optional[Tuple[tuple, float]]:
+        """Step the tenants; with ``coalesce``, ``(fingerprints, horizon)``.
+
+        The fingerprints are per-host demand folds in slice order (0.0
+        on dark hosts): the kernel's own, plus the population's
+        aggregate demand column in columnar mode, with cold hosts
+        answering from the host engine's fingerprint column. Both move
+        on exactly the same spawn/kill/exec events. The horizon is the
+        nearest slice event a coalesced tick must not step across:
+        tenant decisions, hot-host phase boundaries, fault boundaries.
+        """
+        pop = self.population
+        labels = self.labels
+        k = self.config.tenants_per_host
+        if pop is not None:
+            pop.step(now, hint, dark_hosts=dark)
+        else:
+            for t, tenant in enumerate(self.tenants):
+                if labels[t // k] not in dark:
+                    tenant.step(now, hint)
+        if not coalesce:
+            return None
+        he = self.host_engine
+        kernels = self.kernels
+        if pop is None:
+            demands = tuple(
+                0.0 if g in dark else kernel.demand_fingerprint()
+                for g, kernel in zip(labels, kernels)
+            )
+        elif he is None:
+            host_demand = pop.host_demand
+            demands = tuple(
+                0.0 if g in dark else kernel.demand_fingerprint() + host_demand(g)
+                for g, kernel in zip(labels, kernels)
+            )
+        else:
+            host_demand = pop.host_demand
+            demands = tuple(
+                0.0
+                if g in dark
+                else (
+                    he.fingerprint(local)
+                    if he.is_cold(local)
+                    else kernel.demand_fingerprint()
+                )
+                + host_demand(g)
+                for local, (g, kernel) in enumerate(zip(labels, kernels))
+            )
+        horizon = math.inf
+        if pop is not None:
+            horizon = pop.next_event_time(now, dark)
+        else:
+            for t, tenant in enumerate(self.tenants):
+                if labels[t // k] not in dark:
+                    horizon = min(horizon, tenant.next_event_time(now))
+        for local, (g, kernel) in enumerate(zip(labels, kernels)):
+            # cold hosts hold only single-phase unbounded workloads (the
+            # eligibility contract), so their phase horizon is +inf
+            if g not in dark and (he is None or not he.is_cold(local)):
+                horizon = min(horizon, now + kernel.next_phase_boundary_s())
+        if self.injector is not None:
+            horizon = min(horizon, self.injector.next_barrier(now))
+        return demands, horizon
+
+    def commit(self, step: float, dark: set) -> bool:
+        """Advance, tick the lit hosts, feed the breakers, apply faults.
+
+        Returns True when a fault changed state at the new instant.
+        """
+        clock = self.clock
+        t0 = clock.now
+        clock.advance(step)
+        he = self.host_engine
+        if he is not None:
+            if not self._identity:
+                dark = {self._local_index[g] for g in dark}
+            he.tick_all(step, dark, t0)
+        else:
+            for g, kernel in zip(self.labels, self.kernels):
+                if g not in dark:
+                    kernel.tick(step)
+        crashed = self.crashed_kernel_ids()
+        now = clock.now
+        for rack in self.racks:
+            rack.observe(step, now, crashed)
+        return self.advance_faults()

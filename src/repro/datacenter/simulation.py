@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, List, Optional
 
-from repro.datacenter.breaker import CircuitBreaker
-from repro.datacenter.population import TenantPopulation, container_name_for
-from repro.datacenter.tenants import DiurnalProfile, DiurnalTenantDriver
+from repro.datacenter.fleet import FleetConfig, FleetSlice
+from repro.datacenter.population import TenantPopulation
+from repro.datacenter.tenants import DiurnalProfile
 from repro.datacenter.topology import Rack, ServerPowerConfig, WallPowerCache
 from repro.errors import SimulationError
 from repro.obs.tracer import SpanTracer
@@ -23,7 +23,6 @@ from repro.runtime.cloud import ContainerCloud, PROVIDER_PROFILES, ProviderProfi
 from repro.sim.fastforward import FastForwardEngine
 from repro.sim.faults import FaultInjector, FaultSchedule
 from repro.sim.metrics import SimMetrics, SubsystemTimings, WallTimer
-from repro.sim.rng import DeterministicRNG
 
 
 @dataclass
@@ -207,114 +206,49 @@ class DatacenterSimulation:
         population: str = "columnar",
         hosts: str = "objects",
     ):
-        if servers < 1 or rack_size < 1:
-            raise SimulationError("need at least one server and rack slot")
-        if tenants_per_host < 1:
-            raise SimulationError(
-                f"tenants_per_host must be >= 1: {tenants_per_host}"
-            )
-        if population not in ("columnar", "objects"):
-            raise SimulationError(
-                f"population must be 'columnar' or 'objects': {population!r}"
-            )
-        if hosts not in ("columnar", "objects"):
-            raise SimulationError(
-                f"hosts must be 'columnar' or 'objects': {hosts!r}"
-            )
-        if hosts == "columnar" and population != "columnar":
-            raise SimulationError(
-                "hosts='columnar' requires the columnar population: the"
-                " cold-host deferral couples to its demand columns"
-            )
         if sample_interval_s <= 0:
             raise SimulationError(
                 f"sample interval must be positive: {sample_interval_s}"
             )
-        if not 0.0 < breaker_knee_ratio <= 1.0:
-            raise SimulationError(
-                f"breaker knee ratio must be in (0, 1]: {breaker_knee_ratio}"
-            )
-        self.profile = profile or PROVIDER_PROFILES["CC1"]
-        self.cloud = ContainerCloud(self.profile, seed=seed, servers=servers)
-        self.power_config = power_config or ServerPowerConfig()
+        self.config = FleetConfig(
+            profile=profile or PROVIDER_PROFILES["CC1"],
+            seed=seed,
+            start_time=0.0,
+            servers=servers,
+            rack_size=rack_size,
+            breaker_rated_watts=breaker_rated_watts,
+            tenant_profile=tenant_profile,
+            tenants_per_host=tenants_per_host,
+            population=population,
+            hosts=hosts,
+            power_config=power_config or ServerPowerConfig(),
+            breaker_knee_ratio=breaker_knee_ratio,
+        )
+        self.profile = self.config.profile
+        self.cloud = ContainerCloud(
+            self.profile, seed=seed, servers=servers,
+            start_time=self.config.start_time,
+        )
         self.sample_interval_s = sample_interval_s
-        self.seed = seed
-        self.rack_size = rack_size
-        self.tenant_profile = tenant_profile
 
         #: rack-sharded parallel engine (created by ``run(parallel=N)``);
         #: assigned before anything reads ``self.now``
         self._parallel = None
 
-        #: per-tick wall-power memo shared by the breaker feed, the
-        #: coalescing knee guard, and the trace sampler
-        self.power_cache = WallPowerCache(self.power_config)
-
-        self.racks: List[Rack] = []
-        kernels = [h.kernel for h in self.cloud.hosts]
-        for start in range(0, servers, rack_size):
-            group = kernels[start : start + rack_size]
-            rack = Rack(
-                name=f"rack-{start // rack_size}",
-                kernels=group,
-                breaker=CircuitBreaker(
-                    name=f"breaker-{start // rack_size}",
-                    rated_watts=breaker_rated_watts * len(group) / rack_size,
-                ),
-                power_config=self.power_config,
-                power_cache=self.power_cache,
-            )
-            self.racks.append(rack)
-
-        #: how many benign tenants multiplex onto each host (the demand
-        #: plane scales with servers * tenants_per_host, not with servers)
-        self.tenants_per_host = tenants_per_host
-        self.population_mode = population
-        if population == "columnar":
-            #: the whole demand plane as numpy columns; ``self.tenants``
-            #: are per-object views for probing (bit-identical to drivers)
-            self.population: Optional[TenantPopulation] = TenantPopulation.for_hosts(
-                self.cloud.rng,
-                [host.kernel for host in self.cloud.hosts],
-                [host.engine for host in self.cloud.hosts],
-                tenants_per_host=tenants_per_host,
-                profile=tenant_profile,
-            )
-            self.tenants = self.population.views()
-        else:
-            self.population = None
-            self.tenants: List[DiurnalTenantDriver] = [
-                DiurnalTenantDriver(
-                    kernel=host.kernel,
-                    rng=self.cloud.rng.fork(f"tenant-{i * tenants_per_host + j}"),
-                    profile=tenant_profile,
-                    engine=host.engine,
-                    container_name=container_name_for(j, tenants_per_host),
-                )
-                for i, host in enumerate(self.cloud.hosts)
-                for j in range(tenants_per_host)
-            ]
-
-        #: columnar host engine (``hosts="columnar"``): cold hosts tick
-        #: as numpy column sweeps and materialize to full kernels lazily;
-        #: ``None`` in the per-object reference mode. See docs/hostengine.md.
-        self.host_mode = hosts
-        self.host_engine = None
-        if hosts == "columnar":
-            from repro.kernel.columnar import ColumnarHostEngine
-
-            self.host_engine = ColumnarHostEngine(
-                [h.kernel for h in self.cloud.hosts],
-                [h.engine for h in self.cloud.hosts],
-                self.cloud.clock,
-                power_config=self.power_config,
-                population=self.population,
-            )
-            for i, host in enumerate(self.cloud.hosts):
-                host.engine.host_engine = self.host_engine
-                host.engine.host_index = i
-            self.power_cache.host_engine = self.host_engine
-            self.host_engine.adopt_all()
+        #: the per-host half of the loop, over every host of the cloud;
+        #: the attributes below are its objects, kept as plain handles
+        self.fleet = FleetSlice(
+            self.config, self.cloud.clock, self.cloud.rng, hosts=self.cloud.hosts
+        )
+        self.power_cache: WallPowerCache = self.fleet.cache
+        self.racks: List[Rack] = self.fleet.racks
+        #: columnar mode: the whole demand plane as numpy columns, with
+        #: ``tenants`` as per-object views; ``None`` with object drivers
+        self.population: Optional[TenantPopulation] = self.fleet.population
+        self.tenants = self.fleet.tenants
+        #: columnar host engine (``hosts="columnar"``), ``None`` in the
+        #: per-object reference mode. See docs/hostengine.md.
+        self.host_engine = self.fleet.host_engine
 
         self.aggregate_trace = PowerTrace()
         self.server_traces: Dict[int, PowerTrace] = {
@@ -326,13 +260,7 @@ class DatacenterSimulation:
         self._sample_origin = self.now
         self._sample_count = 0
 
-        #: id(kernel) -> server index, built once (kernels never change)
-        self._kernel_index: Dict[int, int] = {
-            id(h.kernel): i for i, h in enumerate(self.cloud.hosts)
-        }
-
         #: tick-coalescing fast-forward (engaged by ``run(coalesce=True)``)
-        self.breaker_knee_ratio = breaker_knee_ratio
         self.fastforward = FastForwardEngine(max_step_s=max_coalesce_s)
         self.metrics: SimMetrics = self.fastforward.metrics
         #: extra event-horizon callables ``now -> absolute next event time``
@@ -381,19 +309,11 @@ class DatacenterSimulation:
                 "install faults before the first parallel run: shard"
                 " workers partition the schedule at startup"
             )
-        rng = DeterministicRNG(schedule.seed if seed is None else seed)
-        injector = FaultInjector(
-            schedule,
-            rng,
-            kernels=[h.kernel for h in self.cloud.hosts],
-            engines=[h.engine for h in self.cloud.hosts],
-            racks=self.racks,
-            populations=() if self.population is None else (self.population,),
+        injector = self.fleet.install_faults(
+            schedule, schedule.seed if seed is None else seed
         )
         injector.tracer = self.tracer
-        injector.host_engine = self.host_engine
         self.fault_injector = injector
-        self.horizon_sources.append(injector.next_barrier)
         return injector
 
     def enable_tracing(
@@ -605,25 +525,6 @@ class DatacenterSimulation:
             return sum(watts[i] for i in range(len(self.cloud.hosts)))
         return sum(self.server_wall_watts(i) for i in range(len(self.cloud.hosts)))
 
-    def _dark_indices(self) -> set:
-        """Servers currently without power (breaker opened, or crashed)."""
-        dark = set()
-        for rack in self.racks:
-            if rack.breaker.tripped:
-                dark.update(self._kernel_index[id(k)] for k in rack.kernels)
-        if self.fault_injector is not None:
-            dark.update(self.fault_injector.crashed_now())
-        return dark
-
-    def _crashed_kernel_ids(self) -> frozenset:
-        """``id(kernel)`` of crashed servers (they draw no rack power)."""
-        if self.fault_injector is None:
-            return frozenset()
-        hosts = self.cloud.hosts
-        return frozenset(
-            id(hosts[i].kernel) for i in self.fault_injector.crashed_now()
-        )
-
     def enable_subsystem_timings(self) -> SubsystemTimings:
         """Profile wall time per kernel subsystem across the whole fleet."""
         timings = self.metrics.subsystem_timings or SubsystemTimings(
@@ -655,85 +556,6 @@ class DatacenterSimulation:
     def next_sample_time(self) -> float:
         """Absolute virtual time of the next scheduled trace sample."""
         return self._sample_origin + self._sample_count * self.sample_interval_s
-
-    def _coalesce_horizon(self, dark: set) -> float:
-        """The nearest virtual time a coalesced tick must not step across."""
-        horizon = self.next_sample_time
-        if self.population is not None:
-            horizon = min(horizon, self.population.next_event_time(self.now, dark))
-        else:
-            k = self.tenants_per_host
-            for t, tenant in enumerate(self.tenants):
-                if (t // k) not in dark:
-                    horizon = min(horizon, tenant.next_event_time(self.now))
-        he = self.host_engine
-        for i, host in enumerate(self.cloud.hosts):
-            # cold hosts hold only single-phase unbounded workloads (the
-            # eligibility contract), so their phase horizon is +inf
-            if i not in dark and (he is None or not he.is_cold(i)):
-                horizon = min(
-                    horizon, self.now + host.kernel.next_phase_boundary_s()
-                )
-        for source in self.horizon_sources:
-            horizon = min(horizon, source(self.now))
-        return horizon
-
-    def _coalesce_fingerprint(self, dark: set) -> tuple:
-        """Workload-set fingerprint: changes on any spawn/kill/exec/trip.
-
-        In columnar mode each host's entry also folds in the population's
-        aggregate demand column for that host (O(1) per host), so the
-        plan frames carry the array-side fingerprint alongside the
-        kernel-side one; both move on exactly the same events, and the
-        parallel shards compute the identical formula.
-        """
-        pop = self.population
-        he = self.host_engine
-        if pop is not None and he is not None:
-            # cold hosts answer from the engine's fingerprint column —
-            # the same 0.0-seeded fold the kernel would compute, updated
-            # on churn instead of re-derived per tick
-            demands = tuple(
-                0.0
-                if i in dark
-                else (
-                    he.fingerprint(i)
-                    if he.is_cold(i)
-                    else host.kernel.demand_fingerprint()
-                )
-                + pop.host_demand(i)
-                for i, host in enumerate(self.cloud.hosts)
-            )
-        elif pop is not None:
-            demands = tuple(
-                0.0
-                if i in dark
-                else host.kernel.demand_fingerprint() + pop.host_demand(i)
-                for i, host in enumerate(self.cloud.hosts)
-            )
-        else:
-            demands = tuple(
-                0.0 if i in dark else host.kernel.demand_fingerprint()
-                for i, host in enumerate(self.cloud.hosts)
-            )
-        return (demands, frozenset(dark))
-
-    def _breakers_safe(self) -> bool:
-        """Whether every rack is far enough from its breaker's trip knee.
-
-        Above the knee the thermal trip integral is live and trip timing
-        must be resolved at base-``dt`` resolution; at or below it a
-        phase-stable (constant-power) window cannot trip, so skipping is
-        legal. Tripped racks are dark and cannot get darker.
-        """
-        crashed = self._crashed_kernel_ids()
-        for rack in self.racks:
-            if rack.breaker.tripped:
-                continue
-            ratio = rack.wall_power(crashed) / rack.breaker.rated_watts
-            if ratio > self.breaker_knee_ratio:
-                return False
-        return True
 
     def run(
         self,
@@ -859,64 +681,55 @@ class DatacenterSimulation:
                 " do not snapshot"
             )
         engine = self.fastforward
-        injector = self.fault_injector
+        fleet = self.fleet
+        clock = self.cloud.clock
         tracer = self.tracer
         ops = self._ops
         trace_on = tracer is not None and tracer.enabled
         if trace_on:
             run_t0, run_w0 = self.now, perf_counter()
         with WallTimer(self.metrics):
-            if injector is not None and injector.advance(self.now):
+            if fleet.advance_faults():
                 engine.stability.reset()
             self._catch_up_samples()
             remaining = seconds
             while remaining > 1e-9:
+                now = clock.now
                 if trace_on:
-                    tick_t0, tick_w0 = self.now, perf_counter()
-                dark = self._dark_indices()
+                    tick_w0 = perf_counter()
+                dark = fleet.dark()
                 step = min(dt, remaining)
-                if self.population is not None:
-                    self.population.step(self.now, step, dark_hosts=dark)
-                else:
-                    k = self.tenants_per_host
-                    for t, tenant in enumerate(self.tenants):
-                        if (t // k) not in dark:
-                            tenant.step(self.now, step)
-                if coalesce:
+                plan = fleet.plan(now, step, dark, coalesce)
+                if plan is not None:
+                    demands, horizon = plan
+                    # breaker safety only matters once the fingerprint
+                    # is stable, so the knee check runs only then
                     stable = engine.stability.observe(
-                        self._coalesce_fingerprint(dark)
-                    ) and self._breakers_safe()
+                        (demands, frozenset(dark))
+                    ) and fleet.breakers_safe()
+                    horizon = min(horizon, self.next_sample_time)
+                    for source in self.horizon_sources:
+                        horizon = min(horizon, source(now))
                     step = engine.plan_step(
-                        now=self.now,
+                        now=now,
                         remaining=remaining,
                         base_dt=dt,
-                        horizon=self._coalesce_horizon(dark),
+                        horizon=horizon,
                         stable=stable,
                     )
-                barrier_t0 = self.now
-                self.cloud.clock.advance(step)
-                if self.host_engine is not None:
-                    self.host_engine.tick_all(step, dark, barrier_t0)
-                else:
-                    for i, host in enumerate(self.cloud.hosts):
-                        if i not in dark:
-                            host.kernel.tick(step)
-                crashed = self._crashed_kernel_ids()
-                for rack in self.racks:
-                    rack.observe(step, self.now, crashed)
-                if injector is not None and injector.advance(self.now):
+                if fleet.commit(step, dark):
                     engine.stability.reset()
                 self._catch_up_samples()
                 self.metrics.record_tick(step, dt)
                 if ops is not None:
-                    ops.on_tick(self.now)
+                    ops.on_tick(clock.now)
                 if on_tick is not None:
                     on_tick(self)
                 if trace_on:
                     tracer.add_span(
                         "fleet.tick",
-                        tick_t0,
-                        self.now,
+                        now,
+                        clock.now,
                         perf_counter() - tick_w0,
                         step=step,
                     )
@@ -945,28 +758,40 @@ class DatacenterSimulation:
             self._sample(at=self.next_sample_time)
             self._sample_count += 1
 
-    def _sample(self, at: Optional[float] = None) -> None:
-        when = self.now if at is None else at
+    def _sample(self, at: float) -> None:
+        when = at
         injector = self.fault_injector
-        crashed: frozenset = frozenset()
         if injector is not None:
-            crashed = injector.crashed_now()
-            last = self.aggregate_trace.times[-1] if self.aggregate_trace.times else 0.0
             # clock jitter displaces the *recorded* timestamp only; the
             # sampling grid itself stays anchored on interval multiples
-            when = injector.jittered_time(when, self.sample_interval_s, floor=last)
-        dark = self._dark_indices()
+            when = injector.jittered_time(
+                when, self.sample_interval_s, floor=self._trace_floor()
+            )
+        self._record_row(when, self.fleet.row())
+        self.metrics.samples += 1
+
+    def _trace_floor(self) -> float:
+        """The last recorded sample time (the jitter floor), or 0.0."""
+        times = self.aggregate_trace.times
+        return times[-1] if times else 0.0
+
+    def _record_row(self, when: float, row) -> None:
+        """Fold one per-host watts row into the traces at ``when``.
+
+        ``None`` marks a crashed machine: a hole in its trace, not a
+        zero. The aggregate sums the row left to right in global host
+        order — float addition order is part of the bit-identity
+        contract between the serial and the sharded drivers.
+        """
         total = 0.0
-        for i in range(len(self.cloud.hosts)):
-            if i in crashed:
-                # a down machine leaves a hole in its trace, not a zero
-                self.server_traces[i].note_gap(when)
+        traces = self.server_traces
+        for i, watts in enumerate(row):
+            if watts is None:
+                traces[i].note_gap(when)
                 continue
-            watts = 0.0 if i in dark else self.server_wall_watts(i)
-            self.server_traces[i].append(when, watts)
+            traces[i].append(when, watts)
             total += watts
         self.aggregate_trace.append(when, total)
-        self.metrics.samples += 1
 
     # ------------------------------------------------------------------
     # parallel-aware instance plumbing (attack strategies go through

@@ -115,8 +115,8 @@ def fold_driver_horizons(now: float, sources) -> float:
     their host-observing horizons (tenant decisions, phase boundaries,
     fault barriers) worker-side, and the driver folds in the sources that
     are marked :class:`DriverHorizon`-safe, so the merged horizon equals
-    the serial ``_coalesce_horizon`` fold value exactly (min is
-    order-independent on floats).
+    the serial driver's fold value exactly (min is order-independent on
+    floats).
     """
     horizon = math.inf
     for source in sources:

@@ -94,14 +94,19 @@ into the merged coalescing horizon.
 
 Determinism rules (the golden-trace tests pin all of them):
 
-1. Shard workers rebuild their hosts through the same
-   :func:`repro.runtime.cloud.build_cloud_host` path the serial fleet
-   uses, forking the fleet rng by *global* index — identical seeds yield
-   bit-identical kernels no matter which process builds them — and then
-   replay the cloud's launch/terminate log in order, so container ids,
-   core allocations, and billing baselines match the serial cloud.
+1. The serial driver and every shard worker run the same per-tick code:
+   one :class:`repro.datacenter.fleet.FleetSlice` each, over all hosts
+   or over the shard's racks, built from the same :class:`FleetConfig`.
+   Dark sets, the plan fingerprint, the slice horizon, the breaker-knee
+   verdict, the commit body and the trace row are computed once, in the
+   slice. It builds hosts through :func:`repro.runtime.cloud.
+   build_cloud_host` and forks every rng by *global* index, so identical
+   seeds yield bit-identical kernels and tenants no matter which process
+   builds them; the worker then replays the cloud's launch/terminate log
+   in order, so container ids, core allocations, and billing baselines
+   match the serial cloud.
 2. The driver's clock performs the same ``+=`` float operations as the
-   serial clock, and every shard clock replays them too, so shard-local
+   serial clock, and every slice clock replays them too, so slice
    horizons (``now + boundary``) are bitwise equal to serial ones.
 3. :meth:`FaultSchedule.partition` routes host/rack events to their
    owning shard and clock-jitter events to the driver (jitter only moves
@@ -133,11 +138,12 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.datacenter.fleet import FleetConfig, FleetSlice
 from repro.errors import SimulationError
 from repro.obs.tracer import SpanTracer
 from repro.sim.clock import VirtualClock
 from repro.sim.controlplane import ControlPlane
-from repro.sim.faults import FaultInjector, FaultSchedule, FaultStats, JitterModel
+from repro.sim.faults import FaultSchedule, FaultStats, JitterModel
 from repro.sim.fastforward import fold_driver_horizons
 from repro.sim.metrics import IpcMetrics, WallTimer
 from repro.sim.resilience import (
@@ -228,45 +234,24 @@ def _recv_frame(conn) -> Tuple[tuple, int]:
 
 
 @dataclass(frozen=True)
-class RackShardSpec:
-    """One rack as shipped to a shard worker."""
-
-    rack_index: int
-    name: str
-    breaker_name: str
-    rated_watts: float
-    host_indices: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ShardSpec:
     """Everything a worker needs to rebuild its slice of the fleet.
 
     Only picklable value state crosses the process boundary; kernels,
     engines, tenant drivers, and launched instances are *reconstructed*
-    in the worker from the same seeds and the cloud's launch log, which
-    is what makes them bit-identical to serial.
+    in the worker from the same :class:`FleetConfig` and the cloud's
+    launch log, which is what makes them bit-identical to serial.
     """
 
-    profile: object  # ProviderProfile (picklable frozen dataclass)
-    seed: int
-    start_time: float
-    host_indices: Tuple[int, ...]
-    racks: Tuple[RackShardSpec, ...]
-    tenant_profile: object  # Optional[DiurnalProfile]
-    #: benign tenants multiplexed onto each host
-    tenants_per_host: int
-    #: "columnar" (TenantPopulation arrays) or "objects" (per-object drivers)
-    population_mode: str
-    power_config: object  # ServerPowerConfig
-    breaker_knee_ratio: float
+    config: FleetConfig
+    #: global indices of this shard's racks (consecutive, ascending)
+    racks: Tuple[int, ...]
     fault_schedule: Optional[FaultSchedule]
     fault_seed: int
     #: shared-memory telemetry plane to attach to
     telemetry_name: str
     #: shared-memory control plane segment to attach to
     control_name: str
-    total_servers: int
     observer_capacity: int
     #: the cloud's full launch/terminate history (workers filter by host)
     launch_log: Tuple[tuple, ...]
@@ -278,8 +263,6 @@ class ShardSpec:
     trace_capacity: int = 65536
     #: per-shard host counts, in shard order (control-plane geometry)
     control_host_counts: Tuple[int, ...] = ()
-    #: "columnar" (vectorized cold-host ticks) or "objects" (per-kernel)
-    host_mode: str = "objects"
     #: trace spill segment directory (None: ring overflow drops events)
     spill_dir: Optional[str] = None
 
@@ -296,101 +279,72 @@ class BreakerSnapshot:
 
 
 class _ShardRuntime:
-    """Worker-side state: the shard's hosts, racks, tenants, and faults.
+    """Worker-side state: one :class:`FleetSlice` plus the protocol parts.
 
-    Mirrors the serial loop body exactly, but only over this shard's
-    hosts; all indices in messages are fleet-global.
+    The slice runs the same per-tick code as the serial driver over
+    this shard's racks; the runtime adds what only the barrier protocol
+    needs — dark-set deltas, telemetry banks, shard-resident attack
+    observers, spans, checkpoints and replay. All indices in messages
+    are fleet-global.
     """
 
     def __init__(self, spec: ShardSpec):
-        from repro.datacenter.breaker import CircuitBreaker
-        from repro.datacenter.population import TenantPopulation, container_name_for
-        from repro.datacenter.tenants import DiurnalTenantDriver
-        from repro.datacenter.topology import Rack, WallPowerCache
-        from repro.runtime.cloud import Instance, build_cloud_host
+        from repro.runtime.cloud import Instance
 
         self.spec = spec
-        self.clock = VirtualClock(start=spec.start_time)
-        root = DeterministicRNG(spec.seed)
-        self.hosts = {
-            i: build_cloud_host(spec.profile, self.clock, root, i)
-            for i in spec.host_indices
-        }
-        self.cache = WallPowerCache(spec.power_config)
-        self.racks = []
-        for rs in spec.racks:
-            self.racks.append(
-                Rack(
-                    name=rs.name,
-                    kernels=[self.hosts[i].kernel for i in rs.host_indices],
-                    breaker=CircuitBreaker(
-                        name=rs.breaker_name, rated_watts=rs.rated_watts
-                    ),
-                    power_config=spec.power_config,
-                    power_cache=self.cache,
-                )
-            )
-        # Tenant demand: columnar arrays over this shard's hosts, or
-        # per-object reference drivers. Tenant RNG forks are keyed by the
-        # *global* tenant id, so the draws (and therefore the traces) are
-        # bit-identical to the serial engine's regardless of sharding.
-        kcount = spec.tenants_per_host
-        self.population = None
-        self.tenants: Dict[int, list] = {}
-        if spec.population_mode == "columnar":
-            self.population = TenantPopulation.for_hosts(
-                root,
-                [self.hosts[i].kernel for i in spec.host_indices],
-                [self.hosts[i].engine for i in spec.host_indices],
-                host_labels=spec.host_indices,
-                tenants_per_host=kcount,
-                profile=spec.tenant_profile,
-            )
-        else:
-            self.tenants = {
-                i: [
-                    DiurnalTenantDriver(
-                        kernel=self.hosts[i].kernel,
-                        rng=root.fork(f"tenant-{i * kcount + j}"),
-                        profile=spec.tenant_profile,
-                        engine=self.hosts[i].engine,
-                        container_name=container_name_for(j, kcount),
-                    )
-                    for j in range(kcount)
-                ]
-                for i in spec.host_indices
-            }
+        config = spec.config
+        self.clock = VirtualClock(start=config.start_time)
+        self.fleet = FleetSlice(
+            config, self.clock, DeterministicRNG(config.seed), racks=spec.racks
+        )
         # Replay the cloud's launch/terminate history for this shard's
-        # hosts, in global order: container ids, core allocations, and
-        # cpuacct baselines come out identical to the serial cloud's.
+        # hosts, in global order and after the slice is built — the
+        # serial cloud launches into a fleet that already exists — so
+        # container ids, core allocations, and cpuacct baselines come out
+        # identical to the serial cloud's.
         self.instances: Dict[str, Instance] = {}
-        owned = set(spec.host_indices)
+        fleet = self.fleet
         for op in spec.launch_log:
             if op[0] == "launch":
                 _, iid, tenant, host_index, cpus = op
-                if host_index not in owned:
+                if host_index not in fleet.labels:
                     continue
-                host = self.hosts[host_index]
+                host = fleet.hosts[fleet.local(host_index)]
                 container = host.engine.create(
                     name=iid,
-                    policy=spec.profile.policy_factory(),
+                    policy=config.profile.policy_factory(),
                     cpus=cpus,
-                    memory_mb=spec.profile.memory_mb_per_instance,
+                    memory_mb=config.profile.memory_mb_per_instance,
                 )
                 self.instances[iid] = Instance(
                     instance_id=iid,
                     tenant=tenant,
                     container=container,
                     host_index=host_index,
-                    launched_at=spec.start_time,
+                    launched_at=config.start_time,
                     _cpu_ns_at_launch=container.cpu_usage_ns,
                 )
             else:  # ("terminate", iid, host_index)
                 _, iid, host_index = op
-                if host_index not in owned:
+                if host_index not in fleet.labels:
                     continue
                 instance = self.instances.pop(iid)
-                self.hosts[host_index].engine.remove(instance.container)
+                fleet.hosts[fleet.local(host_index)].engine.remove(
+                    instance.container
+                )
+        if spec.fault_schedule is not None:
+            fleet.install_faults(spec.fault_schedule, spec.fault_seed)
+        #: observer id -> slice position of a host holding a fidelity refcount
+        self._observer_hosts: Dict[str, int] = {}
+        #: observer id -> (plane slot, shard-resident monitor)
+        self.monitors: Dict[str, tuple] = {}
+        self._last_dark: set = set()
+        self._sent_dark: frozenset = frozenset()
+        self._attach(tracer_counters=None)
+
+    def _attach(self, tracer_counters) -> None:
+        """Per-process wiring: tracer, telemetry plane, test hooks."""
+        spec = self.spec
         self.tracer: Optional[SpanTracer] = None
         if spec.trace:
             self.tracer = SpanTracer(
@@ -399,53 +353,17 @@ class _ShardRuntime:
                 capacity=spec.trace_capacity,
             )
             if spec.spill_dir is not None:
+                # a restored incarnation gets a fresh segment: replayed
+                # frames re-spill identical rows, deduped on read
                 self.tracer.enable_spill(spec.spill_dir)
-        self.injector: Optional[FaultInjector] = None
-        if spec.fault_schedule is not None:
-            self.injector = FaultInjector(
-                spec.fault_schedule,
-                DeterministicRNG(spec.fault_seed),
-                kernels=[self.hosts[i].kernel for i in spec.host_indices],
-                engines=[self.hosts[i].engine for i in spec.host_indices],
-                racks=self.racks,
-                kernel_labels=spec.host_indices,
-                rack_labels=[rs.rack_index for rs in spec.racks],
-                populations=() if self.population is None else (self.population,),
-            )
-            self.injector.tracer = self.tracer
-        # Columnar host engine: this shard's cold hosts tick as numpy
-        # column sweeps, materializing lazily on per-object seams. The
-        # engine is indexed shard-locally (position in host_indices);
-        # everything crossing the pipe stays fleet-global.
-        self._local_index = {g: l for l, g in enumerate(spec.host_indices)}
-        #: observer id -> local host index holding a fidelity refcount
-        self._observer_hosts: Dict[str, int] = {}
-        self.host_engine = None
-        if spec.host_mode == "columnar":
-            from repro.kernel.columnar import ColumnarHostEngine
-
-            self.host_engine = ColumnarHostEngine(
-                [self.hosts[i].kernel for i in spec.host_indices],
-                [self.hosts[i].engine for i in spec.host_indices],
-                self.clock,
-                power_config=spec.power_config,
-                population=self.population,
-            )
-            for local, i in enumerate(spec.host_indices):
-                self.hosts[i].engine.host_engine = self.host_engine
-                self.hosts[i].engine.host_index = local
-            self.cache.host_engine = self.host_engine
-            if self.injector is not None:
-                self.injector.host_engine = self.host_engine
-            self.host_engine.adopt_all()
+            if tracer_counters is not None:
+                self.tracer.restore_counters(*tracer_counters)
+        if self.fleet.injector is not None:
+            self.fleet.injector.tracer = self.tracer
         self.plane = TelemetryPlane.attach(
-            spec.telemetry_name, spec.total_servers, spec.observer_capacity,
+            spec.telemetry_name, spec.config.servers, spec.observer_capacity,
             banks=_EPOCH_TICKS + 1,
         )
-        #: observer id -> (plane slot, shard-resident monitor)
-        self.monitors: Dict[str, tuple] = {}
-        self._last_dark: set = set()
-        self._sent_dark: frozenset = frozenset()
         #: test hook (("hang", s) frame): stall the next reply this long
         self._hang_s = 0.0
 
@@ -455,30 +373,24 @@ class _ShardRuntime:
         """Serialize this shard's recoverable state; returns (bytes, wall_s).
 
         Everything lands in ONE pickle so shared identity survives the
-        round trip: the kernels referenced by hosts, racks, populations,
-        monitors, instances, and the fault injector come back as the
-        same objects, and the shard clock stays the clock those kernels
-        tick against. Excluded on purpose: the telemetry plane (re-
-        attached by segment name), the tracer (rebuilt around the
-        restored clock; only its ``(seq, dropped)`` counters persist so
-        replayed events renumber identically), and the injector's tracer
-        ref (stripped by ``FaultInjector.__getstate__``).
+        round trip: the kernels referenced by the slice's hosts, racks,
+        population, host engine and fault injector, and by monitors and
+        instances, come back as the same objects, and the slice clock
+        stays the clock those kernels tick against. Excluded on purpose:
+        the telemetry plane (re-attached by segment name), the tracer
+        (rebuilt around the restored clock; only its ``(seq, dropped)``
+        counters persist so replayed events renumber identically), and
+        the injector's tracer ref (stripped by
+        ``FaultInjector.__getstate__``).
         """
         w0 = time.perf_counter()
         payload = {
             "version": SNAPSHOT_VERSION,
             "shard_index": self.spec.shard_index,
             "state": {
-                "clock": self.clock,
-                "hosts": self.hosts,
-                "cache": self.cache,
-                "racks": self.racks,
-                "population": self.population,
-                "tenants": self.tenants,
+                "fleet": self.fleet,
                 "instances": self.instances,
-                "injector": self.injector,
                 "monitors": self.monitors,
-                "host_engine": self.host_engine,
                 "observer_hosts": self._observer_hosts,
                 "last_dark": self._last_dark,
                 "sent_dark": self._sent_dark,
@@ -503,45 +415,16 @@ class _ShardRuntime:
         self = cls.__new__(cls)
         self.spec = spec
         state = payload["state"]
-        self.clock = state["clock"]
-        self.hosts = state["hosts"]
-        self.cache = state["cache"]
+        self.fleet = state["fleet"]
+        self.clock = self.fleet.clock
         # memo entries are keyed on id(kernel); fresh process, fresh ids
-        self.cache.reset()
-        self.racks = state["racks"]
-        self.population = state["population"]
-        self.tenants = state["tenants"]
+        self.fleet.cache.reset()
         self.instances = state["instances"]
-        self.injector = state["injector"]
         self.monitors = state["monitors"]
-        # the host engine rides the same pickle graph as hosts/cache/
-        # injector, so the restored references all point at one object;
-        # ``state.get`` keeps pre-columnar snapshots loadable
-        self._local_index = {g: l for l, g in enumerate(spec.host_indices)}
-        self.host_engine = state.get("host_engine")
-        self._observer_hosts = state.get("observer_hosts", {})
+        self._observer_hosts = state["observer_hosts"]
         self._last_dark = state["last_dark"]
         self._sent_dark = state["sent_dark"]
-        self.tracer = None
-        if spec.trace:
-            self.tracer = SpanTracer(
-                now_fn=lambda: self.clock.now,
-                track=f"shard-{spec.shard_index}",
-                capacity=spec.trace_capacity,
-            )
-            if spec.spill_dir is not None:
-                # a fresh incarnation segment: replayed frames re-spill
-                # deterministically identical rows, deduped on read
-                self.tracer.enable_spill(spec.spill_dir)
-            if state["tracer"] is not None:
-                self.tracer.restore_counters(*state["tracer"])
-        if self.injector is not None:
-            self.injector.tracer = self.tracer
-        self.plane = TelemetryPlane.attach(
-            spec.telemetry_name, spec.total_servers, spec.observer_capacity,
-            banks=_EPOCH_TICKS + 1,
-        )
-        self._hang_s = 0.0
+        self._attach(tracer_counters=state["tracer"])
         return self
 
     def replay(self, frames: tuple) -> int:
@@ -561,38 +444,6 @@ class _ShardRuntime:
                 self.tracer.drain()
         return len(frames)
 
-    # -- serial-loop mirrors --------------------------------------------
-
-    def dark(self) -> set:
-        """Global indices of this shard's dark (tripped or crashed) hosts."""
-        dark = set()
-        for rs, rack in zip(self.spec.racks, self.racks):
-            if rack.breaker.tripped:
-                dark.update(rs.host_indices)
-        if self.injector is not None:
-            for local in self.injector.crashed_now():
-                dark.add(self.spec.host_indices[local])
-        return dark
-
-    def _crashed_kernel_ids(self) -> frozenset:
-        if self.injector is None:
-            return frozenset()
-        return frozenset(
-            id(self.hosts[self.spec.host_indices[local]].kernel)
-            for local in self.injector.crashed_now()
-        )
-
-    def _breakers_safe(self) -> bool:
-        crashed = self._crashed_kernel_ids()
-        for rack in self.racks:
-            if rack.breaker.tripped:
-                continue
-            if rack.wall_power(crashed) / rack.breaker.rated_watts > (
-                self.spec.breaker_knee_ratio
-            ):
-                return False
-        return True
-
     def apply_ops(self, ops: tuple) -> None:
         """Apply queued attacker ops (exec/reap) in driver order."""
         for op in ops:
@@ -607,77 +458,29 @@ class _ShardRuntime:
     def begin(self, bank: int, want_row: bool, ops: tuple):
         """Run-start barrier: apply ops and due faults, write the t=0 row."""
         self.apply_ops(ops)
-        changed = self.injector is not None and self.injector.advance(self.clock.now)
+        changed = self.fleet.advance_faults()
         if want_row:
             self.write_row(bank)
         return changed
 
     def plan(self, step_hint: float, coalesce: bool = True):
-        """The pre-advance half of one serial loop iteration."""
+        """The slice's plan step, plus the dark-set delta for the driver."""
         tracer = self.tracer
         if tracer is not None:
             plan_w0 = time.perf_counter()
+        fleet = self.fleet
         now = self.clock.now
-        dark = self.dark()
+        dark = fleet.dark()
         self._last_dark = dark
-        if self.population is not None:
-            self.population.step(now, step_hint, dark_hosts=dark)
-        else:
-            for i in self.spec.host_indices:
-                if i not in dark:
-                    for driver in self.tenants[i]:
-                        driver.step(now, step_hint)
-        if not coalesce:
-            if tracer is not None:
-                tracer.add_span(
-                    "shard.plan", now, now, time.perf_counter() - plan_w0
-                )
-            return None
-        # Mirrors the serial engine's _coalesce_fingerprint exactly: the
-        # columnar path folds the population's per-host aggregate demand
-        # into the kernel fingerprint so demand moves break tick runs.
-        # Cold hosts answer from the host engine's fingerprint column,
-        # which tracks the per-object fold bit-for-bit.
-        he = self.host_engine
-        if self.population is not None:
-            demands = tuple(
-                0.0
-                if i in dark
-                else (
-                    he.fingerprint(self._local_index[i])
-                    if he is not None and he.is_cold(self._local_index[i])
-                    else self.hosts[i].kernel.demand_fingerprint()
-                )
-                + self.population.host_demand(i)
-                for i in self.spec.host_indices
-            )
-        else:
-            demands = tuple(
-                0.0 if i in dark else self.hosts[i].kernel.demand_fingerprint()
-                for i in self.spec.host_indices
-            )
-        horizon = math.inf
-        if self.population is not None:
-            horizon = min(horizon, self.population.next_event_time(now, dark))
-        for i in self.spec.host_indices:
-            if i not in dark:
-                if self.population is None:
-                    for driver in self.tenants[i]:
-                        horizon = min(horizon, driver.next_event_time(now))
-                # cold hosts run single-phase unbounded workloads only
-                # (an adoption invariant), so their boundary is +inf
-                if he is None or not he.is_cold(self._local_index[i]):
-                    horizon = min(
-                        horizon,
-                        now + self.hosts[i].kernel.next_phase_boundary_s(),
-                    )
-        if self.injector is not None:
-            horizon = min(horizon, self.injector.next_barrier(now))
-        frozen = frozenset(dark)
-        added = tuple(sorted(frozen - self._sent_dark))
-        removed = tuple(sorted(self._sent_dark - frozen))
-        self._sent_dark = frozen
-        result = (added, removed, demands, self._breakers_safe(), horizon)
+        plan = fleet.plan(now, step_hint, dark, coalesce)
+        result = None
+        if plan is not None:
+            demands, horizon = plan
+            frozen = frozenset(dark)
+            added = tuple(sorted(frozen - self._sent_dark))
+            removed = tuple(sorted(self._sent_dark - frozen))
+            self._sent_dark = frozen
+            result = (added, removed, demands, fleet.breakers_safe(), horizon)
         if tracer is not None:
             tracer.add_span(
                 "shard.plan", now, now, time.perf_counter() - plan_w0
@@ -706,28 +509,11 @@ class _ShardRuntime:
         return changed_any
 
     def commit(self, step: float, bank: int, want_row: bool, oids: tuple):
-        """The post-plan half: advance, tick, feed breakers, apply faults."""
+        """The slice's commit step, then the row and observer writes."""
         tracer = self.tracer
         if tracer is not None:
             step_t0, step_w0 = self.clock.now, time.perf_counter()
-        dark = self._last_dark
-        barrier_t0 = self.clock.now
-        self.clock.advance(step)
-        if self.host_engine is not None:
-            self.host_engine.tick_all(
-                step,
-                {self._local_index[g] for g in dark if g in self._local_index},
-                barrier_t0,
-            )
-        else:
-            for i in self.spec.host_indices:
-                if i not in dark:
-                    self.hosts[i].kernel.tick(step)
-        crashed = self._crashed_kernel_ids()
-        now = self.clock.now
-        for rack in self.racks:
-            rack.observe(step, now, crashed)
-        changed = self.injector is not None and self.injector.advance(now)
+        changed = self.fleet.commit(step, self._last_dark)
         if want_row:
             self.write_row(bank)
         # sample after the full commit body: the same virtual instant a
@@ -748,23 +534,13 @@ class _ShardRuntime:
 
     def write_row(self, bank: int) -> None:
         """Write this shard's per-host trace values into the plane."""
-        crashed: set = set()
-        if self.injector is not None:
-            crashed = {
-                self.spec.host_indices[local]
-                for local in self.injector.crashed_now()
-            }
-        dark = self.dark()
-        for i in self.spec.host_indices:
-            if i in crashed:
-                self.plane.write_wall(bank, i, None)
-            else:
-                watts = 0.0 if i in dark else self.cache.watts(self.hosts[i].kernel)
-                self.plane.write_wall(bank, i, watts)
+        for i, watts in zip(self.fleet.labels, self.fleet.row()):
+            self.plane.write_wall(bank, i, watts)
 
     def watts(self, bank: int) -> None:
-        for i in self.spec.host_indices:
-            self.plane.write_wall(bank, i, self.cache.watts(self.hosts[i].kernel))
+        fleet = self.fleet
+        for i, kernel in zip(fleet.labels, fleet.kernels):
+            self.plane.write_wall(bank, i, fleet.cache.watts(kernel))
 
     def meters(self, ops: tuple) -> dict:
         """cpuacct billing meters for this shard's live instances."""
@@ -779,16 +555,17 @@ class _ShardRuntime:
         if iid not in self.instances:
             raise SimulationError(f"instance not on this shard: {iid}")
         instance = self.instances[iid]
+        host_engine = self.fleet.host_engine
         local = None
-        if self.host_engine is not None:
+        if host_engine is not None:
             # a monitor samples live kernel state every tick: pin the
             # host hot for as long as the observer exists
-            local = self._local_index[instance.host_index]
-            self.host_engine.observer_acquire(local)
+            local = self.fleet.local(instance.host_index)
+            host_engine.observer_acquire(local)
         monitor = factory(instance)
         if not monitor.available():
             if local is not None:
-                self.host_engine.observer_release(local)
+                host_engine.observer_release(local)
             return False
         if local is not None:
             self._observer_hosts[oid] = local
@@ -806,9 +583,9 @@ class _ShardRuntime:
             raise SimulationError(f"unknown observer: {oid}")
         del self.monitors[oid]
         local = self._observer_hosts.pop(oid, None)
-        if local is not None and self.host_engine is not None:
+        if local is not None:
             # last observer out demotes the host back to columns
-            self.host_engine.observer_release(local)
+            self.fleet.host_engine.observer_release(local)
 
     def sample_observers(self, bank: int, oids: tuple, ops: tuple) -> None:
         """Explicit observer sampling (flushes queued ops first)."""
@@ -818,17 +595,19 @@ class _ShardRuntime:
             self.plane.write_observer(bank, slot, monitor.sample(self.clock.now))
 
     def state(self) -> dict:
+        fleet = self.fleet
         breakers = tuple(
             (
-                rs.rack_index,
+                r,
                 rack.breaker.name,
                 rack.breaker.tripped,
                 rack.breaker.tripped_at,
                 rack.breaker.trip_count,
             )
-            for rs, rack in zip(self.spec.racks, self.racks)
+            for r, rack in zip(fleet.rack_indices, fleet.racks)
         )
-        stats = self.injector.stats.as_dict() if self.injector is not None else {}
+        injector = fleet.injector
+        stats = injector.stats.as_dict() if injector is not None else {}
         tracer = self.tracer.health() if self.tracer is not None else None
         return {"breakers": breakers, "stats": stats, "tracer": tracer}
 
@@ -1074,27 +853,22 @@ class ParallelFleetEngine:
             raise SimulationError(f"parallel needs at least one worker: {workers}")
         self.sim = sim
         self._validate_fresh(sim)
-        self.total_servers = len(sim.cloud.hosts)
+        config = sim.config
+        self.total_servers = config.servers
         manifest = None
         if resume_dir is not None:
             manifest = load_manifest(resume_dir)
-            if manifest["total_servers"] != self.total_servers:
+            pinned = manifest["config"]
+            if pinned != config:
                 raise SimulationError(
-                    f"checkpoint was taken at {manifest['total_servers']}"
-                    f" servers, this simulation has {self.total_servers};"
-                    " resume needs an identically constructed simulation"
-                )
-            if manifest["start_time"] != sim._start_time:
-                raise SimulationError(
-                    "checkpoint start time does not match this simulation;"
-                    " resume needs an identically constructed simulation"
-                )
-            if manifest.get("hosts", "objects") != sim.host_mode:
-                raise SimulationError(
-                    f"checkpoint was taken with hosts="
-                    f"{manifest.get('hosts', 'objects')!r}, this simulation"
-                    f" uses hosts={sim.host_mode!r}; resume needs an"
-                    " identically constructed simulation"
+                    "checkpoint was taken from a differently built"
+                    " simulation; resume needs an identically constructed"
+                    " one: "
+                    + "; ".join(
+                        f"{name}={getattr(config, name)!r} (checkpoint:"
+                        f" {getattr(pinned, name)!r})"
+                        for name in config.differences(pinned)
+                    )
                 )
         # a resumed engine's clock continues from the checkpoint instant;
         # the caller-facing replay cursor in DatacenterSimulation.run
@@ -1119,30 +893,16 @@ class ParallelFleetEngine:
             ResilienceMetrics(sim.metrics.registry) if cfg is not None else None
         )
 
-        rack_specs = [
-            RackShardSpec(
-                rack_index=r,
-                name=rack.name,
-                breaker_name=rack.breaker.name,
-                rated_watts=rack.breaker.rated_watts,
-                host_indices=tuple(
-                    sim._kernel_index[id(k)] for k in rack.kernels
-                ),
-            )
-            for r, rack in enumerate(sim.racks)
-        ]
-        n = min(workers, len(rack_specs))
-        counts = [
-            len(rack_specs) // n + (1 if i < len(rack_specs) % n else 0)
-            for i in range(n)
-        ]
-        groups: List[List[RackShardSpec]] = []
+        racks = config.rack_count
+        n = min(workers, racks)
+        counts = [racks // n + (1 if i < racks % n else 0) for i in range(n)]
+        groups: List[Tuple[int, ...]] = []
         cursor = 0
         for count in counts:
-            groups.append(rack_specs[cursor : cursor + count])
+            groups.append(tuple(range(cursor, cursor + count)))
             cursor += count
         self.shard_hosts: List[List[int]] = [
-            [i for rs in group for i in rs.host_indices] for group in groups
+            [i for r in group for i in config.rack_hosts(r)] for group in groups
         ]
         self._shard_of_host: Dict[int, int] = {}
         for idx, hosts in enumerate(self.shard_hosts):
@@ -1207,9 +967,9 @@ class ParallelFleetEngine:
             fault_seed = sim.fault_injector.rng.seed
             shard_schedules, driver_schedule = sim.fault_injector.schedule.partition(
                 self.shard_hosts,
-                [[rs.rack_index for rs in group] for group in groups],
+                [list(group) for group in groups],
                 self.total_servers,
-                len(rack_specs),
+                racks,
             )
             self.faults = _DriverFaultReplayer(driver_schedule, fault_seed)
             self.faults.tracer = self._tracer
@@ -1240,21 +1000,12 @@ class ParallelFleetEngine:
             sim.metrics.ipc = self.ipc
             self._specs = [
                 ShardSpec(
-                    profile=sim.profile,
-                    seed=sim.seed,
-                    start_time=sim._start_time,
-                    host_indices=tuple(self.shard_hosts[i]),
-                    racks=tuple(groups[i]),
-                    tenant_profile=sim.tenant_profile,
-                    tenants_per_host=sim.tenants_per_host,
-                    population_mode=sim.population_mode,
-                    power_config=sim.power_config,
-                    breaker_knee_ratio=sim.breaker_knee_ratio,
+                    config=config,
+                    racks=groups[i],
                     fault_schedule=shard_schedules[i],
                     fault_seed=fault_seed,
                     telemetry_name=self.plane.name,
                     control_name=self.cplane.name,
-                    total_servers=self.total_servers,
                     observer_capacity=self.observer_capacity,
                     launch_log=launch_log,
                     shard_index=i,
@@ -1267,7 +1018,6 @@ class ParallelFleetEngine:
                     control_host_counts=tuple(
                         len(hosts) for hosts in self.shard_hosts
                     ),
-                    host_mode=sim.host_mode,
                     spill_dir=(
                         self._tracer.spill_dir
                         if self._tracer is not None
@@ -1404,11 +1154,8 @@ class ParallelFleetEngine:
                 "subsystem timings profile in-process kernels; they cannot"
                 " observe shard workers (disable them or run serially)"
             )
-        allowed = set()
-        if sim.fault_injector is not None:
-            allowed.add(sim.fault_injector.next_barrier)
         for source in sim.horizon_sources:
-            if source in allowed or getattr(source, "parallel_safe", False):
+            if getattr(source, "parallel_safe", False):
                 continue
             raise SimulationError(
                 "a horizon source observes driver-side hosts and cannot"
@@ -1823,7 +1570,7 @@ class ParallelFleetEngine:
         if changed:
             engine.stability.reset()
         if due:
-            self._fold_rows([(bank, self._stamp(due, self._trace_floor()))])
+            self._fold_rows([(bank, self._stamp(due, self.sim._trace_floor()))])
         if oids:
             self._read_observers(bank, oids)
         sim.metrics.record_tick(step, dt)
@@ -1877,11 +1624,6 @@ class ParallelFleetEngine:
             floor = stamps[-1]
         return bank, want_row, stamps, floor, changed
 
-    def _trace_floor(self) -> float:
-        """The last recorded sample time (the jitter floor), or 0.0."""
-        times = self.sim.aggregate_trace.times
-        return times[-1] if times else 0.0
-
     def _stamp(self, due: list, floor: float) -> list:
         """Trace timestamps for the due sample times, in order.
 
@@ -1906,24 +1648,14 @@ class ParallelFleetEngine:
         return stamps
 
     def _fold_rows(self, folds: list) -> None:
-        """Fold ``(bank, stamps)`` rows into the traces, in order.
-
-        Watts are summed in global host order, so the aggregate trace
-        folds left-to-right exactly as the serial sampler does."""
+        """Fold ``(bank, stamps)`` plane rows into the traces, in order."""
         sim = self.sim
         plane = self.plane
         for bank, stamps in folds:
             row = [plane.read_wall(bank, i) for i in range(self.total_servers)]
             self.ipc.shm_row_bytes += plane.row_bytes
             for t in stamps:
-                total = 0.0
-                for i, watts in enumerate(row):
-                    if watts is None:
-                        sim.server_traces[i].note_gap(t)
-                        continue
-                    sim.server_traces[i].append(t, watts)
-                    total += watts
-                sim.aggregate_trace.append(t, total)
+                sim._record_row(t, row)
 
     def _flush_epoch(
         self, frames: list, folds: list, spans: list, dt: float, epoch_w0: float
@@ -1964,7 +1696,7 @@ class ParallelFleetEngine:
         frames: list = []
         folds: list = []
         spans: list = []
-        floor = self._trace_floor()
+        floor = self.sim._trace_floor()
         while True:
             hint = min(dt, remaining)
             stable = engine.stability.peek(fp) and safe
@@ -2031,7 +1763,7 @@ class ParallelFleetEngine:
         frames: list = []
         folds: list = []
         spans: list = []
-        floor = self._trace_floor()
+        floor = self.sim._trace_floor()
         driver_changed = False
         while True:
             step = min(dt, remaining)
@@ -2124,10 +1856,8 @@ class ParallelFleetEngine:
             "seq": seq,
             "now": self.clock.now,
             "workers": len(self.conns),
-            "total_servers": self.total_servers,
-            "start_time": sim._start_time,
+            "config": sim.config,
             "ckpt_origin": self._ckpt_origin,
-            "hosts": sim.host_mode,
             "sample": (
                 sim._sample_origin,
                 sim._sample_count,
@@ -2177,7 +1907,7 @@ class ParallelFleetEngine:
         span_seconds: Optional[float] = None,
         skip_begin: bool = False,
     ) -> None:
-        """Advance the sharded fleet (mirrors the serial ``run`` loop 1:1).
+        """Advance the sharded fleet, barrier for barrier like serial ``run``.
 
         ``span_t0``/``span_seconds``/``skip_begin`` serve the resume
         path only: the first live run after a resume covers the tail of
@@ -2215,7 +1945,7 @@ class ParallelFleetEngine:
                     engine.stability.reset()
                 if due:
                     self._fold_rows(
-                        [(bank, self._stamp(due, self._trace_floor()))]
+                        [(bank, self._stamp(due, self.sim._trace_floor()))]
                     )
             remaining = seconds
             ops = sim._ops

@@ -35,13 +35,13 @@ from typing import Optional
 from repro.errors import SimulationError
 
 #: version stamp embedded in every per-shard snapshot payload
-SNAPSHOT_VERSION = 1
+#: (2: the shard's fleet state is one ``FleetSlice`` entry)
+SNAPSHOT_VERSION = 2
 
 #: version stamp embedded in the driver-side manifest
-#: (3: the control-plane pin is gone — the shm slot plane with a fixed
-#: epoch capacity is the only barrier transport, so no resume can change
-#: the frame schedule the logged replay frames were recorded under)
-MANIFEST_VERSION = 3
+#: (4: the manifest pins the whole ``FleetConfig`` the fleet was built
+#: from, and resume refuses any simulation built differently)
+MANIFEST_VERSION = 4
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,111 @@
+"""The fleet-slice contract, checked in-process.
+
+Both drivers run :class:`FleetSlice`: the serial simulation over every
+host, each shard worker over its racks. Splitting a fleet into slices
+must not change anything the drivers merge — per-host fingerprints and
+trace rows, the min-reduced horizon, the and-reduced breaker verdict,
+the union of dark sets, the fault-change flag — tick for tick.
+"""
+
+import pytest
+
+from repro.datacenter.fleet import FleetConfig, FleetSlice
+from repro.datacenter.topology import ServerPowerConfig
+from repro.runtime.cloud import PROVIDER_PROFILES
+from repro.sim.clock import VirtualClock
+from repro.sim.fastforward import FastForwardEngine
+from repro.sim.faults import FaultEvent, FaultKind, FaultSchedule
+from repro.sim.rng import DeterministicRNG
+
+SEED = 3
+SERVERS, RACK = 4, 2
+
+
+def config(population, hosts):
+    return FleetConfig(
+        profile=PROVIDER_PROFILES["CC1"],
+        seed=SEED,
+        start_time=0.0,
+        servers=SERVERS,
+        rack_size=RACK,
+        breaker_rated_watts=1300.0,
+        tenant_profile=None,
+        tenants_per_host=2,
+        population=population,
+        hosts=hosts,
+        power_config=ServerPowerConfig(),
+        breaker_knee_ratio=0.98,
+    )
+
+
+def schedule():
+    sched = FaultSchedule.generate(
+        SEED, 600.0, servers=SERVERS, racks=2,
+        rapl_per_day=400.0, eio_per_day=400.0, oom_per_day=200.0,
+        jitter_per_day=0.0,
+    )
+    sched.add(FaultEvent(at=120.0, kind=FaultKind.MACHINE_CRASH,
+                         duration_s=90.0, server=3))
+    sched.add(FaultEvent(at=200.0, kind=FaultKind.BREAKER_TRIP,
+                         duration_s=60.0, server=0))
+    return sched
+
+
+def build(cfg, racks=None):
+    return FleetSlice(
+        cfg, VirtualClock(start=cfg.start_time), DeterministicRNG(cfg.seed),
+        racks=racks,
+    )
+
+
+@pytest.mark.parametrize(
+    "population,hosts",
+    [("columnar", "columnar"), ("columnar", "objects"), ("objects", "objects")],
+)
+def test_split_slices_match_the_whole_fleet(population, hosts):
+    cfg = config(population, hosts)
+    whole = build(cfg)
+    head, tail = build(cfg, racks=(0,)), build(cfg, racks=(1,))
+    assert tail.labels == (2, 3)
+    sched = schedule()
+    whole.install_faults(sched, SEED)
+    (s_head, s_tail), driver = sched.partition(
+        [head.labels, tail.labels], [[0], [1]], SERVERS, 2
+    )
+    assert not driver.events
+    head.install_faults(s_head, SEED)
+    tail.install_faults(s_tail, SEED)
+    slices = (whole, head, tail)
+
+    engine = FastForwardEngine(max_step_s=3600.0)
+    for s in slices:
+        s.advance_faults()
+    remaining, steps, saw_dark = 600.0, [], False
+    while remaining > 1e-9:
+        now = whole.clock.now
+        assert head.clock.now == tail.clock.now == now
+        dark = [s.dark() for s in slices]
+        assert dark[0] == dark[1] | dark[2]
+        saw_dark = saw_dark or bool(dark[0])
+        hint = min(1.0, remaining)
+        plans = [s.plan(now, hint, d) for s, d in zip(slices, dark)]
+        (fp, horizon), (fp_h, h_head), (fp_t, h_tail) = plans
+        assert fp[2:] == fp_t and fp == fp_h + fp_t
+        assert horizon == min(h_head, h_tail)
+        safe = whole.breakers_safe()
+        assert safe == (head.breakers_safe() and tail.breakers_safe())
+        stable = engine.stability.observe((fp, frozenset(dark[0]))) and safe
+        step = engine.plan_step(
+            now=now, remaining=remaining, base_dt=1.0,
+            horizon=horizon, stable=stable,
+        )
+        changed = [s.commit(step, d) for s, d in zip(slices, dark)]
+        assert changed[0] == (changed[1] or changed[2])
+        if changed[0]:
+            engine.stability.reset()
+        row = whole.row()
+        assert row[2:] == tail.row() and row == head.row() + tail.row()
+        steps.append(step)
+        remaining -= step
+    assert max(steps) > 1.0, "the run never coalesced"
+    assert saw_dark, "the fault schedule never darkened a host"

@@ -13,6 +13,7 @@ Three contracts from ``docs/resilience.md``, all pinned bit-for-bit:
    golden run, including the merged span timeline.
 """
 
+import multiprocessing
 import os
 import pickle
 
@@ -22,6 +23,7 @@ from repro.datacenter.simulation import DatacenterSimulation
 from repro.errors import SimulationError
 from repro.sim import telemetry
 from repro.sim.resilience import (
+    SNAPSHOT_VERSION,
     ResilienceConfig,
     atomic_write,
     load_manifest,
@@ -114,7 +116,7 @@ class TestSnapshotFiles:
     def test_atomic_write_and_read(self, tmp_path):
         path = shard_snapshot_path(str(tmp_path), 3, 12)
         assert path.endswith("shard-03-000012.ckpt")
-        atomic_write(path, pickle.dumps({"version": 1, "x": 1}))
+        atomic_write(path, pickle.dumps({"version": SNAPSHOT_VERSION, "x": 1}))
         assert read_snapshot(path)["x"] == 1
         assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
 
@@ -330,6 +332,45 @@ class TestResume:
         )
         with pytest.raises(SimulationError, match="worker"):
             res.run(300, parallel=1, coalesce=True, resume=True)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("seed", SEED + 1),
+            ("tenants_per_host", 3),
+            ("population", "objects"),
+            ("rack_size", 1),
+            ("breaker_rated_watts", 900.0),
+        ],
+    )
+    def test_resume_rejects_differently_built_simulation(
+        self, fleet_checkpoint, field, value
+    ):
+        kwargs = dict(servers=4, rack_size=2, seed=SEED, sample_interval_s=30.0)
+        kwargs[field] = value
+        res = DatacenterSimulation(**kwargs)
+        res.enable_resilience(
+            checkpoint_dir=fleet_checkpoint, checkpoint_every=120.0
+        )
+        try:
+            with pytest.raises(SimulationError, match=f"{field}="):
+                res.run(300, parallel=2, coalesce=True, resume=True)
+            # refused before any shard worker was spawned
+            assert res._parallel is None
+            assert not multiprocessing.active_children()
+        finally:
+            res.close()
+
+
+@pytest.fixture(scope="module")
+def fleet_checkpoint(tmp_path_factory):
+    """One checkpoint of ``build()`` at 300 s, shared by the resume tests."""
+    directory = str(tmp_path_factory.mktemp("fleet-ckpt"))
+    part = build()
+    part.enable_resilience(checkpoint_dir=directory, checkpoint_every=120.0)
+    part.run(300, parallel=2, coalesce=True)
+    part.close()
+    return directory
 
 
 class TestStaleSegmentSweep:
