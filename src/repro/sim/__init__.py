@@ -1,4 +1,4 @@
-"""Simulation core: virtual time, deterministic randomness, event scheduling.
+"""Simulation core: virtual time, deterministic randomness, fast-forwarding.
 
 Everything in the reproduction runs against a :class:`VirtualClock` — no
 wall-clock time is ever consulted, so every experiment is deterministic and
@@ -6,7 +6,6 @@ can simulate a week of datacenter time in seconds.
 """
 
 from repro.sim.clock import VirtualClock
-from repro.sim.events import EventLoop, ScheduledEvent
 from repro.sim.fastforward import FastForwardEngine, StabilityTracker
 from repro.sim.metrics import SimMetrics, SubsystemTimings
 from repro.sim.rng import DeterministicRNG
@@ -14,8 +13,6 @@ from repro.sim.rng import DeterministicRNG
 __all__ = [
     "VirtualClock",
     "DeterministicRNG",
-    "EventLoop",
-    "ScheduledEvent",
     "FastForwardEngine",
     "StabilityTracker",
     "SimMetrics",

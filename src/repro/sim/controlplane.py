@@ -21,9 +21,10 @@ Only three request shapes are slot-encodable — and they are the entire
 steady state:
 
 - ``("plan", hint)`` — one float.
-- ``("epoch", ticks)`` — up to ``epoch_ticks`` batched interior ticks,
-  each ``(hint_or_None, step, bank, want_row)``. Plain ``commit`` and
-  ``step`` frames (with no observer ids) ship as one-tick epochs.
+- ``("epoch", ticks, ())`` — up to ``epoch_ticks`` batched ticks, each
+  ``(hint_or_None, step, bank, want_row)``, sampling no observers. An
+  epoch that samples armed attack monitors (non-empty observer ids)
+  ends an armed run once and rides the pipe.
 - ``("begin", bank, want_row, ops)`` — with an empty op queue.
 
 Everything else — attacker ops, monitor construction, checkpoint and
@@ -197,9 +198,10 @@ class ControlPlane:
 
         Returns ``(seq, payload_bytes)`` after ringing the doorbell, or
         ``None`` when the frame is not slot-encodable — an oversized
-        epoch, a ``begin`` carrying attacker ops, or any verb outside
-        the steady-state set — in which case the caller ships it pickled
-        over the pipe (the slow path).
+        epoch, an epoch sampling observers, a ``begin`` carrying
+        attacker ops, or any verb outside the steady-state set — in
+        which case the caller ships it pickled over the pipe (the slow
+        path).
         """
         base = self._req_base[shard]
         verb = msg[0]
@@ -207,18 +209,9 @@ class ControlPlane:
             self._f[base + _REQ_A] = msg[1]
             self._i[base + _REQ_OP] = _OP_PLAN
             nbytes = 3 * _SLOT_BYTES
-        elif verb in ("epoch", "commit", "step"):
-            if verb == "epoch":
-                ticks = msg[1]
-            else:
-                # a bare commit/step (no observer ids) is a 1-tick epoch:
-                # commit has no plan half (hint None), step fuses both
-                step, bank, want_row, oids = msg[1], msg[2], msg[3], msg[4]
-                if oids:
-                    return None
-                hint = step if verb == "step" else None
-                ticks = ((hint, step, bank, want_row),)
-            if len(ticks) > self.epoch_ticks:
+        elif verb == "epoch":
+            ticks, oids = msg[1], msg[2]
+            if oids or len(ticks) > self.epoch_ticks:
                 return None
             self._i[base + _REQ_A] = len(ticks)
             slot = base + _REQ_TICKS
@@ -269,7 +262,7 @@ class ControlPlane:
                     bool(self._i[slot + 3]),
                 ))
                 slot += _TICK_SLOTS
-            return ("epoch", tuple(ticks))
+            return ("epoch", tuple(ticks), ())
         if op == _OP_BEGIN:
             return (
                 "begin",
@@ -305,7 +298,7 @@ class ControlPlane:
             for value in demands:
                 self._f[slot] = value
                 slot += 1
-        else:  # begin / epoch (commit and step travel as epochs)
+        else:  # begin / epoch
             self._i[base + _RSP_CHANGED] = 1 if result else 0
         self._f[base + _RSP_WAIT] = wait_s
         self._i[base + _RSP_STATUS] = self.OK

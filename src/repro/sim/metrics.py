@@ -33,7 +33,8 @@ BARRIER_BOUNDS = (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0)
 DOORBELL_BOUNDS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1)
 
 #: retained per-tick round-trip samples for the p50 estimate (bounded
-#: so week-long campaigns cannot grow driver memory)
+#: so week-long campaigns cannot grow driver memory; a full list is
+#: decimated, so the kept samples still span the whole run)
 _ROUND_TRIP_CAP = 65536
 
 
@@ -98,8 +99,11 @@ class IpcMetrics:
             "worker wall seconds polling the request doorbell per frame",
             bounds=DOORBELL_BOUNDS,
         )
-        #: per-tick barrier round trips (epoch-amortized), capped
+        #: per-tick barrier round trips (epoch-amortized): every
+        #: ``_round_trip_stride``-th sample, at most ``_ROUND_TRIP_CAP``
         self._round_trips: List[float] = []
+        self._round_trip_stride = 1
+        self._round_trip_seen = 0
         #: shard index -> per-shard cumulative-wait counter
         self._barrier: Dict[int, object] = {}
         self._sent.value += control_bytes_sent
@@ -206,8 +210,18 @@ class IpcMetrics:
             )
         counter.value += seconds
         self._frame_wait.observe(seconds)
-        if len(self._round_trips) < _ROUND_TRIP_CAP:
-            self._round_trips.append(seconds / max(1, ticks))
+        # keep exactly the samples whose index is a multiple of the
+        # stride; a full list drops every other one and doubles it
+        seen = self._round_trip_seen
+        self._round_trip_seen = seen + 1
+        if seen % self._round_trip_stride:
+            return
+        if len(self._round_trips) >= _ROUND_TRIP_CAP:
+            del self._round_trips[1::2]
+            self._round_trip_stride *= 2
+            if seen % self._round_trip_stride:
+                return
+        self._round_trips.append(seconds / max(1, ticks))
 
     @property
     def pipe_control_frames(self) -> int:

@@ -24,10 +24,9 @@ shard-resident attack monitors to sample)::
     ("begin", bank, want_row, ops)         -> ("ok", changed)
     ("plan", hint)                         -> ("ok", (dark+, dark-, demands,
                                                       safe, horizon))
-    ("commit", step, bank, want_row, oids) -> ("ok", changed)
-    ("step", step, bank, want_row, oids)   -> ("ok", changed)   # no coalescing
     ("epoch", ((hint|None, step, bank,     -> ("ok", changed)   # batched ticks:
-               want_row), ...))                  plan(hint)+commit per entry
+               want_row), ...), oids)            plan(hint)+commit per entry,
+                                                 then sample oids
     ("watts", bank)                        -> ("ok", None)
     ("state",)                             -> ("ok", {"breakers":..., "stats":...})
     ("meters", ops)                        -> ("ok", {iid: (cpu_ns, cpu_ns0)})
@@ -41,30 +40,32 @@ shard-resident attack monitors to sample)::
     ("crash",)                             -> no reply; worker exits (test hook)
     ("close",)                             -> worker exits
 
-Steady-state frames — ``plan``, ``epoch``, bare ``commit``/``step``
-(encoded as one-tick epochs), and op-less ``begin`` — ride fixed-layout
-shared-memory slots with a doorbell sequence counter
-(:mod:`repro.sim.controlplane`): zero pickling, zero syscalls per
-barrier. Everything else rides the ``Pipe`` slow path as pickled
+Steady-state frames — ``plan``, ``epoch`` without observer ids, and
+op-less ``begin`` — ride fixed-layout shared-memory slots with a
+doorbell sequence counter (:mod:`repro.sim.controlplane`): zero
+pickling, zero syscalls per barrier. Everything else rides the ``Pipe`` slow path as pickled
 tuples, as do worker errors and tracer-drain replies (the request stays
 on the slots; the reply's status slot says the payload is on the pipe).
 The supervisor's frame log records the *logical* tuples, so
 replay-after-respawn reproduces slot-carried frames over the pipe
 verbatim.
 
-Batched plan epochs cut steady-state round trips up to
-``_EPOCH_TICKS``×: when coalescing plans ``k`` consecutive ticks with
-no cross-shard event — the merged plan horizon is the nearest shard
-event, every breaker is below its knee, no sample row is due beyond
-per-tick banks, no checkpoint boundary or armed observation
-intervenes — the driver runs the serial planning loop locally (the
-fingerprint, dark set, and safety verdict are constant over the window
-by the same invariant serial coalescing relies on) and ships all ``k``
-ticks as one ``epoch`` frame; workers execute plan+commit per entry,
-bit-identical to ``k`` separate barriers. Without coalescing, fixed
-base-dt ticks batch the same way. The telemetry plane carries
-``_EPOCH_TICKS + 1`` banks so every row-carrying tick of an epoch
-lands in its own bank.
+Every tick crosses the shard boundary inside an ``epoch`` frame, which
+cuts steady-state round trips up to ``_EPOCH_TICKS``×. A coalescing
+epoch is *plan-headed*: its first tick pays one real ``plan`` exchange,
+and while the merged fingerprint holds — the merged plan horizon is the
+nearest shard event and every breaker is below its knee — the driver
+runs the serial planning loop locally (the fingerprint, dark set, and
+safety verdict are constant over the window by the same invariant
+serial coalescing relies on) and appends further ticks, each carrying
+the plan hint its worker re-executes; workers run plan+commit per
+entry, bit-identical to ``k`` separate barriers. Without coalescing
+every tick is ``min(dt, remaining)`` and carries its own hint. An epoch
+ends at ``_EPOCH_TICKS`` ticks, at a checkpoint boundary, or at the
+run's last tick, whose frame lists the armed observers the workers
+sample after its commit. The telemetry plane carries ``_EPOCH_TICKS +
+1`` banks so every row-carrying or observing tick of an epoch lands in
+its own bank.
 
 With tracing enabled (``DatacenterSimulation.enable_tracing`` before the
 first parallel run), every ``("ok", ...)`` reply grows a third element:
@@ -87,7 +88,7 @@ replayed inside the owning shard from the cloud's launch log (the cloud
 is then frozen), attacker monitors live *in the shard* next to the host
 whose RAPL they read (``("monitor", ...)`` registers one), and the driver
 pulls their readings through observer slots of the plane — piggybacked on
-the final commit of a run when armed, or via an explicit ``("sample")``
+the final epoch of a run when armed, or via an explicit ``("sample")``
 frame. Strategy event horizons stay driver-side, wrapped in
 :class:`repro.sim.fastforward.DriverHorizon` so the driver can fold them
 into the merged coalescing horizon.
@@ -487,8 +488,8 @@ class _ShardRuntime:
             )
         return result
 
-    def epoch(self, ticks: tuple) -> bool:
-        """Execute a batched run of interior ticks in one barrier.
+    def epoch(self, ticks: tuple, oids: tuple) -> bool:
+        """Execute a batched run of ticks in one barrier.
 
         Each entry is ``(hint, step, bank, want_row)``: a ``hint`` runs
         the plan half first (non-coalescing — the driver already folded
@@ -498,29 +499,28 @@ class _ShardRuntime:
         breaker observation, fault replay, row writes into per-tick
         banks, ``shard.plan``/``shard.step`` spans — is exactly ``len
         (ticks)`` separate barriers' worth; only the synchronization is
-        batched.
+        batched. ``oids`` name the monitors to sample into the last
+        tick's bank after its commit body: the same virtual instant a
+        serial strategy calls ``monitor.sample()`` right after ``run()``
+        returns.
         """
         changed_any = False
         for hint, step, bank, want_row in ticks:
             if hint is not None:
                 self.plan(hint, coalesce=False)
-            if self.commit(step, bank, want_row, ()):
+            if self.commit(step, bank, want_row):
                 changed_any = True
+        self.sample_observers(bank, oids, ())
         return changed_any
 
-    def commit(self, step: float, bank: int, want_row: bool, oids: tuple):
-        """The slice's commit step, then the row and observer writes."""
+    def commit(self, step: float, bank: int, want_row: bool) -> bool:
+        """The slice's commit step, then the row write."""
         tracer = self.tracer
         if tracer is not None:
             step_t0, step_w0 = self.clock.now, time.perf_counter()
         changed = self.fleet.commit(step, self._last_dark)
         if want_row:
             self.write_row(bank)
-        # sample after the full commit body: the same virtual instant a
-        # serial strategy calls monitor.sample() right after run() returns
-        for oid in oids:
-            slot, monitor = self.monitors[oid]
-            self.plane.write_observer(bank, slot, monitor.sample(self.clock.now))
         if tracer is not None:
             tracer.add_span(
                 "shard.step",
@@ -615,13 +615,8 @@ class _ShardRuntime:
         cmd = msg[0]
         if cmd == "plan":
             return self.plan(msg[1])
-        if cmd == "commit":
-            return self.commit(msg[1], msg[2], msg[3], msg[4])
-        if cmd == "step":
-            self.plan(msg[1], coalesce=False)
-            return self.commit(msg[1], msg[2], msg[3], msg[4])
         if cmd == "epoch":
-            return self.epoch(msg[1])
+            return self.epoch(msg[1], msg[2])
         if cmd == "begin":
             return self.begin(msg[1], msg[2], msg[3])
         if cmd == "watts":
@@ -1289,12 +1284,7 @@ class ParallelFleetEngine:
                 ) from failure.cause
         self._last_reply_wall[idx] = time.monotonic()
         if self.res_metrics is not None:
-            ticks = 0
-            for f in frames:
-                if f[0] in ("commit", "step"):
-                    ticks += 1
-                elif f[0] == "epoch":
-                    ticks += len(f[1])
+            ticks = sum(len(f[1]) for f in frames if f[0] == "epoch")
             self.res_metrics.record_replay(
                 len(frames), ticks, time.monotonic() - w0
             )
@@ -1539,51 +1529,6 @@ class ParallelFleetEngine:
 
     # -- tick bodies -----------------------------------------------------
 
-    def _finish_tick(
-        self, remaining: float, dt: float, step: float, verb: str
-    ) -> float:
-        """One unbatched tick (the run's armed final tick): advance, one
-        ``verb`` barrier, fold the row — exactly the serial loop's
-        commit sequence."""
-        sim = self.sim
-        engine = sim.fastforward
-        n = len(self.conns)
-        tracer = self._tracer
-        trace_on = tracer is not None and tracer.enabled
-        if trace_on:
-            tick_t0, tick_w0 = self.clock.now, time.perf_counter()
-        self.clock.advance(step)
-        final = remaining - step <= _EPS
-        oids = self._armed if final else ()
-        due = self._due_times(self.clock.now)
-        want_row = bool(due)
-        bank = self._next_bank() if (want_row or oids) else self._bank
-        replies = self._exchange(
-            [
-                (verb, step, bank, want_row, self._shard_oids(i, oids))
-                for i in range(n)
-            ]
-        )
-        changed = any(replies)
-        if self.faults is not None and self.faults.advance(self.clock.now):
-            changed = True
-        if changed:
-            engine.stability.reset()
-        if due:
-            self._fold_rows([(bank, self._stamp(due, self.sim._trace_floor()))])
-        if oids:
-            self._read_observers(bank, oids)
-        sim.metrics.record_tick(step, dt)
-        if trace_on:
-            tracer.add_span(
-                "fleet.tick",
-                tick_t0,
-                self.clock.now,
-                time.perf_counter() - tick_w0,
-                step=step,
-            )
-        return remaining - step
-
     def _checkpoint_pending(self) -> bool:
         """Whether the run loop will checkpoint at the next barrier.
 
@@ -1604,20 +1549,20 @@ class ParallelFleetEngine:
             >= self._ckpt_origin + (self._ckpt_seq + 1) * every
         )
 
-    def _plan_tick(self, step: float, floor: float) -> tuple:
+    def _plan_tick(self, step: float, floor: float, observe: bool) -> tuple:
         """Driver-side effects of one batched tick, in serial order.
 
-        Advances the clock, rotates the bank for a row-carrying tick,
-        replays driver-visible fault events at the new instant, and
-        precomputes the sample stamps — threading the jitter ``floor``
-        across the epoch because the trace rows themselves are folded
-        only after the single epoch reply.
+        Advances the clock, rotates the bank for a row-carrying or
+        ``observe`` tick, replays driver-visible fault events at the new
+        instant, and precomputes the sample stamps — threading the
+        jitter ``floor`` across the epoch because the trace rows
+        themselves are folded only after the single epoch reply.
         """
         self.clock.advance(step)
         now = self.clock.now
         due = self._due_times(now)
         want_row = bool(due)
-        bank = self._next_bank() if want_row else self._bank
+        bank = self._next_bank() if (want_row or observe) else self._bank
         changed = self.faults is not None and self.faults.advance(now)
         stamps = self._stamp(due, floor)
         if stamps:
@@ -1657,140 +1602,96 @@ class ParallelFleetEngine:
             for t in stamps:
                 sim._record_row(t, row)
 
-    def _flush_epoch(
-        self, frames: list, folds: list, spans: list, dt: float, epoch_w0: float
-    ) -> None:
-        """One epoch barrier for the batched frames, then the fold."""
+    def _epoch(self, remaining: float, dt: float, coalesce: bool) -> float:
+        """Plan up to ``_EPOCH_TICKS`` ticks and ship them as one epoch.
+
+        With ``coalesce`` the head tick pays a real plan exchange; while
+        the merged fingerprint holds (no shard event before the merged
+        horizon, no breaker near its knee) the planner replays the
+        serial planning loop locally, each interior tick carrying the
+        plan hint the worker re-executes in-shard. Without it every tick
+        is ``min(dt, remaining)`` and carries its own hint. Either way a
+        sample-cadence row lands in its tick's bank, a checkpoint
+        boundary ends the epoch, and the run's final tick samples the
+        armed observers — so the per-tick state evolution is identical
+        to ``len(frames)`` separate barriers.
+        """
         sim = self.sim
+        engine = sim.fastforward
         tracer = self._tracer
         trace_on = tracer is not None and tracer.enabled
-        replies = self._exchange([("epoch", tuple(frames))] * len(self.conns))
+        epoch_w0 = time.perf_counter()
+        if coalesce:
+            plans = self._broadcast(("plan", min(dt, remaining)))
+            dark, demands, safe, shard_horizon = self._merge_plans(plans)
+            fp = (demands, frozenset(dark))
+        frames: list = []
+        folds: list = []
+        spans: list = []
+        floor = sim._trace_floor()
+        while True:
+            hint = min(dt, remaining)
+            step = hint
+            if coalesce:
+                horizon = min(
+                    shard_horizon,
+                    sim.next_sample_time,
+                    fold_driver_horizons(self.clock.now, sim.horizon_sources),
+                )
+                if self.faults is not None:
+                    horizon = min(
+                        horizon, self.faults.next_barrier(self.clock.now)
+                    )
+                step = engine.plan_step(
+                    now=self.clock.now,
+                    remaining=remaining,
+                    base_dt=dt,
+                    horizon=horizon,
+                    stable=engine.stability.peek(fp) and safe,
+                )
+                engine.stability.observe(fp)
+                if not frames:
+                    hint = None  # the head plan ran in the exchange
+            remaining -= step
+            final = remaining <= _EPS
+            oids = self._armed if final else ()
+            t0 = self.clock.now
+            bank, want_row, stamps, floor, changed = self._plan_tick(
+                step, floor, bool(oids)
+            )
+            if changed:
+                engine.stability.reset()
+            frames.append((hint, step, bank, want_row))
+            if want_row:
+                folds.append((bank, stamps))
+            spans.append((t0, self.clock.now, step))
+            if (
+                final
+                or len(frames) >= _EPOCH_TICKS
+                or self._checkpoint_pending()
+                or (
+                    coalesce
+                    and (not safe or self.clock.now + _EPS >= shard_horizon)
+                )
+            ):
+                break
+        frames = tuple(frames)
+        replies = self._exchange(
+            [
+                ("epoch", frames, self._shard_oids(i, oids))
+                for i in range(len(self.conns))
+            ]
+        )
         if any(replies):
-            sim.fastforward.stability.reset()
+            engine.stability.reset()
         self._fold_rows(folds)
+        if oids:
+            self._read_observers(bank, oids)
         wall = (time.perf_counter() - epoch_w0) / len(frames)
         for t0, t1, step in spans:
             sim.metrics.record_tick(step, dt)
             if trace_on:
                 tracer.add_span("fleet.tick", t0, t1, wall, step=step)
-
-    def _epoch_coalesce(self, remaining: float, dt: float) -> float:
-        """Batch coalesced ticks behind one plan exchange + one epoch.
-
-        The head tick pays a real plan exchange; while the merged
-        fingerprint holds (no shard event before the merged horizon, no
-        breaker near its knee, no sample-cadence or checkpoint boundary
-        forcing a driver action) the planner replays the serial planning
-        loop locally and appends interior ticks to the epoch — each one
-        carrying the plan hint the worker re-executes in-shard, so the
-        per-tick state evolution is identical to ``len(frames)``
-        separate barriers.
-        """
-        sim = self.sim
-        engine = sim.fastforward
-        epoch_w0 = time.perf_counter()
-        hint0 = min(dt, remaining)
-        plans = self._broadcast(("plan", hint0))
-        dark, demands, safe, shard_horizon = self._merge_plans(plans)
-        fp = (demands, frozenset(dark))
-        frames: list = []
-        folds: list = []
-        spans: list = []
-        floor = self.sim._trace_floor()
-        while True:
-            hint = min(dt, remaining)
-            stable = engine.stability.peek(fp) and safe
-            horizon = min(shard_horizon, sim.next_sample_time)
-            horizon = min(
-                horizon,
-                fold_driver_horizons(self.clock.now, sim.horizon_sources),
-            )
-            if self.faults is not None:
-                horizon = min(
-                    horizon, self.faults.next_barrier(self.clock.now)
-                )
-            step = engine.plan_step(
-                now=self.clock.now,
-                remaining=remaining,
-                base_dt=dt,
-                horizon=horizon,
-                stable=stable,
-            )
-            if remaining - step <= _EPS and self._armed:
-                if frames:
-                    # flush first: the armed tick re-plans next call, so
-                    # the worker still sees one plan per tick
-                    break
-                # a lone armed tick is the classic plan + commit pair
-                engine.stability.observe(fp)
-                return self._finish_tick(remaining, dt, step, "commit")
-            engine.stability.observe(fp)
-            t0 = self.clock.now
-            bank, want_row, stamps, floor, changed = self._plan_tick(
-                step, floor
-            )
-            if changed:
-                engine.stability.reset()
-            frames.append(
-                (None if not frames else hint, step, bank, 1 if want_row else 0)
-            )
-            if want_row:
-                folds.append((bank, stamps))
-            spans.append((t0, self.clock.now, step))
-            remaining -= step
-            if (
-                remaining <= _EPS
-                or self.clock.now + _EPS >= shard_horizon
-                or len(frames) >= _EPOCH_TICKS
-                or self._checkpoint_pending()
-                or not safe
-            ):
-                break
-        self._flush_epoch(frames, folds, spans, dt, epoch_w0)
-        return remaining
-
-    def _epoch_fixed(self, remaining: float, dt: float) -> float:
-        """Batch fixed-step ticks (non-coalescing runs) into one epoch.
-
-        Every frame carries its step as the plan hint — the worker's
-        fused plan-then-commit, exactly the classic ``step`` verb. With
-        no stability observes between non-coalescing barriers, driver
-        fault resets defer losslessly to the epoch flush.
-        """
-        sim = self.sim
-        engine = sim.fastforward
-        epoch_w0 = time.perf_counter()
-        frames: list = []
-        folds: list = []
-        spans: list = []
-        floor = self.sim._trace_floor()
-        driver_changed = False
-        while True:
-            step = min(dt, remaining)
-            if remaining - step <= _EPS and self._armed:
-                if frames:
-                    break
-                return self._finish_tick(remaining, dt, step, "step")
-            t0 = self.clock.now
-            bank, want_row, stamps, floor, changed = self._plan_tick(
-                step, floor
-            )
-            if changed:
-                driver_changed = True
-            frames.append((step, step, bank, 1 if want_row else 0))
-            if want_row:
-                folds.append((bank, stamps))
-            spans.append((t0, self.clock.now, step))
-            remaining -= step
-            if (
-                remaining <= _EPS
-                or len(frames) >= _EPOCH_TICKS
-                or self._checkpoint_pending()
-            ):
-                break
-        if driver_changed:
-            engine.stability.reset()
-        self._flush_epoch(frames, folds, spans, dt, epoch_w0)
         return remaining
 
     # -- checkpointing ---------------------------------------------------
@@ -1950,10 +1851,7 @@ class ParallelFleetEngine:
             remaining = seconds
             ops = sim._ops
             while remaining > _EPS:
-                if coalesce:
-                    remaining = self._epoch_coalesce(remaining, dt)
-                else:
-                    remaining = self._epoch_fixed(remaining, dt)
+                remaining = self._epoch(remaining, dt, coalesce)
                 if self._resilience is not None and not sim.checkpoint_extras:
                     self.checkpoint_if_due()
                 if ops is not None:
@@ -2055,20 +1953,20 @@ class ParallelFleetEngine:
         insort(self._free_slots, slot)
 
     def arm_observation(self, oids) -> None:
-        """Sample these observers on the final commit of the next run."""
+        """Sample these observers after the final tick of the next run."""
         unknown = [oid for oid in oids if oid not in self._observer_slots]
         if unknown:
             raise SimulationError(f"unknown observers: {unknown}")
         self._armed = tuple(oids)
 
     def disarm_observation(self) -> None:
-        """Stop piggybacking observer samples on run commits."""
+        """Stop piggybacking observer samples on run epochs."""
         self._armed = ()
 
     def observer_sample(self, oid: str, now: float) -> Optional[float]:
         """One observer's reading at ``now`` (must be the current time).
 
-        Served from the piggyback cache when the final commit of the
+        Served from the piggyback cache when the final epoch of the
         last run sampled this observer at exactly ``now``; otherwise an
         explicit ``("sample")`` frame goes to the owning shard, flushing
         that shard's queued ops first — the serial reap-then-sample

@@ -8,7 +8,7 @@ spike heights, same utilization bill, same degradation counters.
 
 import pytest
 
-from repro.attack.monitor import CrestDetector
+from repro.attack.monitor import CrestDetector, RaplPowerMonitor
 from repro.attack.strategies import PeriodicAttack, SynergisticAttack
 from repro.datacenter.simulation import DatacenterSimulation
 from repro.errors import AttackError
@@ -122,6 +122,38 @@ class TestGoldenCampaign:
                 par_sim, par_inst, burst_s=10.0, period_s=120.0
             ).run(360.0, coalesce=True)
             assert outcome_snapshot(serial) == outcome_snapshot(par)
+            assert trace_snapshot(serial_sim) == trace_snapshot(par_sim)
+        finally:
+            par_sim.close()
+
+
+class TestArmedRuns:
+    @pytest.mark.parametrize("seconds", [10.0, 37.5])
+    @pytest.mark.parametrize("coalesce", [False, True], ids=["fixed", "coalesced"])
+    def test_armed_multi_tick_runs_sample_like_serial(self, coalesce, seconds):
+        # the armed final tick joins the run's last epoch: its monitors
+        # must read what serial monitors read after the same runs
+        serial_sim, serial_inst = build_campaign(0)
+        monitors = [RaplPowerMonitor(inst) for inst in serial_inst]
+        assert all(m.available() for m in monitors)
+        par_sim, par_inst = build_campaign(2)
+        try:
+            engine = par_sim._parallel
+            oids = [
+                engine.attach_monitor(inst.instance_id, RaplPowerMonitor)
+                for inst in par_inst
+            ]
+            assert None not in oids
+            for _ in range(3):
+                serial_sim.run(seconds, dt=1.0, coalesce=coalesce)
+                expected = [m.sample(serial_sim.now) for m in monitors]
+                engine.arm_observation(oids)
+                par_sim.run(seconds, dt=1.0, coalesce=coalesce)
+                engine.disarm_observation()
+                assert engine._observed_at == par_sim.now  # piggybacked
+                got = [engine.observer_sample(oid, par_sim.now) for oid in oids]
+                assert got == expected
+            assert expected[0] is not None
             assert trace_snapshot(serial_sim) == trace_snapshot(par_sim)
         finally:
             par_sim.close()

@@ -113,24 +113,12 @@ class TestSlotProtocol:
         plane = self.make()
         try:
             ticks = ((None, 1.0, 2, True), (3.5, 1.0, 3, False))
-            seq, _ = plane.post(0, ("epoch", ticks))
-            assert plane.read_request(0) == ("epoch", ticks)
+            seq, _ = plane.post(0, ("epoch", ticks, ()))
+            assert plane.read_request(0) == ("epoch", ticks, ())
             plane.write_reply(0, seq, "epoch", True, wait_s=0.0)
             changed, received = plane.read_reply(0, "epoch")
             assert changed is True
             assert received == 4 * 8
-        finally:
-            plane.unlink()
-
-    def test_bare_commit_and_step_fuse_into_one_tick_epochs(self):
-        plane = self.make()
-        try:
-            # commit has no plan half: hint None
-            plane.post(0, ("commit", 1.0, 1, True, ()))
-            assert plane.read_request(0) == ("epoch", ((None, 1.0, 1, True),))
-            # step fuses plan+commit: hint == step
-            plane.post(0, ("step", 2.0, 0, False, ()))
-            assert plane.read_request(0) == ("epoch", ((2.0, 2.0, 0, False),))
         finally:
             plane.unlink()
 
@@ -149,10 +137,10 @@ class TestSlotProtocol:
         plane = self.make(epoch_ticks=2)
         try:
             too_long = tuple((None, 1.0, 0, False) for _ in range(3))
-            assert plane.post(0, ("epoch", too_long)) is None  # oversized
+            assert plane.post(0, ("epoch", too_long, ())) is None  # oversized
             assert plane.post(0, ("begin", 0, False, (("op",),))) is None
-            assert plane.post(0, ("commit", 1.0, 0, False, (5,))) is None
-            assert plane.post(0, ("step", 1.0, 0, False, (5,))) is None
+            one = ((None, 1.0, 0, False),)
+            assert plane.post(0, ("epoch", one, (5,))) is None  # observers
             assert plane.post(0, ("state",)) is None
             assert plane.post(0, ("checkpoint", 1, "/tmp")) is None
             # a refused frame must not ring the doorbell: the pipe carries

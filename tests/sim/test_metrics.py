@@ -97,6 +97,16 @@ class TestIpcMetrics:
         assert ipc.barrier_wait_s == {0: pytest.approx(0.5), 1: pytest.approx(0.5)}
         assert ipc.barrier_wait_total_s == pytest.approx(1.0)
 
+    def test_round_trip_p50_covers_the_whole_run(self):
+        # past the retained-sample cap the p50 must still see late ticks
+        ipc = IpcMetrics()
+        for _ in range(70_000):
+            ipc.record_barrier_wait(0, 1e-6)
+        for _ in range(140_000):
+            ipc.record_barrier_wait(0, 1e-4)
+        assert ipc.round_trip_p50 == pytest.approx(1e-4)
+        assert ipc.frame_wait_quantile(0.5) == pytest.approx(1e-4)
+
     def test_render_with_no_traffic(self):
         text = IpcMetrics().render()
         assert "control frames      0" in text
