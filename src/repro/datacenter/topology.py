@@ -33,10 +33,7 @@ class ServerPowerConfig:
 
 def package_power_watts(kernel: Kernel) -> float:
     """Ground-truth package power of one host from its last tick."""
-    if kernel.last_tick is None:
-        return kernel.power.idle_package_watts() * kernel.config.packages
-    per_pkg = kernel.power.tick_energy(kernel.last_tick)
-    return sum(e.package_j for e in per_pkg.values()) / kernel.last_tick.dt
+    return kernel.host_package_watts()
 
 
 def wall_power_watts(

@@ -408,8 +408,9 @@ class ColumnarHostEngine:
     def _placement_for(self, i: int, demand_hint: float = 0.0) -> int:
         """Mirror of ``Scheduler.add_task`` placement for a cold host.
 
-        Loads are refolded fresh per spawn, exactly like ``_cpu_load``:
-        an int-0-seeded sequential sum over tasks in placement order.
+        Loads are refolded fresh per spawn, exactly like ``add_task``'s
+        one-pass fold: an int-0-seeded sequential sum per CPU over tasks
+        in placement order.
         """
         C = self._C
         loads = [0] * C

@@ -10,7 +10,7 @@ microsecond ``time`` counter of whichever C-state the governor picked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional, Tuple
 
 from repro.errors import KernelError
 from repro.kernel.scheduler import TickResult
@@ -23,6 +23,20 @@ C_STATES = (
     ("C3", "MWAIT 0x10", 70),
     ("C6", "MWAIT 0x20", 85),
 )
+
+
+def _band(entries_per_sec: float, split: dict) -> Tuple[float, tuple]:
+    """One governor load band: ``(entries_per_sec, ((C-state index,
+    share), ...))`` in C-state order, zero shares dropped."""
+    return entries_per_sec, tuple(
+        (i, split[name]) for i, (name, _, _) in enumerate(C_STATES) if split[name] > 0
+    )
+
+
+#: the idle split of a mostly-idle, a lightly loaded and a loaded CPU
+_IDLE_BAND = _band(30.0, {"C6": 0.92, "C3": 0.05, "C1E": 0.02, "C1": 0.01, "POLL": 0.0})
+_LIGHT_BAND = _band(300.0, {"C6": 0.55, "C3": 0.25, "C1E": 0.12, "C1": 0.07, "POLL": 0.01})
+_BUSY_BAND = _band(1500.0, {"C6": 0.10, "C3": 0.25, "C1E": 0.35, "C1": 0.25, "POLL": 0.05})
 
 
 @dataclass
@@ -57,6 +71,9 @@ class CpuIdleSubsystem:
             )
             for c in range(ncpus)
         ]
+        #: per CPU, a single-entry memo of the last tick's increments:
+        #: (idle seconds, band, ((state, time_us, usage), ...))
+        self._last: List[Optional[tuple]] = [None] * ncpus
 
     def cpu(self, cpu: int) -> CpuIdle:
         """Idle accounting for one CPU."""
@@ -73,24 +90,37 @@ class CpuIdleSubsystem:
         menu governor's choices correlate with load, which is what makes
         the deltas informative to an observer.
         """
-        for idle in self.cpus:
-            busy = result.busy_seconds.get(idle.cpu, 0.0)
-            idle_s = max(0.0, result.dt - busy)
+        dt = result.dt
+        busy_of = result.busy_seconds.get
+        util_of = result.utilization.get
+        last = self._last
+        for i, idle in enumerate(self.cpus):
+            idle_s = max(0.0, dt - busy_of(idle.cpu, 0.0))
             if idle_s <= 0:
                 continue
-            util = result.utilization.get(idle.cpu, 0.0)
+            util = util_of(idle.cpu, 0.0)
             if util < 0.05:
-                split = {"C6": 0.92, "C3": 0.05, "C1E": 0.02, "C1": 0.01, "POLL": 0.0}
-                entries_per_sec = 30.0
+                band = _IDLE_BAND
             elif util < 0.5:
-                split = {"C6": 0.55, "C3": 0.25, "C1E": 0.12, "C1": 0.07, "POLL": 0.01}
-                entries_per_sec = 300.0
+                band = _LIGHT_BAND
             else:
-                split = {"C6": 0.10, "C3": 0.25, "C1E": 0.35, "C1": 0.25, "POLL": 0.05}
-                entries_per_sec = 1500.0
-            for state in idle.states:
-                share = split.get(state.name, 0.0)
-                if share <= 0:
-                    continue
-                state.time_us += int(idle_s * share * 1e6)
-                state.usage += max(1, int(entries_per_sec * idle_s * share))
+                band = _BUSY_BAND
+            memo = last[i]
+            if memo is None or memo[0] != idle_s or memo[1] is not band:
+                entries_per_sec, split = band
+                states = idle.states
+                memo = last[i] = (
+                    idle_s,
+                    band,
+                    tuple(
+                        (
+                            states[s],
+                            int(idle_s * share * 1e6),
+                            max(1, int(entries_per_sec * idle_s * share)),
+                        )
+                        for s, share in split
+                    ),
+                )
+            for state, time_us, usage in memo[2]:
+                state.time_us += time_us
+                state.usage += usage

@@ -73,6 +73,14 @@ class InterruptSubsystem:
         self.softirqs: Dict[str, List[int]] = {
             name: [0] * ncpus for name in SOFTIRQ_NAMES
         }
+        # the lines and rows each tick touches, resolved once
+        self._queues = [ln for ln in self.lines if "-TxRx-" in ln.description]
+        self._disks = [ln for ln in self.lines if "ahci" in ln.description]
+        self._loc = self._by_irq["LOC"].per_cpu
+        self._res = self._by_irq["RES"].per_cpu
+        sirq = self.softirqs
+        self._timer, self._rcu = sirq["TIMER"], sirq["RCU"]
+        self._sched, self._hrtimer = sirq["SCHED"], sirq["HRTIMER"]
 
     def irq(self, name: str) -> IrqLine:
         """Look up one IRQ line (KeyError surfaces programming errors)."""
@@ -92,20 +100,24 @@ class InterruptSubsystem:
         dt = result.dt
         ncpus = self.config.total_cores
         hz_ticks = int(self.config.hz * dt)
+        util_of = result.utilization.get
 
-        loc = self._by_irq["LOC"]
+        loc, timer, rcu = self._loc, self._timer, self._rcu
+        sched, hrtimer = self._sched, self._hrtimer
+        hrtimer_ticks = int(hz_ticks * 0.01)
         for cpu in range(ncpus):
             # tickless idle: idle CPUs take far fewer local timer interrupts
-            util = result.utilization.get(cpu, 0.0)
-            loc.per_cpu[cpu] += max(1, int(hz_ticks * (0.08 + 0.92 * util)))
-            self.softirqs["TIMER"][cpu] += max(1, int(hz_ticks * (0.08 + 0.92 * util)))
-            self.softirqs["RCU"][cpu] += max(1, int(hz_ticks * 0.5 * (0.1 + 0.9 * util)))
-            self.softirqs["SCHED"][cpu] += max(0, int(hz_ticks * util * 0.6))
-            self.softirqs["HRTIMER"][cpu] += int(hz_ticks * 0.01)
+            util = util_of(cpu, 0.0)
+            timer_ticks = max(1, int(hz_ticks * (0.08 + 0.92 * util)))
+            loc[cpu] += timer_ticks
+            timer[cpu] += timer_ticks
+            rcu[cpu] += max(1, int(hz_ticks * 0.5 * (0.1 + 0.9 * util)))
+            sched[cpu] += max(0, int(hz_ticks * util * 0.6))
+            hrtimer[cpu] += hrtimer_ticks
 
         # Network interrupts: ~1 IRQ per 16KB of traffic, spread over queues.
         net_irqs = result.total.net_bytes // 16384
-        queues = [ln for ln in self.lines if "-TxRx-" in ln.description]
+        queues = self._queues
         if queues and net_irqs:
             per_queue = net_irqs // len(queues)
             for i, q in enumerate(queues):
@@ -115,7 +127,7 @@ class InterruptSubsystem:
                 self.softirqs["NET_TX"][cpu] += per_queue // 2
 
         # Disk interrupts: one per IO completion.
-        disk_lines = [ln for ln in self.lines if "ahci" in ln.description]
+        disk_lines = self._disks
         if disk_lines and result.total.io_ops:
             per_disk = result.total.io_ops // len(disk_lines)
             for i, d in enumerate(disk_lines):
@@ -124,10 +136,11 @@ class InterruptSubsystem:
                 self.softirqs["BLOCK"][cpu] += per_disk
 
         # Rescheduling IPIs follow context switches across CPUs.
-        res = self._by_irq["RES"]
+        res = self._res
         switches = sum(s.voluntary_switches for _, s in result.task_samples)
+        per_cpu = switches // max(1, ncpus)
         for cpu in range(ncpus):
-            res.per_cpu[cpu] += switches // max(1, ncpus)
+            res[cpu] += per_cpu
 
     def rows(self) -> List[Tuple[str, List[int], str]]:
         """(irq, per-cpu counts, description) rows for rendering."""

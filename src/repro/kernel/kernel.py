@@ -298,11 +298,13 @@ class Kernel:
         return value
 
     def host_package_watts(self) -> float:
-        """Instantaneous host package power from the last tick (debug aid).
+        """Ground-truth host package power from the last tick.
 
-        Averages over the last tick's ``dt`` — there is no trailing-window
-        smoothing here (a ``window`` parameter existed once but was never
-        honoured; callers wanting smoothing should average a trace).
+        Summed over packages and averaged over the last tick's ``dt`` —
+        no trailing-window smoothing (callers wanting smoothing should
+        average a trace); all idle before the first tick. This is the
+        one body behind :func:`repro.datacenter.topology.package_power_watts`,
+        and it reads the tick's memoized ``power.tick_energy``.
         """
         if self.last_tick is None:
             return self.power.idle_package_watts() * self.config.packages

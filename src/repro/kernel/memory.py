@@ -17,7 +17,7 @@ from typing import Dict, List
 from repro.errors import KernelError
 from repro.kernel.config import HostConfig
 from repro.kernel.scheduler import TickResult
-from repro.sim.rng import DeterministicRNG
+from repro.sim.rng import DeterministicRNG, randint
 
 PAGE_SIZE = 4096
 
@@ -169,11 +169,13 @@ class MemorySubsystem:
     def tick(self, result: TickResult) -> None:
         """Advance memory state from one scheduler tick."""
         dt = result.dt
-        pcp_stream = self._rng.stream("pcp-jitter")
-        for cpu in self.pcp_count:
-            busy = result.utilization.get(cpu, 0.0)
-            drift = pcp_stream.randint(-9, 9) + int(busy * pcp_stream.randint(0, 20))
-            self.pcp_count[cpu] = max(0, min(186, self.pcp_count[cpu] + drift))
+        getrandbits = self._rng.stream("pcp-jitter").getrandbits
+        util_of = result.utilization.get
+        pcp_count = self.pcp_count
+        for cpu, count in pcp_count.items():
+            busy = util_of(cpu, 0.0)
+            drift = randint(getrandbits, -9, 9) + int(busy * randint(getrandbits, 0, 20))
+            pcp_count[cpu] = max(0, min(186, count + drift))
         # resident memory of all live workloads
         rss_bytes = sum(sample.rss_bytes for _, sample in result.task_samples)
         self.task_rss_pages = rss_bytes // PAGE_SIZE

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Set
 
+from repro.kernel.activity import ActivitySample
 from repro.kernel.cgroups import Cgroup, CgroupManager, PerfCounters, PerfEventState
 from repro.errors import KernelError
 
@@ -62,7 +63,6 @@ class PerfSubsystem:
         #: monitored-cgroup event rate observed in the previous tick
         #: (events/sec), used for the contention cost model.
         self.monitored_event_rate: float = 0.0
-        self._events_this_tick: int = 0
 
     def _perf_state(self, cgroup: Cgroup) -> PerfEventState:
         if cgroup.controller != "perf_event":
@@ -98,25 +98,19 @@ class PerfSubsystem:
         """The currently monitored perf_event cgroups."""
         return frozenset(self._monitored)
 
-    def charge(
-        self,
-        perf_cgroup: Cgroup,
-        cycles: int,
-        instructions: int,
-        cache_misses: int,
-        branch_misses: int,
-    ) -> None:
-        """Account one activity sample to the host and (if on) the cgroup."""
-        self.host_counters.add(cycles, instructions, cache_misses, branch_misses)
-        state = self._perf_state(perf_cgroup)
-        if state.enabled:
-            state.charge(cycles, instructions, cache_misses, branch_misses)
-            self._events_this_tick += cache_misses + branch_misses
+    def finish_tick(self, dt: float, total: ActivitySample, monitored_events: int) -> None:
+        """Close out a tick: account the host's activity, publish the
+        monitored event rate.
 
-    def finish_tick(self, dt: float) -> None:
-        """Close out a tick: publish the monitored event rate."""
-        self.monitored_event_rate = self._events_this_tick / dt if dt > 0 else 0.0
-        self._events_this_tick = 0
+        ``total`` is the tick's host-wide activity (the host counters are
+        always on); ``monitored_events`` the cache and branch misses the
+        monitored cgroups counted, each of which the scheduler charged
+        sample by sample.
+        """
+        self.host_counters.add(
+            total.cycles, total.instructions, total.cache_misses, total.branch_misses
+        )
+        self.monitored_event_rate = monitored_events / dt if dt > 0 else 0.0
 
     def contention_slowdown(self) -> float:
         """Fractional CPU-time tax on monitored tasks from event bookkeeping.

@@ -15,12 +15,11 @@ LLC misses across workloads (Figure 7).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import KernelError
 from repro.kernel.config import HostConfig
 from repro.kernel.scheduler import TickResult
-from repro.kernel.activity import ActivitySample
 
 
 @dataclass(frozen=True)
@@ -46,6 +45,8 @@ class PowerModel:
         self._cpu_to_package = {
             cpu: cpu // config.cpu.cores for cpu in range(config.total_cores)
         }
+        #: (last TickResult, its tick_energy) — see :meth:`tick_energy`
+        self._memo: Optional[Tuple[TickResult, Dict[int, EnergyBreakdown]]] = None
 
     def package_of(self, cpu: int) -> int:
         """Which package a CPU belongs to."""
@@ -54,25 +55,16 @@ class PowerModel:
         except KeyError:
             raise KernelError(f"no such cpu: {cpu}")
 
-    def energy_for_sample(self, sample: ActivitySample, dt: float) -> EnergyBreakdown:
-        """Energy attributable to one activity sample (dynamic part only).
-
-        Static (idle/uncore) power is per-package and added in
-        :meth:`tick_energy`; this method is exposed separately because the
-        accuracy evaluation (Figure 8) needs ground-truth active energy per
-        container.
-        """
-        p = self.params
-        core = (
-            p.energy_per_cycle * sample.cycles
-            + p.energy_per_cache_miss * sample.cache_misses
-            + p.energy_per_branch_miss * sample.branch_misses
-        )
-        dram = p.dram_energy_per_miss * sample.cache_misses
-        return EnergyBreakdown(core_j=core, dram_j=dram, uncore_j=0.0)
-
     def tick_energy(self, result: TickResult) -> Dict[int, EnergyBreakdown]:
-        """Energy per package for one tick (static + dynamic)."""
+        """Energy per package for one tick (static + dynamic).
+
+        Each tick's energy is asked for twice (the RAPL stage and the wall
+        power read), so the last result is memoized on the identity of
+        its :class:`TickResult`; callers must not mutate the returned map.
+        """
+        memo = self._memo
+        if memo is not None and memo[0] is result:
+            return memo[1]
         p = self.params
         dt = result.dt
         packages = self.config.packages
@@ -80,18 +72,29 @@ class PowerModel:
         dram_j: List[float] = [p.dram_idle_watts * dt] * packages
         uncore_j: List[float] = [p.uncore_watts * dt] * packages
 
+        per_cycle = p.energy_per_cycle
+        per_cache_miss = p.energy_per_cache_miss
+        per_branch_miss = p.energy_per_branch_miss
+        dram_per_miss = p.dram_energy_per_miss
         for cpu, sample in result.cpu_samples.items():
             pkg = self.package_of(cpu)
-            dynamic = self.energy_for_sample(sample, dt)
-            core_j[pkg] += dynamic.core_j
-            dram_j[pkg] += dynamic.dram_j
+            # each CPU's dynamic energy, added to its package's static part
+            cache_misses = sample.cache_misses
+            core_j[pkg] += (
+                per_cycle * sample.cycles
+                + per_cache_miss * cache_misses
+                + per_branch_miss * sample.branch_misses
+            )
+            dram_j[pkg] += dram_per_miss * cache_misses
 
-        return {
+        energy = {
             pkg: EnergyBreakdown(
                 core_j=core_j[pkg], dram_j=dram_j[pkg], uncore_j=uncore_j[pkg]
             )
             for pkg in range(packages)
         }
+        self._memo = (result, energy)
+        return energy
 
     def idle_package_watts(self) -> float:
         """Package power of a completely idle package."""

@@ -10,6 +10,20 @@ channels render: ``/proc/stat``, ``/proc/loadavg``, ``/proc/schedstat``,
 The perf-accounting overhead model lives here because its costs are paid in
 scheduler time: counter toggles on inter-cgroup switches, event wiring on
 spawn, and per-event bookkeeping — see :class:`repro.kernel.perf.PerfTuning`.
+
+:meth:`Scheduler.tick` is one fused pass: it buckets the tasks by CPU once
+(placement order), then per CPU folds every task's activity into plain
+ints and one float in task order — the order ``ActivitySample.__add__``
+summed them in — and builds one sample per CPU plus one host total. Each
+task's perf cgroup is looked up once, and only monitored tasks pay for
+the overhead model. Single-entry memos, which hold no state that grows
+with virtual time, skip rebuilding what a steady load repeats: the last
+sample per workload (:meth:`repro.runtime.workload.Workload.consume`),
+the last tick's energy (:meth:`repro.kernel.power.PowerModel.tick_energy`)
+and each CPU's last C-state increments
+(:class:`repro.kernel.cpuidle.CpuIdleSubsystem`). The output is
+bit-identical to the unfused per-task form; the state digest in
+``tests/kernel/test_tick_pin.py`` pins it.
 """
 
 from __future__ import annotations
@@ -18,11 +32,21 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import KernelError
-from repro.kernel.cgroups import CgroupManager, CpuAcctState, CpusetState, MemoryState
+from repro.kernel.cgroups import (
+    CgroupManager,
+    CpuAcctState,
+    CpuQuotaState,
+    CpusetState,
+    MemoryState,
+)
 from repro.kernel.config import HostConfig
 from repro.kernel.perf import PerfSubsystem
 from repro.kernel.process import Task, TaskState
 from repro.kernel.activity import ActivitySample
+from repro.sim.rng import DeterministicRNG, randint
+
+#: the activity of a CPU no task ran on this tick (frozen, so shared)
+_NO_ACTIVITY = ActivitySample()
 
 
 @dataclass
@@ -69,8 +93,6 @@ class Scheduler:
         perf: PerfSubsystem,
         rng=None,
     ):
-        from repro.sim.rng import DeterministicRNG
-
         self.config = config
         self.cgroups = cgroups
         self.perf = perf
@@ -113,19 +135,18 @@ class Scheduler:
             raise KernelError(f"task {task.name!r} has an empty CPU mask")
         return sorted(allowed)
 
-    def _cpu_load(self, cpu: int) -> float:
-        return sum(
-            t.workload.demand()
-            for t, c in self._placement.items()
-            if c == cpu and t.workload is not None
-        )
-
     def add_task(self, task: Task) -> None:
         """Admit a task: pick the least-loaded allowed CPU."""
         if task in self._placement:
             raise KernelError(f"task already scheduled: {task}")
         allowed = self._allowed_cpus(task)
-        cpu = min(allowed, key=self._cpu_load)
+        # each CPU's load is an int-0-seeded sequential sum of its tasks'
+        # demands in placement order, gathered in one pass
+        loads: List[float] = [0] * self.ncpus
+        for t, c in self._placement.items():
+            if t.workload is not None:
+                loads[c] = loads[c] + t.workload.demand()
+        cpu = min(allowed, key=loads.__getitem__)
         self._placement[task] = cpu
         self._tasks.append(task)
         self.total_forks += 1
@@ -165,9 +186,12 @@ class Scheduler:
         """Re-place every task (cheap global rebalance after churn)."""
         tasks = list(self._tasks)
         self._placement.clear()
+        loads: List[float] = [0] * self.ncpus  # as in add_task, built as we go
         for task in tasks:
-            allowed = self._allowed_cpus(task)
-            self._placement[task] = min(allowed, key=self._cpu_load)
+            cpu = min(self._allowed_cpus(task), key=loads.__getitem__)
+            self._placement[task] = cpu
+            if task.workload is not None:
+                loads[cpu] = loads[cpu] + task.workload.demand()
 
     # ------------------------------------------------------------------
     # the tick
@@ -177,86 +201,176 @@ class Scheduler:
         if dt <= 0:
             raise KernelError(f"scheduler tick needs positive dt: {dt}")
         result = TickResult(dt=dt)
-        perf_h = self.cgroups.hierarchy("perf_event")
-        cpuacct_h = self.cgroups.hierarchy("cpuacct")
-        memory_h = self.cgroups.hierarchy("memory")
-        contention = self.perf.contention_slowdown()
-        quota_scale = self._quota_scales(dt)
+        task_samples = result.task_samples
+        busy_by_cpu = result.busy_seconds
+        util_by_cpu = result.utilization
+        cpu_samples = result.cpu_samples
+        cgroups = self.cgroups
+        perf_h = cgroups.hierarchy("perf_event")
+        cpuacct_h = cgroups.hierarchy("cpuacct")
+        memory_h = cgroups.hierarchy("memory")
+        perf_of, perf_root = perf_h._membership.get, perf_h.root
+        cpuacct_of, cpuacct_root = cpuacct_h._membership.get, cpuacct_h.root
+        memory_of, memory_root = memory_h._membership.get, memory_h.root
+        perf = self.perf
+        perf_state = perf._perf_state
+        contention = perf.contention_slowdown()
+        quota_of = self._quota_scales(dt).get
+        freq = self.frequency_hz
+        hz_ticks = int(self.config.hz * dt)
+        running = TaskState.RUNNING
+        # an idle CPU's idle_ns: int(max(0.0, dt - 0.0) * 1e9), dt > 0
+        idle_cpu_ns = int(dt * 1e9)
 
+        # one pass over the placements, in placement order per CPU
+        buckets: List[List[Task]] = [[] for _ in range(self.ncpus)]
+        for task, cpu in self._placement.items():
+            buckets[cpu].append(task)
+
+        # host-wide fold of every task's sample, in task order
+        t_cpu_ns = t_cycles = t_instructions = t_cache = t_branch = 0
+        t_syscalls = t_vol = t_rss = t_net = t_io = 0
+        t_work = 0.0
+        monitored_events = 0
         nr_running = 0.0
-        for cpu in range(self.ncpus):
+        for cpu, bucket in enumerate(buckets):
             on_cpu = [
                 t
-                for t in self.tasks_on_cpu(cpu)
-                if t.state is TaskState.RUNNING and t.workload is not None
+                for t in bucket
+                if t.state is running and t.workload is not None
                 and not t.workload.finished
             ]
-            demands = {
-                t: t.workload.demand() * quota_scale.get(t, 1.0) for t in on_cpu
-            }
-            total_demand = sum(demands.values())
+            stat = self.cpu_stats[cpu]
+            if not on_cpu:
+                stat.idle_ns += idle_cpu_ns
+                self.idle_ns_total += idle_cpu_ns
+                busy_by_cpu[cpu] = 0.0
+                util_by_cpu[cpu] = 0.0
+                cpu_samples[cpu] = _NO_ACTIVITY
+                continue
+            demands = [t.workload.demand() * quota_of(t, 1.0) for t in on_cpu]
+            perf_cgs = [perf_of(t, perf_root) for t in on_cpu]
+            total_demand = sum(demands)
             nr_running += total_demand
 
             scale = 1.0 if total_demand <= 1.0 else 1.0 / total_demand
             idle_fraction = max(0.0, 1.0 - total_demand)
+            # involuntary preemptions when the CPU is oversubscribed
+            invol = hz_ticks if total_demand > 1.0 else 0
             busy_seconds = 0.0
-            stat = self.cpu_stats[cpu]
-            switches_this_cpu = 0
-            cpu_sample = ActivitySample()
+            c_cpu_ns = c_cycles = c_instructions = c_cache = c_branch = 0
+            c_syscalls = c_vol = c_rss = c_net = c_io = 0
+            c_work = 0.0
+            user_ns = system_ns_sum = wait_ns = timeslices = switches = 0
 
-            for task in on_cpu:
-                demand = demands[task]
+            for i, task in enumerate(on_cpu):
+                demand = demands[i]
                 granted = demand * scale * dt
                 if granted <= 0:
                     continue
-                overhead_s = self._overhead_seconds(
-                    task, granted, dt, demands, idle_fraction, perf_h, contention
-                )
+                perf_st = perf_state(perf_cgs[i])
+                monitored = perf_st.enabled
+                if monitored:
+                    overhead_s = self._overhead_seconds(
+                        task, i, granted, dt, demands, perf_cgs,
+                        idle_fraction, contention,
+                    )
+                else:
+                    overhead_s = 0.0
                 useful = max(0.0, granted - overhead_s)
-                sample = task.workload.consume(useful, dt, self.frequency_hz)
+                sample = task.workload.consume(useful, dt, freq)
                 # Overhead is busy (system) time even though it does no work.
                 busy_ns = int(granted * 1e9)
                 task.cpu_time_ns += busy_ns
                 task.vruntime_ns += busy_ns
-                task.rss_bytes = sample.rss_bytes
+                rss = sample.rss_bytes
+                task.rss_bytes = rss
 
+                syscalls = sample.syscalls
                 system_ns = min(
                     int(busy_ns * 0.8),
-                    int(sample.syscalls * 500) + int(overhead_s * 1e9),
+                    int(syscalls * 500) + int(overhead_s * 1e9),
                 )
-                stat.system_ns += system_ns
-                stat.user_ns += busy_ns - system_ns
+                system_ns_sum += system_ns
+                user_ns += busy_ns - system_ns
 
-                # Context switches: voluntary from the workload; involuntary
-                # preemptions when the CPU is oversubscribed.
+                # Context switches: voluntary from the workload, plus the
+                # involuntary preemptions.
                 vol = sample.voluntary_switches
-                invol = int(self.config.hz * dt) if total_demand > 1.0 else 0
                 task.nvcsw += vol
                 task.nivcsw += invol
-                switches_this_cpu += vol + invol
+                switches += vol + invol
 
                 # waiting time while oversubscribed (for schedstat)
-                stat.wait_ns += int(max(0.0, demand * dt - granted) * 1e9)
-                stat.timeslices += max(1, vol + invol)
+                wait_ns += int(max(0.0, demand * dt - granted) * 1e9)
+                timeslices += max(1, vol + invol)
 
-                self._charge(task, cpu, sample, busy_ns, cpuacct_h, perf_h, memory_h)
-                result.task_samples.append((task, sample))
-                result.total = result.total + sample
-                cpu_sample = cpu_sample + sample
+                cpuacct = cpuacct_of(task, cpuacct_root).state
+                assert isinstance(cpuacct, CpuAcctState)
+                cpuacct.charge(cpu, busy_ns)
+                cycles = sample.cycles
+                instructions = sample.instructions
+                cache = sample.cache_misses
+                branch = sample.branch_misses
+                if monitored:
+                    perf_st.charge(cycles, instructions, cache, branch)
+                    monitored_events += cache + branch
+                mem_cg = memory_of(task, memory_root)
+                mem_state = mem_cg.state
+                assert isinstance(mem_state, MemoryState)
+                mem_state.set_usage(sum([t.rss_bytes for t in mem_cg.tasks]))
+
+                task_samples.append((task, sample))
+                c_cpu_ns += sample.cpu_ns
+                c_cycles += cycles
+                c_instructions += instructions
+                c_cache += cache
+                c_branch += branch
+                c_syscalls += syscalls
+                c_vol += vol
+                if rss > c_rss:
+                    c_rss = rss
+                c_net += sample.net_bytes
+                c_io += sample.io_ops
+                work = sample.work_units
+                c_work = c_work + work
+                t_work = t_work + work
                 busy_seconds += granted
 
-            stat.nr_switches += switches_this_cpu
-            self.nr_switches_total += switches_this_cpu
+            stat.system_ns += system_ns_sum
+            stat.user_ns += user_ns
+            stat.wait_ns += wait_ns
+            stat.timeslices += timeslices
+            stat.nr_switches += switches
+            self.nr_switches_total += switches
             idle_ns = int(max(0.0, dt - busy_seconds) * 1e9)
             stat.idle_ns += idle_ns
             self.idle_ns_total += idle_ns
-            result.busy_seconds[cpu] = busy_seconds
-            result.utilization[cpu] = min(1.0, busy_seconds / dt)
-            result.cpu_samples[cpu] = cpu_sample
+            busy_by_cpu[cpu] = busy_seconds
+            util_by_cpu[cpu] = min(1.0, busy_seconds / dt)
+            cpu_samples[cpu] = ActivitySample(
+                c_cpu_ns, c_cycles, c_instructions, c_cache, c_branch,
+                c_syscalls, c_vol, c_rss, c_net, c_io, c_work,
+            )
+            t_cpu_ns += c_cpu_ns
+            t_cycles += c_cycles
+            t_instructions += c_instructions
+            t_cache += c_cache
+            t_branch += c_branch
+            t_syscalls += c_syscalls
+            t_vol += c_vol
+            if c_rss > t_rss:
+                t_rss = c_rss
+            t_net += c_net
+            t_io += c_io
 
+        result.total = ActivitySample(
+            t_cpu_ns, t_cycles, t_instructions, t_cache, t_branch,
+            t_syscalls, t_vol, t_rss, t_net, t_io, t_work,
+        )
         self._update_loadavg(nr_running, dt)
         self._update_sched_domain_costs(result)
-        self.perf.finish_tick(dt)
+        perf.finish_tick(dt, result.total, monitored_events)
         self._reap_finished()
         return result
 
@@ -269,14 +383,19 @@ class Scheduler:
         contention), so the estimate is a noisy host-load-correlated
         random-walk — never a constant.
         """
-        stream = self._rng.stream("newidle-cost")
+        getrandbits = self._rng.stream("newidle-cost").getrandbits
+        dt = result.dt
+        decay = 1.0 - 0.01 * dt
+        util_of = result.utilization.get
+        costs = self.max_newidle_lb_cost
         for cpu in range(self.ncpus):
-            util = result.utilization.get(cpu, 0.0)
-            cost = self.max_newidle_lb_cost[cpu]
-            cost = int(cost * (1.0 - 0.01 * result.dt))
-            cost += int(4000 * util * result.dt)
-            cost += stream.randint(-120, 120) + int(util * stream.randint(0, 600))
-            self.max_newidle_lb_cost[cpu] = max(2000, min(cost, 5_000_000))
+            util = util_of(cpu, 0.0)
+            cost = int(costs[cpu] * decay)
+            cost += int(4000 * util * dt)
+            cost += randint(getrandbits, -120, 120) + int(
+                util * randint(getrandbits, 0, 600)
+            )
+            costs[cpu] = max(2000, min(cost, 5_000_000))
 
     # ------------------------------------------------------------------
     # internals
@@ -289,8 +408,6 @@ class Scheduler:
         scaled down proportionally and the denied time is accounted as
         throttled.
         """
-        from repro.kernel.cgroups import CpuQuotaState
-
         scales: Dict[Task, float] = {}
         cpu_h = self.cgroups.hierarchy("cpu")
         for cgroup in cpu_h.root.walk():
@@ -316,17 +433,19 @@ class Scheduler:
     def _overhead_seconds(
         self,
         task: Task,
+        i: int,
         granted: float,
         dt: float,
-        demands: Dict[Task, float],
+        demands: List[float],
+        perf_cgs: List,
         idle_fraction: float,
-        perf_h,
         contention: float,
     ) -> float:
-        """Perf-accounting overhead charged against one task's grant."""
-        perf_cg = perf_h.cgroup_of(task)
-        if not self.perf.is_monitored(perf_cg):
-            return 0.0
+        """Perf-accounting overhead charged against a monitored task's grant.
+
+        ``task`` is entry ``i`` of its CPU's runnable list; ``demands``
+        and ``perf_cgs`` hold every entry's demand and perf cgroup.
+        """
         overhead = granted * contention
 
         # Pay off any perf-event spawn debt first.
@@ -340,49 +459,22 @@ class Scheduler:
         # time and foreign tasks force a disable/enable pair.
         phase = task.workload.current_phase if task.workload else None
         if phase is not None and phase.voluntary_switches_per_sec > 0:
+            perf_cg = perf_cgs[i]
             same = sum(
                 d
-                for t, d in demands.items()
-                if t is not task and perf_h.cgroup_of(t) is perf_cg
+                for j, (d, cg) in enumerate(zip(demands, perf_cgs))
+                if j != i and cg is perf_cg
             )
             other = sum(
                 d
-                for t, d in demands.items()
-                if t is not task and perf_h.cgroup_of(t) is not perf_cg
+                for j, (d, cg) in enumerate(zip(demands, perf_cgs))
+                if j != i and cg is not perf_cg
             )
             denom = same + other + idle_fraction
             p_inter = (other + idle_fraction) / denom if denom > 0 else 1.0
             switches = phase.voluntary_switches_per_sec * dt
             overhead += switches * p_inter * self.perf.tuning.toggle_ns / 1e9
         return min(overhead, granted)
-
-    def _charge(
-        self,
-        task: Task,
-        cpu: int,
-        sample: ActivitySample,
-        busy_ns: int,
-        cpuacct_h,
-        perf_h,
-        memory_h,
-    ) -> None:
-        cpuacct = cpuacct_h.cgroup_of(task).state
-        assert isinstance(cpuacct, CpuAcctState)
-        cpuacct.charge(cpu, busy_ns)
-
-        self.perf.charge(
-            perf_h.cgroup_of(task),
-            sample.cycles,
-            sample.instructions,
-            sample.cache_misses,
-            sample.branch_misses,
-        )
-
-        mem_cg = memory_h.cgroup_of(task)
-        mem_state = mem_cg.state
-        assert isinstance(mem_state, MemoryState)
-        usage = sum(t.rss_bytes for t in mem_cg.tasks)
-        mem_state.set_usage(usage)
 
     def _update_loadavg(self, nr_running: float, dt: float) -> None:
         """Exponentially-damped load averages, as the kernel computes them."""

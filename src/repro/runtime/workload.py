@@ -87,7 +87,35 @@ class Workload:
         self._index = 0
         self._elapsed_in_phase = 0.0
         self.finished = False
-        self.total: ActivitySample = ActivitySample()
+        # running total of every sample consumed, as plain fields (see
+        # :attr:`total`)
+        self._cpu_ns = self._cycles = self._instructions = 0
+        self._cache_misses = self._branch_misses = self._syscalls = 0
+        self._voluntary_switches = self._rss_bytes = 0
+        self._net_bytes = self._io_ops = 0
+        self._work_units = 0.0
+        #: single-entry memo of :meth:`consume`'s sample: ((phase index,
+        #: cpu_seconds, dt, frequency_hz), sample). The sample is a pure
+        #: function of that key, and a task's grants repeat tick to tick.
+        self._memo: Optional[tuple] = None
+
+    @property
+    def total(self) -> ActivitySample:
+        """Every sample consumed so far, summed as ``ActivitySample.__add__``
+        sums them (``rss_bytes`` is the peak)."""
+        return ActivitySample(
+            self._cpu_ns,
+            self._cycles,
+            self._instructions,
+            self._cache_misses,
+            self._branch_misses,
+            self._syscalls,
+            self._voluntary_switches,
+            self._rss_bytes,
+            self._net_bytes,
+            self._io_ops,
+            self._work_units,
+        )
 
     @property
     def current_phase(self) -> Optional[WorkloadPhase]:
@@ -120,22 +148,42 @@ class Workload:
         if phase is None:
             return ActivitySample()
 
-        cycles = int(cpu_seconds * frequency_hz)
-        instructions = int(cycles * phase.ipc)
-        sample = ActivitySample(
-            cpu_ns=int(cpu_seconds * 1e9),
-            cycles=cycles,
-            instructions=instructions,
-            cache_misses=int(instructions * phase.cache_miss_per_kinst / 1000.0),
-            branch_misses=int(instructions * phase.branch_miss_per_kinst / 1000.0),
-            syscalls=int(phase.syscalls_per_sec * dt),
-            voluntary_switches=int(phase.voluntary_switches_per_sec * dt),
-            rss_bytes=int(phase.rss_mb * 1024 * 1024),
-            net_bytes=int(phase.net_kbps * 1024 / 8 * dt),
-            io_ops=int(phase.io_ops_per_sec * dt),
-            work_units=phase.work_rate * cpu_seconds,
-        )
-        self.total = self.total + sample
+        key = (self._index, cpu_seconds, dt, frequency_hz)
+        memo = self._memo
+        if memo is not None and memo[0] == key:
+            sample = memo[1]
+        else:
+            cycles = int(cpu_seconds * frequency_hz)
+            instructions = int(cycles * phase.ipc)
+            sample = ActivitySample(
+                cpu_ns=int(cpu_seconds * 1e9),
+                cycles=cycles,
+                instructions=instructions,
+                cache_misses=int(instructions * phase.cache_miss_per_kinst / 1000.0),
+                branch_misses=int(instructions * phase.branch_miss_per_kinst / 1000.0),
+                syscalls=int(phase.syscalls_per_sec * dt),
+                voluntary_switches=int(phase.voluntary_switches_per_sec * dt),
+                rss_bytes=int(phase.rss_mb * 1024 * 1024),
+                net_bytes=int(phase.net_kbps * 1024 / 8 * dt),
+                io_ops=int(phase.io_ops_per_sec * dt),
+                work_units=phase.work_rate * cpu_seconds,
+            )
+            # a zero grant is not memoized: 0.0 == -0.0, but the two
+            # give work_units of different sign
+            if cpu_seconds:
+                self._memo = (key, sample)
+        self._cpu_ns += sample.cpu_ns
+        self._cycles += sample.cycles
+        self._instructions += sample.instructions
+        self._cache_misses += sample.cache_misses
+        self._branch_misses += sample.branch_misses
+        self._syscalls += sample.syscalls
+        self._voluntary_switches += sample.voluntary_switches
+        if sample.rss_bytes > self._rss_bytes:
+            self._rss_bytes = sample.rss_bytes
+        self._net_bytes += sample.net_bytes
+        self._io_ops += sample.io_ops
+        self._work_units = self._work_units + sample.work_units
 
         self._elapsed_in_phase += dt
         if phase.duration is not None and self._elapsed_in_phase >= phase.duration:

@@ -35,8 +35,9 @@ from typing import Optional
 from repro.errors import SimulationError
 
 #: version stamp embedded in every per-shard snapshot payload
-#: (2: the shard's fleet state is one ``FleetSlice`` entry)
-SNAPSHOT_VERSION = 2
+#: (2: the shard's fleet state is one ``FleetSlice`` entry; 3: the
+#: pickled kernels and workloads carry the scalar tick's memo fields)
+SNAPSHOT_VERSION = 3
 
 #: version stamp embedded in the driver-side manifest
 #: (4: the manifest pins the whole ``FleetConfig`` the fleet was built

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Union
+from typing import Dict
 
 import numpy as np
 
@@ -39,6 +39,9 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 #: one draw carries 53 mantissa bits into [0, 1)
 _U01_SCALE = 2.0**-53
+#: the mix's shift and multiplier operands as numpy uint64 scalars
+_S11, _S27, _S30, _S31 = (np.uint64(n) for n in (11, 27, 30, 31))
+_U_MIX1, _U_MIX2 = np.uint64(_MIX1), np.uint64(_MIX2)
 
 
 def stream_key(seed: int, name: str) -> int:
@@ -79,11 +82,20 @@ def keyed_u01_array(keys: "np.ndarray", index: int) -> "np.ndarray":
     """
     inc = ((index + 1) * _GAMMA) & _MASK64
     with np.errstate(over="ignore"):
-        x = keys + np.uint64(inc)
-        x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-        x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-        x = x ^ (x >> np.uint64(31))
-    return (x >> np.uint64(11)).astype(np.float64) * _U01_SCALE
+        return _mixed_u01(keys + np.uint64(inc))
+
+
+def _mixed_u01(x: "np.ndarray") -> "np.ndarray":
+    """The splitmix64 finalizer over the uint64 array ``x``, in place, as
+    floats in [0, 1) from the top 53 bits (array uint64 arithmetic wraps
+    silently)."""
+    x ^= x >> _S30
+    x *= _U_MIX1
+    x ^= x >> _S27
+    x *= _U_MIX2
+    x ^= x >> _S31
+    x >>= _S11
+    return x.astype(np.float64) * _U01_SCALE
 
 
 def keyed_u01_at(keys: "np.ndarray", indices: "np.ndarray") -> "np.ndarray":
@@ -134,17 +146,37 @@ def keyed_gauss_array(keys: "np.ndarray", index: int, sigma: float) -> "np.ndarr
     The transcendental steps (log1p/sqrt/cos) run through numpy ufuncs in
     both the scalar and vector paths — :func:`keyed_gauss` wraps this on a
     one-element array — so the two paths cannot diverge by a libm ULP.
+    Both sub-draws mix in one ``(2, n)`` pass.
     """
-    u1 = keyed_u01_array(keys, 2 * index)
-    u2 = keyed_u01_array(keys, 2 * index + 1)
-    radius = np.sqrt(-2.0 * np.log1p(-u1))
-    return sigma * (radius * np.cos((2.0 * np.pi) * u2))
+    incs = np.array(
+        [[((2 * index + 1) * _GAMMA) & _MASK64], [((2 * index + 2) * _GAMMA) & _MASK64]],
+        dtype=np.uint64,
+    )
+    u = _mixed_u01(keys + incs)
+    radius = np.sqrt(-2.0 * np.log1p(-u[0]))
+    return sigma * (radius * np.cos((2.0 * np.pi) * u[1]))
 
 
 def keyed_gauss(key: int, index: int, sigma: float) -> float:
     """Scalar N(0, sigma) draw; bit-identical to :func:`keyed_gauss_array`."""
     out = keyed_gauss_array(np.array([key], dtype=np.uint64), index, sigma)
     return float(out[0])
+
+
+def randint(getrandbits, a: int, b: int) -> int:
+    """``random.Random.randint(a, b)``, draw for draw, from ``getrandbits``.
+
+    Pass a stream's bound ``getrandbits``: the same rejection sampling as
+    CPython's ``Random._randbelow`` (``k = n.bit_length()`` bits per
+    try), minus the argument-normalising layers of ``randint`` →
+    ``randrange``, which dominate a hot loop of small draws.
+    """
+    n = b - a + 1
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return a + r
 
 
 class KeyedStream:

@@ -130,6 +130,15 @@ class TestSnapshotFiles:
         with pytest.raises(SimulationError, match="version"):
             read_snapshot(path)
 
+    def test_stale_snapshot_version_rejected(self, tmp_path):
+        # version 2 snapshots pickled kernels and workloads without the
+        # scalar tick's memo fields; a resume from one must refuse, not
+        # fail with AttributeError on the first tick
+        path = shard_snapshot_path(str(tmp_path), 0, 1)
+        atomic_write(path, pickle.dumps({"version": 2}))
+        with pytest.raises(SimulationError, match="has version 2"):
+            read_snapshot(path)
+
     def test_stale_manifest_version_rejected(self, tmp_path):
         # version 2 manifests pinned a control-plane configuration that
         # no longer exists; a resume from one must refuse, not misparse
