@@ -12,8 +12,10 @@ band), and 1 s peaks exceeding the 30 s average peaks.
 The week runs at a 1 s base ``dt`` with tick coalescing: the fast-forward
 engine skips phase-stable stretches between tenant adjustments while the
 accuracy harness (``tests/sim/test_fastforward_accuracy.py``) pins the
-result to the per-second reference. The benchmark output includes the
-engine's tick-economy counters and a per-subsystem wall profile.
+result to the per-second reference. Both simulations run on columnar
+hosts, which the host-engine golden suite pins bit for bit to the object
+hosts. The output holds only simulated results, including the engine's
+tick-economy counters, so a rerun reproduces it byte for byte.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ DAY_S = 86400.0
 
 
 def run_week():
-    sim = DatacenterSimulation(servers=8, seed=103, sample_interval_s=30.0)
-    sim.enable_subsystem_timings()
+    sim = DatacenterSimulation(
+        servers=8, seed=103, sample_interval_s=30.0, hosts="columnar"
+    )
     sim.run(7 * DAY_S, dt=1.0, coalesce=True)
     trace30 = sim.aggregate_trace
 
@@ -37,7 +40,9 @@ def run_week():
     )
     t_hot = trace30.times[hottest_start]
 
-    zoom = DatacenterSimulation(servers=8, seed=103, sample_interval_s=30.0)
+    zoom = DatacenterSimulation(
+        servers=8, seed=103, sample_interval_s=30.0, hosts="columnar"
+    )
     zoom.run(max(60.0, t_hot - 900.0), dt=1.0, coalesce=True)  # same seed
     zoom.set_sample_interval(1.0)
     zoom.run(1800.0, dt=1.0)  # the 1 s window around the peak

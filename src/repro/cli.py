@@ -18,8 +18,8 @@ Subcommands mirror the workflow of the paper's figures:
   plane: streamed metrics JSONL, trace spill, and ``/metrics`` /
   ``/status`` / ``/healthz`` pull endpoints (``docs/ops.md``).
 - ``repro status``   — summarize an ops directory's metrics stream.
-- ``repro metrics``  — run a short fleet simulation and dump the unified
-  metric registry.
+- ``repro metrics``  — run a short fleet simulation under cProfile and
+  dump the unified metric registry with a per-tick-stage wall profile.
 
 Run via ``python -m repro <subcommand>`` or the ``containerleaks``
 console script.
@@ -442,16 +442,43 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    """Run a short fleet sim under cProfile and dump the metric registry.
+
+    ``subsystem.wall_s`` holds each ``Kernel.tick`` stage's cumulative
+    time under :mod:`cProfile`, so the simulator carries no profiling code.
+    """
+    import cProfile
+    import pstats
+
     from repro.datacenter.simulation import DatacenterSimulation
 
     sim = DatacenterSimulation(
         servers=args.servers, seed=args.seed, sample_interval_s=1.0
     )
-    sim.enable_subsystem_timings()
+    profile = cProfile.Profile()
     try:
-        sim.run(args.duration, dt=1.0, coalesce=args.coalesce)
+        profile.runcall(sim.run, args.duration, dt=1.0, coalesce=args.coalesce)
     finally:
         sim.close()
+    cumulative = {key: entry[3] for key, entry in pstats.Stats(profile).stats.items()}
+    k = sim.cloud.hosts[0].kernel
+    stages = (
+        ("scheduler", k.scheduler.tick), ("memory", k.memory.tick),
+        ("interrupts", k.interrupts.tick), ("filesystem", k.filesystem.tick),
+        ("netdev", k.netdev.tick), ("cpuidle", k.cpuidle.tick),
+        ("thermal", k.thermal.tick), ("timers", k.timers.tick),
+        ("random", k.random.tick),
+        ("power+rapl", k.power.tick_energy, k.rapl.accumulate),
+    )
+    for name, *entry_points in stages:
+        codes = [fn.__code__ for fn in entry_points]
+        sim.metrics.registry.counter(
+            "subsystem.wall_s", "cumulative wall seconds in one tick stage",
+            subsystem=name,
+        ).value = sum(
+            cumulative.get((c.co_filename, c.co_firstlineno, c.co_name), 0.0)
+            for c in codes
+        )
     if args.json:
         import json
 

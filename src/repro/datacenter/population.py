@@ -529,8 +529,7 @@ class TenantPopulation:
         while cur < goal:
             seq = int(self._spawn_seq[s])
             self._spawn_seq[s] = seq + 1
-            kind = keyed_u01(int(self._kind_keys[s]), seq)
-            workload = _web_workload() if kind < 0.6 else _batch_workload()
+            workload = self._workload_for(s, seq)
             if engine is not None and not he.row_has_container(s):
                 # first spawn creates the container (its init task joins
                 # the scheduler before the worker, like start_init does)
@@ -562,29 +561,13 @@ class TenantPopulation:
         ``_spawn_seq`` / ``_host_demand`` columns were already advanced
         virtually by ``_cold_reconcile`` and must not move again.
         """
-        kind = keyed_u01(int(self._kind_keys[s]), seq)
-        workload = _web_workload() if kind < 0.6 else _batch_workload()
-        container = self._container_for(s)
-        if container is not None:
-            task = container.exec(workload.name, workload=workload)
-        else:
-            task = self._kernels[s // self.k_per_host].spawn(
-                workload.name, workload=workload
-            )
-        self._tasks[s].append(task)
-        self._task_info[id(task)] = (s, workload.demand())
+        self._exec_worker(s, self._workload_for(s, seq))
 
     def replay_kill(self, s: int) -> None:
         """Replay one deferred worker kill (LIFO, like ``_kill_worker``)."""
         task = self._tasks[s].pop()
         self._task_info.pop(id(task), None)
-        if not task.alive:
-            return
-        container = self._containers[s]
-        if container is not None and task in container.tasks:
-            container.kill_task(task)
-        else:
-            self._kernels[s // self.k_per_host].kill(task)
+        self._kill_task(s, task)
 
     def _container_for(self, s: int):
         engine = self._engines[s // self.k_per_host]
@@ -597,11 +580,14 @@ class TenantPopulation:
             self._containers[s] = container
         return container
 
-    def _spawn_worker(self, s: int) -> None:
-        seq = int(self._spawn_seq[s])
-        self._spawn_seq[s] = seq + 1
+    def _workload_for(self, s: int, seq: int):
+        """Row ``s``'s ``seq``-th worker: a keyed draw, 60% web, else batch."""
         kind = keyed_u01(int(self._kind_keys[s]), seq)
-        workload = _web_workload() if kind < 0.6 else _batch_workload()
+        return _web_workload() if kind < 0.6 else _batch_workload()
+
+    def _exec_worker(self, s: int, workload) -> float:
+        """Start ``workload`` in row ``s``'s container (or bare on its
+        kernel), track the task, and return its demand."""
         container = self._container_for(s)
         if container is not None:
             task = container.exec(workload.name, workload=workload)
@@ -612,6 +598,24 @@ class TenantPopulation:
         demand = workload.demand()
         self._tasks[s].append(task)
         self._task_info[id(task)] = (s, demand)
+        return demand
+
+    def _kill_task(self, s: int, task: Task) -> bool:
+        """Kill a worker of row ``s``; False if it was already reaped
+        (e.g. OOM-killed by a fault injector)."""
+        if not task.alive:
+            return False
+        container = self._containers[s]
+        if container is not None and task in container.tasks:
+            container.kill_task(task)
+        else:
+            self._kernels[s // self.k_per_host].kill(task)
+        return True
+
+    def _spawn_worker(self, s: int) -> None:
+        seq = int(self._spawn_seq[s])
+        self._spawn_seq[s] = seq + 1
+        demand = self._exec_worker(s, self._workload_for(s, seq))
         self._host_demand[s // self.k_per_host] += demand
         self._c_spawns.value += 1
 
@@ -620,14 +624,8 @@ class TenantPopulation:
         info = self._task_info.pop(id(task), None)
         if info is not None:
             self._host_demand[s // self.k_per_host] -= info[1]
-        if not task.alive:
-            return  # already reaped (e.g. OOM-killed by a fault injector)
-        container = self._containers[s]
-        if container is not None and task in container.tasks:
-            container.kill_task(task)
-        else:
-            self._kernels[s // self.k_per_host].kill(task)
-        self._c_kills.value += 1
+        if self._kill_task(s, task):
+            self._c_kills.value += 1
 
     def _prune(self, s: int) -> None:
         alive = [t for t in self._tasks[s] if t.alive]

@@ -22,7 +22,7 @@ from repro.obs.tracer import SpanTracer
 from repro.runtime.cloud import ContainerCloud, PROVIDER_PROFILES, ProviderProfile
 from repro.sim.fastforward import FastForwardEngine
 from repro.sim.faults import FaultInjector, FaultSchedule
-from repro.sim.metrics import SimMetrics, SubsystemTimings, WallTimer
+from repro.sim.metrics import SimMetrics, WallTimer
 
 
 @dataclass
@@ -524,21 +524,6 @@ class DatacenterSimulation:
             watts = self._parallel.server_watts()
             return sum(watts[i] for i in range(len(self.cloud.hosts)))
         return sum(self.server_wall_watts(i) for i in range(len(self.cloud.hosts)))
-
-    def enable_subsystem_timings(self) -> SubsystemTimings:
-        """Profile wall time per kernel subsystem across the whole fleet."""
-        timings = self.metrics.subsystem_timings or SubsystemTimings(
-            registry=self.metrics.registry
-        )
-        self.metrics.subsystem_timings = timings
-        if self.host_engine is not None:
-            # a timed kernel cannot stay columnar (the column sweep has no
-            # per-subsystem spans), and a cold one would shrug off the
-            # per-host assignment below — materialize everything first
-            self.host_engine.materialize_all()
-        for host in self.cloud.hosts:
-            host.kernel.timings = timings
-        return timings
 
     def set_sample_interval(self, interval_s: float) -> None:
         """Change the sampling cadence, re-anchored at the current time.

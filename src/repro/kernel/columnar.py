@@ -22,7 +22,7 @@ it does not mirror:
   kills) that would have applied to it.
 * Everything the outside world can observe *while the host is cold* is
   mirrored in columns with the exact IEEE-754 operation order of the
-  scalar reference (``_TICK_STAGES`` in :mod:`repro.kernel.kernel`):
+  scalar reference (the stage order of :meth:`Kernel.tick`):
   sequential per-CPU demand folds in task order, the same ``int()``
   truncations of the workload consume path, the same per-package energy
   fold order, the same keyed RAPL/thermal noise draws by call index, and
@@ -53,8 +53,8 @@ Eligibility
 A host can go cold only when nothing about it needs the scalar path:
 every task runs a single-phase unbounded constant workload with no
 affinity/cpuset restriction, no cpu-quota cgroup is populated, no perf
-cgroup is monitored, and the kernel has no tick listeners, subsystem
-timings, or RAPL read hook. Heterogeneous hosts (config differing from
+cgroup is monitored, and the kernel has no tick listeners or RAPL read
+hook. Heterogeneous hosts (config differing from
 the fleet reference) simply stay hot forever — correct, just slower.
 """
 
@@ -272,7 +272,7 @@ class ColumnarHostEngine:
         kernel = self.kernels[i]
         if _config_signature(kernel) != self._ref_sig:
             return False
-        if kernel.timings is not None or kernel.tick_listeners:
+        if kernel.tick_listeners:
             return False
         if kernel.rapl_read_hook is not None:
             return False
@@ -552,10 +552,6 @@ class ColumnarHostEngine:
         idx = self._kernel_index.get(id(kernel))
         if idx is not None:
             self.ensure_hot(idx)
-
-    def materialize_all(self) -> None:
-        for i in np.nonzero(self.cold)[0]:
-            self.ensure_hot(int(i))
 
     def observer_acquire(self, i: int) -> None:
         """A per-object observer (monitor, walker) now watches host ``i``."""

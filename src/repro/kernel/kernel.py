@@ -39,39 +39,15 @@ from repro.kernel.scheduler import Scheduler, TickResult
 from repro.kernel.thermal import ThermalSubsystem
 from repro.kernel.timers import TimerSubsystem
 from repro.sim.clock import VirtualClock
-from repro.sim.fastforward import (
-    FastForwardEngine,
-    kernel_demand_fingerprint,
-    kernel_phase_horizon_s,
-)
-from repro.sim.faults import FaultInjector, FaultSchedule, KernelFaultState
-from repro.sim.metrics import SimMetrics, SubsystemTimings, WallTimer
+from repro.sim.fastforward import kernel_demand_fingerprint, kernel_phase_horizon_s
+from repro.sim.faults import KernelFaultState
 from repro.sim.rng import DeterministicRNG
 
-#: the post-scheduler tick stages, in order. This tuple is the single
-#: scalar reference semantics: both the plain and the wall-profiled tick
-#: drive it, and the columnar host engine mirrors exactly this ordering.
-_TICK_STAGES = (
-    ("memory", lambda k, r, dt: k.memory.tick(r)),
-    ("interrupts", lambda k, r, dt: k.interrupts.tick(r)),
-    ("filesystem", lambda k, r, dt: k.filesystem.tick(r)),
-    (
-        "netdev",
-        lambda k, r, dt: k.netdev.tick(
-            r, lambda task: task.namespaces[NamespaceType.NET]
-        ),
-    ),
-    ("cpuidle", lambda k, r, dt: k.cpuidle.tick(r)),
-    ("thermal", lambda k, r, dt: k.thermal.tick(r)),
-    ("timers", lambda k, r, dt: k.timers.tick(dt)),
-    (
-        "random",
-        lambda k, r, dt: k.random.tick(
-            dt, int(k.config.hz * k.config.total_cores * dt), r.total.syscalls
-        ),
-    ),
-    ("power+rapl", lambda k, r, dt: k.rapl.accumulate(k.power.tick_energy(r))),
-)
+
+def _net_namespace(task: Task) -> Namespace:
+    """The NET namespace a task's traffic is charged to."""
+    return task.namespaces[NamespaceType.NET]
+
 
 #: host daemons spawned at boot (name, cpu_demand)
 _BOOT_DAEMONS = (
@@ -151,10 +127,6 @@ class Kernel:
         self.last_tick: Optional[TickResult] = None
         self._ticks = 0
 
-        #: optional per-subsystem wall-time profile; ``None`` keeps the
-        #: tick on the uninstrumented fast path
-        self.timings: Optional[SubsystemTimings] = None
-
         if spawn_daemons:
             self._spawn_boot_daemons()
 
@@ -215,23 +187,23 @@ class Kernel:
         The caller is responsible for advancing the shared
         :class:`VirtualClock` (a fleet driver ticks many kernels against
         one clock); :class:`Machine` wraps both for single-host use.
-        """
-        timings = self.timings
-        if timings is None:
-            result = self.scheduler.tick(dt)
-            for _name, stage in _TICK_STAGES:
-                stage(self, result, dt)
-        else:
-            import time
 
-            pc = time.perf_counter
-            t0 = pc()
-            result = self.scheduler.tick(dt)
-            timings.add("scheduler", pc() - t0)
-            for name, stage in _TICK_STAGES:
-                t0 = pc()
-                stage(self, result, dt)
-                timings.add(name, pc() - t0)
+        The stage calls below, in this order, are the scalar reference
+        semantics that the columnar host engine mirrors.
+        """
+        result = self.scheduler.tick(dt)
+        self.memory.tick(result)
+        self.interrupts.tick(result)
+        self.filesystem.tick(result)
+        self.netdev.tick(result, _net_namespace)
+        self.cpuidle.tick(result)
+        self.thermal.tick(result)
+        self.timers.tick(dt)
+        config = self.config
+        self.random.tick(
+            dt, int(config.hz * config.total_cores * dt), result.total.syscalls
+        )
+        self.rapl.accumulate(self.power.tick_energy(result))
         self.last_tick = result
         self._ticks += 1
         for listener in self.tick_listeners:
@@ -331,70 +303,22 @@ class Machine:
             perf_tuning=perf_tuning,
             spawn_daemons=spawn_daemons,
         )
-        self.fastforward = FastForwardEngine()
-        self.metrics: SimMetrics = self.fastforward.metrics
-        #: deterministic fault replay (``None`` = perfect substrate)
-        self.fault_injector: Optional[FaultInjector] = None
 
-    def install_faults(
-        self, schedule: FaultSchedule, seed: Optional[int] = None
-    ) -> FaultInjector:
-        """Attach a seeded fault injector to this machine.
-
-        ``seed`` defaults to the schedule's own seed; faults become
-        barrier events for the coalescing engine and sensor faults act on
-        this kernel's read paths from the next :meth:`run` on.
-        """
-        if self.fault_injector is not None:
-            raise KernelError("fault injector already installed")
-        rng = DeterministicRNG(schedule.seed if seed is None else seed)
-        self.fault_injector = FaultInjector(schedule, rng, kernels=[self.kernel])
-        return self.fault_injector
-
-    def run(self, seconds: float, dt: float = 1.0, on_tick=None, coalesce: bool = False) -> None:
-        """Advance the machine by ``seconds`` in steps of ``dt``.
+    def run(self, seconds: float, dt: float = 1.0, on_tick=None) -> None:
+        """Advance the machine by ``seconds`` in fixed steps of ``dt``.
 
         ``on_tick(kernel, result)`` is called after every step; the last
         step is shortened if ``seconds`` is not a multiple of ``dt``.
-        With ``coalesce=True`` phase-stable stretches are advanced in one
-        large tick (see :mod:`repro.sim.fastforward`); ``on_tick`` then
-        fires once per *executed* tick, not once per base ``dt``.
-
-        With a fault injector installed, due faults apply before each
-        tick is planned, fault boundaries bound coalesced steps, and a
-        crashed machine stops ticking (virtual time still advances) until
-        its scheduled reboot.
+        Tick coalescing and fault replay live in the fleet driver
+        (:class:`repro.datacenter.simulation.DatacenterSimulation`).
         """
         if seconds <= 0:
             raise KernelError(f"run needs positive duration: {seconds}")
-        engine = self.fastforward
-        injector = self.fault_injector
-        with WallTimer(self.metrics):
-            remaining = seconds
-            while remaining > 1e-9:
-                if injector is not None and injector.advance(self.clock.now):
-                    engine.stability.reset()
-                crashed = injector is not None and 0 in injector.crashed_now()
-                if coalesce:
-                    stable = engine.stability.observe(
-                        (self.kernel.demand_fingerprint(), crashed)
-                    )
-                    horizon = self.clock.now + self.kernel.next_phase_boundary_s()
-                    if injector is not None:
-                        horizon = min(horizon, injector.next_barrier(self.clock.now))
-                    step = engine.plan_step(
-                        now=self.clock.now,
-                        remaining=remaining,
-                        base_dt=dt,
-                        horizon=horizon,
-                        stable=stable,
-                    )
-                else:
-                    step = min(dt, remaining)
-                self.clock.advance(step)
-                if not crashed:
-                    result = self.kernel.tick(step)
-                    if on_tick is not None:
-                        on_tick(self.kernel, result)
-                self.metrics.record_tick(step, dt)
-                remaining -= step
+        remaining = seconds
+        while remaining > 1e-9:
+            step = min(dt, remaining)
+            self.clock.advance(step)
+            result = self.kernel.tick(step)
+            if on_tick is not None:
+                on_tick(self.kernel, result)
+            remaining -= step

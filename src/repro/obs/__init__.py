@@ -1,8 +1,8 @@
 """Unified observability for the simulator: metrics + span tracing.
 
 ``repro.obs`` is the substrate underneath the ad-hoc instrumentation
-classes (``SimMetrics``/``IpcMetrics``/``SubsystemTimings``, now thin
-facades over :class:`MetricRegistry` instruments) and the cross-process
+classes (``SimMetrics``/``IpcMetrics``, thin facades over
+:class:`MetricRegistry` instruments) and the cross-process
 span tracer that turns a sharded fleet run into one clock-aligned
 timeline exportable as JSONL or Chrome ``trace_event`` JSON.
 

@@ -7,7 +7,7 @@ can simulate a week of datacenter time in seconds.
 
 from repro.sim.clock import VirtualClock
 from repro.sim.fastforward import FastForwardEngine, StabilityTracker
-from repro.sim.metrics import SimMetrics, SubsystemTimings
+from repro.sim.metrics import SimMetrics
 from repro.sim.rng import DeterministicRNG
 
 __all__ = [
@@ -16,5 +16,4 @@ __all__ = [
     "FastForwardEngine",
     "StabilityTracker",
     "SimMetrics",
-    "SubsystemTimings",
 ]

@@ -524,13 +524,13 @@ class JitterModel:
 class FaultInjector:
     """Replays a :class:`FaultSchedule` against a running simulation.
 
-    The injector is driver-agnostic: it is wired with duck-typed targets
-    (kernels with a ``boot_time``/``faults`` attribute, container engines
-    with a ``containers`` dict, racks with a ``breaker``) so both the
-    fleet :class:`~repro.datacenter.simulation.DatacenterSimulation` and
-    the single-host :class:`~repro.kernel.kernel.Machine` can drive it.
-    Drivers call :meth:`advance` once per tick-planning decision and
-    treat :meth:`next_barrier` as a coalescing horizon.
+    The injector is wired with duck-typed targets (kernels with a
+    ``boot_time``/``faults`` attribute, container engines with a
+    ``containers`` dict, racks with a ``breaker``), so the fleet driver
+    of :class:`~repro.datacenter.simulation.DatacenterSimulation` (serial
+    or in a shard worker) drives it, and so can a test stepping one
+    kernel. Drivers call :meth:`advance` once per tick-planning decision
+    and treat :meth:`next_barrier` as a coalescing horizon.
     """
 
     def __init__(

@@ -1,18 +1,19 @@
 """Simulation instrumentation facades over :mod:`repro.obs.registry`.
 
 The fleet experiments advance millions of kernel ticks; knowing *where*
-those ticks go (how many were coalesced away, how much wall time each
-kernel subsystem consumed, what the parallel barriers cost) is what
-turns "the simulator feels slow" into an actionable profile.
+those ticks go (how many were coalesced away, what the parallel barriers
+cost) is what turns "the simulator feels slow" into an actionable
+profile.
 
-Historically ``SimMetrics``/``IpcMetrics``/``SubsystemTimings`` were
-three disconnected ad-hoc classes. They are now thin facades over typed
-:class:`~repro.obs.registry.MetricRegistry` instruments — same attribute
-APIs and byte-identical ``render()`` output as before, but every number
-also lives in one queryable registry (``sim.metrics.registry``) that the
-``repro metrics`` CLI and exporters read uniformly. Hot-path cost is
-unchanged: each facade resolves its instruments once at construction and
-per-tick updates remain plain attribute arithmetic.
+``SimMetrics`` and ``IpcMetrics`` are thin facades over typed
+:class:`~repro.obs.registry.MetricRegistry` instruments: plain attribute
+APIs and ``render()`` blocks, but every number also lives in one
+queryable registry (``sim.metrics.registry``) that the ``repro metrics``
+CLI and exporters read uniformly. Each facade resolves its instruments
+once at construction, so per-tick updates stay plain attribute
+arithmetic. The per-subsystem wall profile is not kept here: the
+``repro metrics`` command measures it with :mod:`cProfile` and writes it
+into the same registry.
 """
 
 from __future__ import annotations
@@ -324,61 +325,6 @@ class IpcMetrics:
         return "\n".join(lines)
 
 
-class SubsystemTimings:
-    """Accumulated wall-clock seconds per kernel subsystem.
-
-    One instance may be shared by many kernels (a fleet); the totals then
-    profile the whole simulation rather than one host. Each subsystem is
-    a ``subsystem.wall_s{subsystem=<name>}`` registry counter; ``add`` is
-    on the per-tick hot path, so the name->counter map is cached locally
-    and charging stays one dict probe plus one attribute add.
-    """
-
-    def __init__(self, registry: Optional[MetricRegistry] = None) -> None:
-        self.registry = registry if registry is not None else MetricRegistry()
-        self._counters: Dict[str, object] = {}
-
-    def add(self, name: str, seconds: float) -> None:
-        """Charge ``seconds`` of wall time to ``name``."""
-        counter = self._counters.get(name)
-        if counter is None:
-            counter = self._counters[name] = self.registry.counter(
-                "subsystem.wall_s",
-                "wall seconds charged to one kernel subsystem",
-                subsystem=name,
-            )
-        counter.value += seconds
-
-    @property
-    def wall_s(self) -> Dict[str, float]:
-        """Subsystem name -> accumulated wall seconds."""
-        return {name: c.value for name, c in self._counters.items()}
-
-    def total(self) -> float:
-        """Wall seconds across all subsystems."""
-        return sum(c.value for c in self._counters.values())
-
-    def ranked(self):
-        """(name, seconds) pairs, most expensive first."""
-        return sorted(self.wall_s.items(), key=lambda kv: kv[1], reverse=True)
-
-    def render(self) -> str:
-        """A small human-readable profile table.
-
-        An empty or all-zero profile renders a placeholder line instead
-        of dividing by a zero total.
-        """
-        total = self.total()
-        if total <= 0:
-            return "(no subsystem timings recorded)"
-        lines = []
-        for name, seconds in self.ranked():
-            lines.append(
-                f"  {name:<12} {seconds * 1e3:9.1f} ms  {seconds / total * 100:5.1f}%"
-            )
-        return "\n".join(lines)
-
-
 class SimMetrics:
     """Counters describing one driver's tick economy.
 
@@ -386,8 +332,8 @@ class SimMetrics:
     driver would have executed for the same virtual time; comparing it to
     ``ticks`` gives the coalescing win. The facade keeps the historical
     plain-attribute API; the backing instruments (``sim.*``) live in
-    ``self.registry`` alongside whatever the parallel driver and kernel
-    profiler register there.
+    ``self.registry`` alongside whatever the parallel driver and the
+    ``repro metrics`` profile register there.
     """
 
     def __init__(self, registry: Optional[MetricRegistry] = None):
@@ -421,8 +367,6 @@ class SimMetrics:
         self._coalesced_seconds.value = 0.0
         self._reference_ticks.value = 0.0
         self._wall_seconds.value = 0.0
-        #: optional per-subsystem wall profile (shared across a fleet)
-        self.subsystem_timings: Optional[SubsystemTimings] = None
         #: IPC accounting, populated by the rack-sharded parallel driver
         self.ipc: Optional[IpcMetrics] = None
 
@@ -526,11 +470,7 @@ class SimMetrics:
             f"reference ticks     {self.reference_ticks:.0f}",
             f"tick reduction      {self.tick_reduction:.1f}x",
             f"samples recorded    {self.samples}",
-            f"wall seconds        {self.wall_seconds:.2f}",
         ]
-        if self.subsystem_timings is not None:
-            lines.append("subsystem wall profile:")
-            lines.append(self.subsystem_timings.render())
         if self.ipc is not None:
             lines.append("parallel IPC profile:")
             lines.append(self.ipc.render())

@@ -1144,11 +1144,6 @@ class ParallelFleetEngine:
                 " shard workers rebuild the fleet from seeds and cannot"
                 " adopt mid-run serial state"
             )
-        if sim.metrics.subsystem_timings is not None:
-            raise SimulationError(
-                "subsystem timings profile in-process kernels; they cannot"
-                " observe shard workers (disable them or run serially)"
-            )
         for source in sim.horizon_sources:
             if getattr(source, "parallel_safe", False):
                 continue

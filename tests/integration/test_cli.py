@@ -93,3 +93,32 @@ class TestExecution:
         assert main(["defend"]) == 0
         out = capsys.readouterr().out
         assert "xi=" in out
+
+    def test_metrics_profiles_every_tick_stage(self, capsys, monkeypatch):
+        import repro.datacenter.simulation as simulation
+
+        plain_cls = simulation.DatacenterSimulation
+        runs = []
+
+        class Recorded(plain_cls):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                runs.append(self)
+
+        monkeypatch.setattr(simulation, "DatacenterSimulation", Recorded)
+        assert main(["metrics", "--servers", "2", "--duration", "120"]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("subsystem.wall_s{")]
+        stages = sorted(line.split("=", 1)[1].split("}", 1)[0] for line in rows)
+        assert all(float(line.split()[-1]) > 0.0 for line in rows)
+        assert stages == sorted([
+            "scheduler", "memory", "interrupts", "filesystem", "netdev",
+            "cpuidle", "thermal", "timers", "random", "power+rapl",
+        ])
+        # the profiler observes the run without changing it
+        (profiled,) = runs
+        plain = plain_cls(servers=2, seed=0, sample_interval_s=1.0)
+        plain.run(120.0, dt=1.0)
+        assert profiled.metrics.ticks == plain.metrics.ticks == 120
+        assert profiled.aggregate_trace.times == plain.aggregate_trace.times
+        assert profiled.aggregate_trace.watts == plain.aggregate_trace.watts

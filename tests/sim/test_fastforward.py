@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.datacenter.simulation import DatacenterSimulation
 from repro.errors import SimulationError
 from repro.kernel.kernel import Machine
 from repro.runtime.workload import constant
@@ -100,41 +101,47 @@ class TestKernelHelpers:
 
 
 class TestMachineCoalescing:
-    def _machine(self):
-        m = Machine(seed=42, spawn_daemons=False)
-        m.kernel.spawn(
+    """Coalescing on one machine: the coalescing driver is the fleet's, so
+    a one-server fleet runs two host workloads (one bounded at 120 s)."""
+
+    def _sim(self):
+        sim = DatacenterSimulation(servers=1, seed=42, sample_interval_s=300.0)
+        kernel = sim.cloud.hosts[0].kernel
+        kernel.spawn(
             "burst",
             workload=constant("burst", cpu_demand=1.0, ipc=2.0, duration=120.0),
         )
-        m.kernel.spawn("steady", workload=constant("steady", cpu_demand=0.5, ipc=1.5))
-        return m
+        kernel.spawn("steady", workload=constant("steady", cpu_demand=0.5, ipc=1.5))
+        return sim
 
     def test_coalesced_run_matches_reference(self):
-        ref, fast = self._machine(), self._machine()
+        ref, fast = self._sim(), self._sim()
         ref.run(600, dt=1.0)
         fast.run(600, dt=1.0, coalesce=True)
-        assert fast.clock.now == pytest.approx(ref.clock.now)
-        assert fast.kernel.host_package_watts() == pytest.approx(
-            ref.kernel.host_package_watts(), rel=1e-9
+        ref_kernel = ref.cloud.hosts[0].kernel
+        fast_kernel = fast.cloud.hosts[0].kernel
+        assert fast.now == pytest.approx(ref.now)
+        assert fast_kernel.host_package_watts() == pytest.approx(
+            ref_kernel.host_package_watts(), rel=1e-9
         )
-        assert fast.kernel.idle_seconds == pytest.approx(
-            ref.kernel.idle_seconds, rel=1e-9
+        assert fast_kernel.idle_seconds == pytest.approx(
+            ref_kernel.idle_seconds, rel=1e-9
         )
 
     def test_coalesced_run_takes_far_fewer_ticks(self):
-        fast = self._machine()
+        fast = self._sim()
         fast.run(600, dt=1.0, coalesce=True)
-        assert fast.kernel.ticks_taken * 5 <= 600
+        assert fast.cloud.hosts[0].kernel.ticks_taken * 5 <= 600
         assert fast.metrics.tick_reduction >= 5.0
 
     def test_phase_boundary_is_a_tick_boundary(self):
-        fast = self._machine()
+        fast = self._sim()
         boundaries = []
         fast.run(
             600,
             dt=1.0,
             coalesce=True,
-            on_tick=lambda kernel, result: boundaries.append(kernel.clock.now),
+            on_tick=lambda sim: boundaries.append(sim.now),
         )
         # the bounded workload's 120 s phase end must be hit exactly
         assert any(t == pytest.approx(120.0) for t in boundaries)

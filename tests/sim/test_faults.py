@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.datacenter.simulation import DatacenterSimulation
 from repro.errors import SimulationError, TransientReadError
 from repro.kernel.kernel import Machine
 from repro.runtime.engine import ContainerEngine
@@ -175,13 +176,26 @@ class TestKernelFaultState:
         assert state.next_change(11.0) == math.inf
 
 
+def run_with_faults(machine, injector, seconds):
+    """Tick a plain machine 1 s at a time, applying due faults before each
+    tick the way the fleet driver does."""
+    for _ in range(int(seconds)):
+        injector.advance(machine.clock.now)
+        machine.run(1.0, dt=1.0)
+
+
 class TestFaultInjectorOnMachine:
+    """Injector semantics on a plain :class:`Machine` stepped by
+    :func:`run_with_faults`; install, crash and coalescing-barrier
+    semantics belong to the fleet driver, so those tests run a
+    one-server :class:`DatacenterSimulation`."""
+
     def test_install_twice_rejected(self):
-        machine = Machine(seed=3)
+        sim = DatacenterSimulation(servers=1, seed=3)
         sched = FaultSchedule([], seed=1)
-        machine.install_faults(sched)
-        with pytest.raises(Exception):
-            machine.install_faults(sched)
+        sim.install_faults(sched)
+        with pytest.raises(SimulationError):
+            sim.install_faults(sched)
 
     def test_rapl_drop_hits_driver_read_path(self):
         machine = Machine(seed=3)
@@ -189,30 +203,31 @@ class TestFaultInjectorOnMachine:
             [FaultEvent(at=5.0, kind=FaultKind.RAPL_DROP, duration_s=10.0)],
             seed=1,
         )
-        machine.install_faults(sched)
+        injector = FaultInjector(sched, kernels=[machine.kernel])
         domain = machine.kernel.rapl.package(0).package
-        machine.run(6.0, dt=1.0)
+        run_with_faults(machine, injector, 6.0)
         with pytest.raises(TransientReadError):
             machine.kernel.read_energy_uj(domain)
-        machine.run(10.0, dt=1.0)
+        run_with_faults(machine, injector, 10.0)
         assert machine.kernel.read_energy_uj(domain) >= 0
 
     def test_crash_stops_ticks_and_restarts(self):
-        machine = Machine(seed=3)
+        sim = DatacenterSimulation(servers=1, seed=3)
         sched = FaultSchedule(
             [FaultEvent(at=10.0, kind=FaultKind.MACHINE_CRASH, duration_s=30.0)],
             seed=1,
         )
-        injector = machine.install_faults(sched)
-        domain = machine.kernel.rapl.package(0).package
-        machine.run(11.0, dt=1.0)
+        injector = sim.install_faults(sched)
+        kernel = sim.cloud.hosts[0].kernel
+        domain = kernel.rapl.package(0).package
+        sim.run(11.0, dt=1.0)
         assert injector.crashed_now() == frozenset({0})
-        mark = machine.kernel.read_energy_uj(domain)
-        machine.run(20.0, dt=1.0)  # still down: no ticks, no energy accrued
-        assert machine.kernel.read_energy_uj(domain) == mark
-        machine.run(20.0, dt=1.0)  # past t=40: rebooted
+        mark = kernel.read_energy_uj(domain)
+        sim.run(20.0, dt=1.0)  # still down: no ticks, no energy accrued
+        assert kernel.read_energy_uj(domain) == mark
+        sim.run(20.0, dt=1.0)  # past t=40: rebooted
         assert injector.crashed_now() == frozenset()
-        assert machine.kernel.boot_time == pytest.approx(40.0, abs=1.5)
+        assert kernel.boot_time == pytest.approx(40.0, abs=1.5)
         assert injector.stats.get("machine-restarts") == 1
 
     def test_crash_is_a_barrier_for_coalescing(self):
@@ -220,20 +235,22 @@ class TestFaultInjectorOnMachine:
             [FaultEvent(at=600.0, kind=FaultKind.MACHINE_CRASH, duration_s=120.0)],
             seed=1,
         )
-        base = Machine(seed=3)
+        base = DatacenterSimulation(servers=1, seed=3, sample_interval_s=300.0)
         base.install_faults(sched)
         base.run(1800.0, dt=1.0)
-        fast = Machine(seed=3)
+        fast = DatacenterSimulation(servers=1, seed=3, sample_interval_s=300.0)
         fast.install_faults(sched)
         fast.run(1800.0, dt=1.0, coalesce=True)
         # both paths reboot at the same virtual time and agree on accrued
         # energy within the engine's 1% acceptance bound (the crash cut
         # exactly 120 s of accrual out of both)
-        assert base.kernel.boot_time == fast.kernel.boot_time == 720.0
-        domain_b = base.kernel.rapl.package(0).package
-        domain_f = fast.kernel.rapl.package(0).package
-        assert fast.kernel.read_energy_uj(domain_f) == pytest.approx(
-            base.kernel.read_energy_uj(domain_b), rel=0.01
+        base_kernel = base.cloud.hosts[0].kernel
+        fast_kernel = fast.cloud.hosts[0].kernel
+        assert base_kernel.boot_time == fast_kernel.boot_time == 720.0
+        domain_b = base_kernel.rapl.package(0).package
+        domain_f = fast_kernel.rapl.package(0).package
+        assert fast_kernel.read_energy_uj(domain_f) == pytest.approx(
+            base_kernel.read_energy_uj(domain_b), rel=0.01
         )
         assert fast.metrics.ticks < 1800
 
@@ -248,8 +265,7 @@ class TestFaultInjectorOnMachine:
         injector = FaultInjector(
             sched, kernels=[machine.kernel], engines=[engine]
         )
-        machine.fault_injector = injector
-        machine.run(6.0, dt=1.0)
+        run_with_faults(machine, injector, 6.0)
         assert not task.alive
         assert container.init_task.alive
         assert injector.stats.get("oom-kills") == 1
@@ -259,8 +275,8 @@ class TestFaultInjectorOnMachine:
         sched = FaultSchedule(
             [FaultEvent(at=2.0, kind=FaultKind.OOM_KILL)], seed=1
         )
-        injector = machine.install_faults(sched)
-        machine.run(5.0, dt=1.0)
+        injector = FaultInjector(sched, kernels=[machine.kernel])
+        run_with_faults(machine, injector, 5.0)
         assert injector.stats.get("oom-noop") == 1
 
     def test_next_barrier_sees_events_and_window_ends(self):
@@ -272,11 +288,11 @@ class TestFaultInjectorOnMachine:
             ],
             seed=1,
         )
-        injector = machine.install_faults(sched)
+        injector = FaultInjector(sched, kernels=[machine.kernel])
         assert injector.next_barrier(0.0) == 5.0
-        machine.run(6.0, dt=1.0)
+        run_with_faults(machine, injector, 6.0)
         assert injector.next_barrier(machine.kernel.clock.now) == 15.0
-        machine.run(10.0, dt=1.0)
+        run_with_faults(machine, injector, 10.0)
         assert injector.next_barrier(machine.kernel.clock.now) == 100.0
 
     def test_jittered_time_bounded_and_floored(self):
@@ -292,7 +308,7 @@ class TestFaultInjectorOnMachine:
             ],
             seed=1,
         )
-        injector = machine.install_faults(sched)
+        injector = FaultInjector(sched, kernels=[machine.kernel])
         injector.advance(0.0)
         last = 0.0
         for k in range(1, 50):
@@ -312,3 +328,4 @@ class TestFaultInjectorOnMachine:
         import fnmatch
         for glob in DEFAULT_EIO_PATHS:
             assert any(fnmatch.fnmatchcase(p, glob) for p in vfs_paths), glob
+

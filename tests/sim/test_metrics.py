@@ -3,7 +3,7 @@
 import pytest
 
 from repro.obs.registry import MetricRegistry
-from repro.sim.metrics import IpcMetrics, SimMetrics, SubsystemTimings, WallTimer
+from repro.sim.metrics import IpcMetrics, SimMetrics, WallTimer
 
 
 class TestSimMetrics:
@@ -41,35 +41,6 @@ class TestSimMetrics:
         assert "tick reduction" in text
         assert "30.0x" in text
         assert "samples recorded    3" in text
-
-    def test_render_includes_subsystem_profile_when_enabled(self):
-        m = SimMetrics()
-        m.subsystem_timings = SubsystemTimings()
-        m.subsystem_timings.add("scheduler", 0.5)
-        assert "scheduler" in m.render()
-
-
-class TestSubsystemTimings:
-    def test_add_and_total(self):
-        t = SubsystemTimings()
-        t.add("scheduler", 0.2)
-        t.add("scheduler", 0.3)
-        t.add("power+rapl", 0.1)
-        assert t.wall_s["scheduler"] == pytest.approx(0.5)
-        assert t.total() == pytest.approx(0.6)
-
-    def test_ranked_orders_by_cost(self):
-        t = SubsystemTimings()
-        t.add("cheap", 0.01)
-        t.add("hot", 1.0)
-        assert [name for name, _ in t.ranked()] == ["hot", "cheap"]
-
-    def test_render_empty_and_nonempty(self):
-        t = SubsystemTimings()
-        assert "no subsystem timings" in t.render()
-        t.add("scheduler", 0.75)
-        assert "scheduler" in t.render()
-        assert "100.0%" in t.render()
 
 
 class TestIpcMetrics:
@@ -138,28 +109,8 @@ class TestFacadeRegistry:
         assert m.wall_seconds == pytest.approx(2.0)
         assert m.registry.get("sim.wall_seconds").value == pytest.approx(2.0)
 
-    def test_subsystem_timings_share_registry(self):
-        m = SimMetrics()
-        m.subsystem_timings = SubsystemTimings(registry=m.registry)
-        m.subsystem_timings.add("scheduler", 0.25)
-        counter = m.registry.get("subsystem.wall_s", subsystem="scheduler")
-        assert counter.value == pytest.approx(0.25)
-
     def test_empty_registry_render_placeholder(self):
         assert "no instruments" in MetricRegistry().render()
-
-
-class TestSubsystemTimingsEdgeCases:
-    def test_empty_render_placeholder(self):
-        assert SubsystemTimings().render() == "(no subsystem timings recorded)"
-
-    def test_all_zero_profile_renders_placeholder(self):
-        # registered-but-zero subsystems must not divide by a zero total
-        t = SubsystemTimings()
-        t.add("scheduler", 0.0)
-        t.add("thermal", 0.0)
-        assert t.render() == "(no subsystem timings recorded)"
-        assert t.total() == 0.0
 
 
 class TestWallTimer:
