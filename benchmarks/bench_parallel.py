@@ -10,7 +10,7 @@ parallel trace must be bit-identical to the serial one (the same
 golden-trace contract as ``tests/sim/test_parallel.py``, enforced here
 on the benchmark fleet).
 
-The shared-memory telemetry plane replaced pickled per-step sample rows
+The shared-memory segment's telemetry banks replaced pickled per-step sample rows
 on the shard pipes; the benchmark reconstructs what the pickled-row
 protocol would have shipped per tick (from the actual final-row values)
 and asserts the measured IPC payload beats it at fleet scale.
@@ -32,8 +32,8 @@ Two population benchmarks ride along (``repro.datacenter.population``):
   trivial tenant per host (shards starved between barriers); columnar
   per-shard work must pull the share below that.
 
-``test_control_plane_round_trip`` drives the shm control plane
-(``repro.sim.controlplane``) on the barrier-bound extreme — 8 shards of
+``test_control_plane_round_trip`` drives the shm control slots
+(``repro.sim.shm``) on the barrier-bound extreme — 8 shards of
 one server each, 1 s ticks — and gates it with absolute bounds: zero
 pickled control frames at steady state, at most a quarter of the
 unbatched frame count (``ticks x shards``; epoch batching folds up to 8

@@ -123,21 +123,12 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
-    import multiprocessing
-
     from repro.attack.monitor import CrestDetector
     from repro.attack.strategies import PeriodicAttack, SynergisticAttack
     from repro.datacenter.simulation import DatacenterSimulation
     from repro.datacenter.tenants import DiurnalProfile
 
-    if args.parallel and "spawn" not in multiprocessing.get_all_start_methods():
-        print(
-            "error: --parallel needs the 'spawn' process start method,"
-            " which this platform does not provide; run without --parallel",
-            file=sys.stderr,
-        )
-        return 2
-    flag_error = _check_resilience_args(args)
+    flag_error = _check_run_args(args)
     if flag_error:
         print(f"error: {flag_error}", file=sys.stderr)
         return 2
@@ -210,19 +201,10 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    import multiprocessing
-
     from repro.datacenter.simulation import DatacenterSimulation
     from repro.sim.faults import FaultSchedule
 
-    if args.parallel and "spawn" not in multiprocessing.get_all_start_methods():
-        print(
-            "error: --parallel needs the 'spawn' process start method,"
-            " which this platform does not provide; run without --parallel",
-            file=sys.stderr,
-        )
-        return 2
-    flag_error = _check_resilience_args(args)
+    flag_error = _check_run_args(args)
     if flag_error:
         print(f"error: {flag_error}", file=sys.stderr)
         return 2
@@ -348,7 +330,6 @@ def _cmd_ops_serve(args: argparse.Namespace) -> int:
     up for N wall seconds after the run so late readers (CI curls,
     dashboards) still get the final state.
     """
-    import multiprocessing
     import os
     import time
 
@@ -356,14 +337,7 @@ def _cmd_ops_serve(args: argparse.Namespace) -> int:
     from repro.obs.export import to_chrome_trace
     from repro.sim.faults import FaultSchedule
 
-    if args.parallel and "spawn" not in multiprocessing.get_all_start_methods():
-        print(
-            "error: --parallel needs the 'spawn' process start method,"
-            " which this platform does not provide; run without --parallel",
-            file=sys.stderr,
-        )
-        return 2
-    flag_error = _check_resilience_args(args)
+    flag_error = _check_run_args(args)
     if flag_error:
         print(f"error: {flag_error}", file=sys.stderr)
         return 2
@@ -503,8 +477,13 @@ def _add_resilience_args(parser: argparse.ArgumentParser) -> None:
                              " (bit-identical to an uninterrupted run)")
 
 
-def _check_resilience_args(args: argparse.Namespace) -> Optional[str]:
-    """Validate the checkpoint/resume flag combination (None = fine)."""
+def _check_run_args(args: argparse.Namespace) -> Optional[str]:
+    """Validate --parallel and the checkpoint/resume flags (None = fine)."""
+    import multiprocessing
+
+    if args.parallel and "spawn" not in multiprocessing.get_all_start_methods():
+        return ("--parallel needs the 'spawn' process start method,"
+                " which this platform does not provide; run without --parallel")
     if args.checkpoint_dir and not args.parallel:
         return ("--checkpoint-dir requires --parallel: the sharded engine"
                 " writes the snapshots")

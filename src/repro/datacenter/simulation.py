@@ -731,29 +731,38 @@ class DatacenterSimulation:
             )
 
     def _catch_up_samples(self) -> None:
-        """Record every sample that is due at or before the current time.
+        """Record one fleet row per sample due at or before the current time."""
+        stamps = self._stamps_due(self.now, self._trace_floor(), self.fault_injector)
+        if stamps:
+            row = self.fleet.row()
+            for when in stamps:
+                self._record_row(when, row)
+
+    def _stamps_due(self, now: float, floor: float, injector) -> list:
+        """Recorded timestamps of every sample due at or before ``now``.
 
         Sample times are anchored on exact interval multiples (not on the
         possibly-overshot ``now``), so a ``dt`` that does not divide the
         interval still yields the nominal cadence, the t=0 baseline is
         recorded, and gaps (e.g. the clock advanced outside ``run``) are
-        caught up rather than silently shifting the grid.
+        caught up rather than silently shifting the grid. Clock jitter
+        from ``injector`` displaces the *recorded* stamp only, clamped to
+        ``floor`` (the previous stamp). Advances the sample counters: the
+        caller records one row per stamp — the serial loop from the
+        fleet, the sharded driver from the shared-memory banks.
         """
-        while self.next_sample_time <= self.now + 1e-9:
-            self._sample(at=self.next_sample_time)
+        stamps = []
+        while self.next_sample_time <= now + 1e-9:
+            when = self.next_sample_time
+            if injector is not None:
+                when = injector.jittered_time(
+                    when, self.sample_interval_s, floor=floor
+                )
+            stamps.append(when)
+            floor = when
             self._sample_count += 1
-
-    def _sample(self, at: float) -> None:
-        when = at
-        injector = self.fault_injector
-        if injector is not None:
-            # clock jitter displaces the *recorded* timestamp only; the
-            # sampling grid itself stays anchored on interval multiples
-            when = injector.jittered_time(
-                when, self.sample_interval_s, floor=self._trace_floor()
-            )
-        self._record_row(when, self.fleet.row())
-        self.metrics.samples += 1
+            self.metrics.samples += 1
+        return stamps
 
     def _trace_floor(self) -> float:
         """The last recorded sample time (the jitter floor), or 0.0."""

@@ -475,11 +475,10 @@ class KernelFaultState:
 class JitterModel:
     """Replayable clock-jitter state (recorded-timestamp wobble).
 
-    Factored out of :class:`FaultInjector` so the rack-sharded parallel
-    driver can replay exactly the serial injector's jitter draws: jitter
-    displaces *recorded* trace timestamps, which only the trace-owning
-    driver writes, so in parallel mode the driver keeps the jitter events
-    while host/rack events ship to shard workers. Draws come from the
+    Jitter displaces *recorded* trace timestamps, which only the
+    trace-owning driver writes, so the rack-sharded driver keeps the
+    jitter events in its own target-less :class:`FaultInjector` while
+    host/rack events ship to shard workers. Draws come from the
     ``sample-jitter`` stream of the rng handed in — give two models rngs
     with equal seeds and identical per-sample call sequences and they
     produce identical timestamps.
@@ -529,8 +528,10 @@ class FaultInjector:
     ``containers`` dict, racks with a ``breaker``), so the fleet driver
     of :class:`~repro.datacenter.simulation.DatacenterSimulation` (serial
     or in a shard worker) drives it, and so can a test stepping one
-    kernel. Drivers call :meth:`advance` once per tick-planning decision
-    and treat :meth:`next_barrier` as a coalescing horizon.
+    kernel; the sharded driver holds one with no targets for the
+    clock-jitter slice of a partitioned schedule. Drivers call
+    :meth:`advance` once per tick-planning decision and treat
+    :meth:`next_barrier` as a coalescing horizon.
     """
 
     def __init__(
@@ -546,7 +547,16 @@ class FaultInjector:
         populations: Sequence[object] = (),
     ):
         if not kernels:
-            raise SimulationError("fault injector needs at least one kernel")
+            # a target-less injector (the sharded driver's jitter slice)
+            # must still refuse events it has nothing to apply to
+            for event in schedule.events:
+                if event.kind in _HOST_SCOPED_KINDS or (
+                    event.kind is FaultKind.BREAKER_TRIP and not racks
+                ):
+                    raise SimulationError(
+                        f"fault injector has no target for the"
+                        f" {event.kind.value} event at t={event.at}"
+                    )
         self.schedule = schedule
         self.rng = rng or DeterministicRNG(schedule.seed)
         self.kernels = list(kernels)

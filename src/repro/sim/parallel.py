@@ -11,11 +11,11 @@ tenant drivers in its own ``multiprocessing`` spawn worker and lock-steps
 the shards at exactly the barriers the serial driver already honors.
 
 Bulk telemetry — per-sample wall-power rows and attacker-monitor
-readings — travels through a :class:`repro.sim.telemetry.TelemetryPlane`
-(a multi-bank ``multiprocessing.shared_memory`` segment of float64
-slots written at global indices), so control frames stay small. The
-driver stamps each shm-carrying frame with the bank index; banks rotate
-so a worker never overwrites a row the driver has not consumed.
+readings — travels through the banks of the engine's one
+:class:`repro.sim.shm.ShmPlane` segment (float64 slots written at global
+indices), so control frames stay small. The driver stamps each
+shm-carrying frame with the bank index; banks rotate so a worker never
+overwrites a row the driver has not consumed.
 
 Driver/worker control frames (logical tuples; ``ops`` are queued
 attacker ``exec``/``reap`` operations, ``oids`` are observer ids of
@@ -42,16 +42,17 @@ shard-resident attack monitors to sample)::
 
 Steady-state frames — ``plan``, ``epoch`` without observer ids, and
 op-less ``begin`` — ride fixed-layout shared-memory slots with a
-doorbell sequence counter (:mod:`repro.sim.controlplane`): zero
-pickling, zero syscalls per barrier. Everything else rides the ``Pipe`` slow path as pickled
-tuples, as do worker errors and tracer-drain replies (the request stays
-on the slots; the reply's status slot says the payload is on the pipe).
+doorbell sequence counter in the same segment (:mod:`repro.sim.shm`):
+zero pickling, zero syscalls per barrier. Everything else rides the
+``Pipe`` slow path as pickled tuples, as do worker errors and
+tracer-drain replies (the request stays on the slots; the reply's
+status slot says the payload is on the pipe).
 The supervisor's frame log records the *logical* tuples, so
 replay-after-respawn reproduces slot-carried frames over the pipe
 verbatim.
 
 Every tick crosses the shard boundary inside an ``epoch`` frame, which
-cuts steady-state round trips up to ``_EPOCH_TICKS``×. A coalescing
+cuts steady-state round trips up to ``EPOCH_TICKS``×. A coalescing
 epoch is *plan-headed*: its first tick pays one real ``plan`` exchange,
 and while the merged fingerprint holds — the merged plan horizon is the
 nearest shard event and every breaker is below its knee — the driver
@@ -61,11 +62,11 @@ serial coalescing relies on) and appends further ticks, each carrying
 the plan hint its worker re-executes; workers run plan+commit per
 entry, bit-identical to ``k`` separate barriers. Without coalescing
 every tick is ``min(dt, remaining)`` and carries its own hint. An epoch
-ends at ``_EPOCH_TICKS`` ticks, at a checkpoint boundary, or at the
+ends at ``EPOCH_TICKS`` ticks, at a checkpoint boundary, or at the
 run's last tick, whose frame lists the armed observers the workers
-sample after its commit. The telemetry plane carries ``_EPOCH_TICKS +
-1`` banks so every row-carrying or observing tick of an epoch lands in
-its own bank.
+sample after its commit. The segment carries ``EPOCH_TICKS + 1`` banks
+so every row-carrying or observing tick of an epoch lands in its own
+bank.
 
 With tracing enabled (``DatacenterSimulation.enable_tracing`` before the
 first parallel run), every ``("ok", ...)`` reply grows a third element:
@@ -110,9 +111,12 @@ Determinism rules (the golden-trace tests pin all of them):
    serial clock, and every slice clock replays them too, so slice
    horizons (``now + boundary``) are bitwise equal to serial ones.
 3. :meth:`FaultSchedule.partition` routes host/rack events to their
-   owning shard and clock-jitter events to the driver (jitter only moves
-   *recorded* timestamps, which only the driver writes); per-event rng
-   streams are keyed on global indices, so partitioning changes no draw.
+   owning shard and clock-jitter events to the driver's own target-less
+   :class:`FaultInjector` (jitter only moves *recorded* timestamps,
+   which only the driver writes); per-event rng streams are keyed on
+   global indices, so partitioning changes no draw. The driver stamps
+   samples with the serial sampler's own
+   ``DatacenterSimulation._stamps_due``.
 4. The driver folds per-sample rows in global host order, so the
    aggregate trace folds watts left-to-right exactly as the serial
    sampler does — float addition order is part of the contract.
@@ -143,8 +147,7 @@ from repro.datacenter.fleet import FleetConfig, FleetSlice
 from repro.errors import SimulationError
 from repro.obs.tracer import SpanTracer
 from repro.sim.clock import VirtualClock
-from repro.sim.controlplane import ControlPlane
-from repro.sim.faults import FaultSchedule, FaultStats, JitterModel
+from repro.sim.faults import FaultInjector, FaultSchedule
 from repro.sim.fastforward import fold_driver_horizons
 from repro.sim.metrics import IpcMetrics, WallTimer
 from repro.sim.resilience import (
@@ -158,7 +161,7 @@ from repro.sim.resilience import (
     shard_snapshot_path,
 )
 from repro.sim.rng import DeterministicRNG
-from repro.sim.telemetry import TelemetryPlane
+from repro.sim.shm import EPOCH_TICKS, ShmPlane
 
 _EPS = 1e-9
 
@@ -175,10 +178,6 @@ _DEFAULT_BARRIER_TIMEOUT_S = 600.0
 #: frames never recorded in the supervisor's replay log: lifecycle and
 #: recovery traffic (replaying them would recurse), plus the test hooks
 _UNLOGGED_FRAMES = frozenset({"crash", "close", "checkpoint", "replay", "hang"})
-
-#: ticks batched per epoch frame (the control plane's epoch capacity;
-#: the telemetry plane carries one bank more)
-_EPOCH_TICKS = 8
 
 #: doorbell busy-poll: spin this many iterations before backing off to
 #: short sleeps — a barrier turnaround at steady state lands within the
@@ -249,10 +248,10 @@ class ShardSpec:
     racks: Tuple[int, ...]
     fault_schedule: Optional[FaultSchedule]
     fault_seed: int
-    #: shared-memory telemetry plane to attach to
-    telemetry_name: str
-    #: shared-memory control plane segment to attach to
-    control_name: str
+    #: the engine's shared-memory segment to attach to
+    segment_name: str
+    #: per-shard host counts, in shard order (segment geometry)
+    host_counts: Tuple[int, ...]
     observer_capacity: int
     #: the cloud's full launch/terminate history (workers filter by host)
     launch_log: Tuple[tuple, ...]
@@ -262,8 +261,6 @@ class ShardSpec:
     trace: bool = False
     #: worker tracer ring capacity (events)
     trace_capacity: int = 65536
-    #: per-shard host counts, in shard order (control-plane geometry)
-    control_host_counts: Tuple[int, ...] = ()
     #: trace spill segment directory (None: ring overflow drops events)
     spill_dir: Optional[str] = None
 
@@ -344,7 +341,7 @@ class _ShardRuntime:
         self._attach(tracer_counters=None)
 
     def _attach(self, tracer_counters) -> None:
-        """Per-process wiring: tracer, telemetry plane, test hooks."""
+        """Per-process wiring: tracer, shared-memory segment, test hooks."""
         spec = self.spec
         self.tracer: Optional[SpanTracer] = None
         if spec.trace:
@@ -361,9 +358,8 @@ class _ShardRuntime:
                 self.tracer.restore_counters(*tracer_counters)
         if self.fleet.injector is not None:
             self.fleet.injector.tracer = self.tracer
-        self.plane = TelemetryPlane.attach(
-            spec.telemetry_name, spec.config.servers, spec.observer_capacity,
-            banks=_EPOCH_TICKS + 1,
+        self.plane = ShmPlane.attach(
+            spec.segment_name, spec.host_counts, spec.observer_capacity
         )
         #: test hook (("hang", s) frame): stall the next reply this long
         self._hang_s = 0.0
@@ -378,7 +374,7 @@ class _ShardRuntime:
         population, host engine and fault injector, and by monitors and
         instances, come back as the same objects, and the slice clock
         stays the clock those kernels tick against. Excluded on purpose:
-        the telemetry plane (re-attached by segment name), the tracer
+        the shared-memory segment (re-attached by name), the tracer
         (rebuilt around the restored clock; only its ``(seq, dropped)``
         counters persist so replayed events renumber identically), and
         the injector's tracer ref (stripped by
@@ -533,7 +529,7 @@ class _ShardRuntime:
         return changed
 
     def write_row(self, bank: int) -> None:
-        """Write this shard's per-host trace values into the plane."""
+        """Write this shard's per-host trace values into the bank."""
         for i, watts in zip(self.fleet.labels, self.fleet.row()):
             self.plane.write_wall(bank, i, watts)
 
@@ -655,16 +651,13 @@ def _shard_worker_main(
             runtime = _ShardRuntime.from_snapshot(spec, restore_from)
         else:
             runtime = _ShardRuntime(spec)
-        cplane = ControlPlane.attach(
-            spec.control_name, spec.control_host_counts, _EPOCH_TICKS
-        )
         # the doorbell baseline MUST be read before "ready" goes out:
         # the driver may post its first slot frame the instant it sees
         # the handshake, and a later baseline read would swallow that
         # frame's sequence bump. For a respawn the ordering also skips
         # the stale in-flight frame — the supervisor resends it over the
         # pipe after replay.
-        base_seq = cplane.req_seq(spec.shard_index)
+        base_seq = runtime.plane.req_seq(spec.shard_index)
     except Exception:
         try:
             conn.send_bytes(_dumps(("error", traceback.format_exc())))
@@ -672,18 +665,12 @@ def _shard_worker_main(
             return
     conn.send_bytes(_dumps(("ready",)))
     try:
-        _serve(runtime, conn, cplane, spec.shard_index, base_seq)
+        _serve(runtime, conn, spec.shard_index, base_seq)
     finally:
-        try:
-            cplane.close()
-        finally:
-            runtime.plane.close()
+        runtime.plane.close()
 
 
-def _serve(
-    runtime: _ShardRuntime, conn, cplane: ControlPlane, idx: int,
-    base_seq: int,
-) -> None:
+def _serve(runtime: _ShardRuntime, conn, idx: int, base_seq: int) -> None:
     """The worker command loop: slot frames plus the pipe slow path.
 
     Busy-polls the request doorbell with a spin-then-sleep backoff,
@@ -694,16 +681,17 @@ def _serve(
     worker never re-serves the in-flight slot frame, because the
     supervisor resends it over the pipe after replay.
     """
+    plane = runtime.plane
     last_seq = base_seq
     while True:
-        # -- wait for the next request on either plane ---------------
+        # -- wait for the next request on the slots or the pipe ------
         w0 = time.perf_counter()
         from_pipe = None
         spins = 0
         sleep_s = _DOORBELL_SLEEP_S
         while from_pipe is None:
-            if cplane.req_seq(idx) != last_seq:
-                last_seq = cplane.req_seq(idx)
+            if plane.req_seq(idx) != last_seq:
+                last_seq = plane.req_seq(idx)
                 from_pipe = False
                 break
             if spins % 64 == 0 or spins > _DOORBELL_SPINS:
@@ -733,7 +721,7 @@ def _serve(
                 conn.send_bytes(_dumps(("ok", None)))
                 continue
         else:
-            msg = cplane.read_request(idx)
+            msg = plane.read_request(idx)
         try:
             result = runtime.dispatch(msg)
             error = None
@@ -758,69 +746,12 @@ def _serve(
             # slow-path reply: full pickled traceback on the pipe, the
             # status slot tells the driver to read it there
             conn.send_bytes(_dumps(("error", error)))
-            cplane.write_status(idx, last_seq, ControlPlane.ERROR, wait_s)
+            plane.write_status(idx, last_seq, ShmPlane.ERROR, wait_s)
         elif drained:
             conn.send_bytes(_dumps(("ok", result, drained)))
-            cplane.write_status(
-                idx, last_seq, ControlPlane.PAYLOAD_PIPE, wait_s
-            )
+            plane.write_status(idx, last_seq, ShmPlane.PAYLOAD_PIPE, wait_s)
         else:
-            cplane.write_reply(idx, last_seq, msg[0], result, wait_s)
-
-
-class _DriverFaultReplayer:
-    """The driver's slice of a partitioned fault schedule.
-
-    Holds the clock-jitter events (they displace recorded trace
-    timestamps, and only the driver writes traces) and replays them with
-    the same ``sample-jitter`` stream the serial injector would use, plus
-    the ``injected:`` counters for the events it owns.
-    """
-
-    def __init__(self, schedule: FaultSchedule, seed: int):
-        self.schedule = schedule
-        self.stats = FaultStats()
-        self.jitter = JitterModel(DeterministicRNG(seed), self.stats)
-        self._cursor = 0
-        #: optional span tracer (the sim's); jitter events become the
-        #: same ``fault.clock-jitter`` markers the serial injector emits
-        self.tracer: Optional[SpanTracer] = None
-
-    def __getstate__(self) -> dict:
-        # pickled wholesale into checkpoint manifests (schedule cursor,
-        # jitter rng state, stats) minus the tracer, which the resuming
-        # driver rewires to its own
-        state = dict(self.__dict__)
-        state["tracer"] = None
-        return state
-
-    def advance(self, now: float) -> bool:
-        events = self.schedule.events
-        changed = False
-        while self._cursor < len(events) and events[self._cursor].at <= now + _EPS:
-            event = events[self._cursor]
-            self.stats.count(f"injected:{event.kind.value}")
-            if self.tracer is not None and self.tracer.enabled:
-                self.tracer.instant(
-                    f"fault.{event.kind.value}",
-                    at=event.at,
-                    track="fault",
-                    duration_s=event.duration_s,
-                    magnitude=event.magnitude,
-                )
-            self.jitter.arm(event)
-            self._cursor += 1
-            changed = True
-        return changed
-
-    def next_barrier(self, now: float) -> float:
-        barrier = math.inf
-        events = self.schedule.events
-        if self._cursor < len(events):
-            barrier = events[self._cursor].at
-        if now < self.jitter.until:
-            barrier = min(barrier, self.jitter.until)
-        return max(barrier, now)
+            plane.write_reply(idx, last_seq, msg[0], result, wait_s)
 
 
 class ParallelFleetEngine:
@@ -830,9 +761,9 @@ class ParallelFleetEngine:
     simulation (no ticks executed, no samples recorded). Instances
     launched before that point are replayed into the owning shards and
     the cloud is frozen. The driver keeps the traces, metrics, sampling
-    grid, stability tracker, jitter replay, and attack-strategy state;
+    grid, stability tracker, jitter injector, and attack-strategy state;
     everything per-host moves to the workers, and bulk telemetry rides
-    the shared-memory plane. Results are bit-identical to the serial
+    the shared-memory segment. Results are bit-identical to the serial
     path on equal seeds — the golden-trace tests in
     ``tests/sim/test_parallel.py`` and ``tests/attack`` enforce it
     sample-for-sample.
@@ -874,8 +805,12 @@ class ParallelFleetEngine:
         self._closed = False
         self.procs: list = []
         self.conns: list = []
-        self.plane: Optional[TelemetryPlane] = None
-        self.cplane: Optional[ControlPlane] = None
+        #: the one shared-memory segment: control slots and telemetry
+        self.plane: Optional[ShmPlane] = None
+        #: always None: the control slots live in ``plane``. Kept only for
+        #: the benchmark's segment-leak check, which reads it; it goes at
+        #: the next benchmark change, like ``run(control_plane=...)``
+        self.cplane = None
 
         cfg = sim.resilience
         self._resilience = cfg
@@ -955,7 +890,9 @@ class ParallelFleetEngine:
                 for i in range(n)
             ]
 
-        self.faults: Optional[_DriverFaultReplayer] = None
+        #: the driver's slice of the schedule (clock-jitter events only):
+        #: a target-less injector drawing the serial injector's jitter
+        self.faults: Optional[FaultInjector] = None
         shard_schedules: List[Optional[FaultSchedule]] = [None] * n
         fault_seed = 0
         if sim.fault_injector is not None:
@@ -966,7 +903,9 @@ class ParallelFleetEngine:
                 self.total_servers,
                 racks,
             )
-            self.faults = _DriverFaultReplayer(driver_schedule, fault_seed)
+            self.faults = FaultInjector(
+                driver_schedule, DeterministicRNG(fault_seed), kernels=()
+            )
             self.faults.tracer = self._tracer
 
         #: driver-side doorbell sequence per shard
@@ -975,21 +914,11 @@ class ParallelFleetEngine:
         # every resource is acquired inside the guard: a failure anywhere
         # in start-up (segment creation included) unlinks what exists
         try:
-            # every row-carrying tick of an epoch needs its own bank: with
-            # _EPOCH_TICKS + 1 banks, a bank is never rewritten before the
-            # post-epoch fold has consumed it
-            self.plane = TelemetryPlane.create(
-                self.total_servers, self.observer_capacity,
-                banks=_EPOCH_TICKS + 1,
-            )
-            self.cplane = ControlPlane.create(
-                [len(hosts) for hosts in self.shard_hosts], _EPOCH_TICKS
-            )
+            host_counts = tuple(len(hosts) for hosts in self.shard_hosts)
+            self.plane = ShmPlane.create(host_counts, self.observer_capacity)
             self.ipc = IpcMetrics(
                 workers=n,
-                shm_segment_bytes=(
-                    self.plane.segment_bytes + self.cplane.segment_bytes
-                ),
+                shm_segment_bytes=self.plane.segment_bytes,
                 registry=sim.metrics.registry,
             )
             sim.metrics.ipc = self.ipc
@@ -999,8 +928,8 @@ class ParallelFleetEngine:
                     racks=groups[i],
                     fault_schedule=shard_schedules[i],
                     fault_seed=fault_seed,
-                    telemetry_name=self.plane.name,
-                    control_name=self.cplane.name,
+                    segment_name=self.plane.name,
+                    host_counts=host_counts,
                     observer_capacity=self.observer_capacity,
                     launch_log=launch_log,
                     shard_index=i,
@@ -1009,9 +938,6 @@ class ParallelFleetEngine:
                         self._tracer.capacity
                         if self._tracer is not None
                         else 65536
-                    ),
-                    control_host_counts=tuple(
-                        len(hosts) for hosts in self.shard_hosts
                     ),
                     spill_dir=(
                         self._tracer.spill_dir
@@ -1059,21 +985,12 @@ class ParallelFleetEngine:
 
     def _wait_ready(self, idx: int) -> None:
         """Block until shard ``idx`` reports ready (bounded, liveness-aware)."""
-        conn = self.conns[idx]
-        proc = self.procs[idx]
-        deadline = time.monotonic() + _STARTUP_TIMEOUT_S
-        while not conn.poll(_POLL_S):
-            if not proc.is_alive() and not conn.poll(0):
-                raise _ShardFailure(
-                    "died",
-                    f"died during startup (exitcode {proc.exitcode})",
-                )
-            if time.monotonic() > deadline:
-                raise _ShardFailure(
-                    "hung",
-                    f"did not come up within {_STARTUP_TIMEOUT_S:.0f}s",
-                )
-        msg, _ = _recv_frame(conn)
+        msg, _ = self._receive(
+            idx,
+            _STARTUP_TIMEOUT_S,
+            died="died during startup (exitcode {})",
+            hung=f"did not come up within {_STARTUP_TIMEOUT_S:.0f}s",
+        )
         if msg[0] != "ready":
             try:
                 self.close()
@@ -1112,7 +1029,7 @@ class ParallelFleetEngine:
         self._observed_at = observers["observed_at"]
         self._pending_ops = list(manifest["pending_ops"])
         if manifest["faults"] is not None:
-            # the manifest replayer carries the schedule cursor and the
+            # the manifest injector carries the schedule cursor and the
             # jitter rng state as of the checkpoint
             self.faults = manifest["faults"]
             self.faults.tracer = self._tracer
@@ -1144,6 +1061,18 @@ class ParallelFleetEngine:
                 " shard workers rebuild the fleet from seeds and cannot"
                 " adopt mid-run serial state"
             )
+        # workers rebuild every kernel from the FleetConfig and the
+        # launch log; a hook set on a driver-side kernel would silently
+        # not follow (a power-namespace defense would run undefended)
+        fleet = sim.fleet
+        for label, kernel in zip(fleet.labels, fleet.kernels):
+            for attr in ("rapl_read_hook", "tick_listeners"):
+                if getattr(kernel, attr):
+                    raise SimulationError(
+                        f"host {label} has kernel.{attr} set on the driver;"
+                        " shard workers rebuild hosts from the fleet config"
+                        " and cannot carry it — run serially"
+                    )
         for source in sim.horizon_sources:
             if getattr(source, "parallel_safe", False):
                 continue
@@ -1184,20 +1113,37 @@ class ParallelFleetEngine:
                 " workers torn down, shared memory unlinked"
             ) from failure.cause
 
-    def _await_reply(self, idx: int) -> None:
-        """Poll for a reply, bounded by the barrier timeout and liveness."""
+    def _receive(
+        self,
+        idx: int,
+        timeout_s: Optional[float] = None,
+        died: str = "exitcode {}",
+        hung: Optional[str] = None,
+    ) -> Tuple[tuple, int]:
+        """Receive shard ``idx``'s next pipe frame, bounded and liveness-aware.
+
+        Defaults to a barrier reply (``barrier_timeout_s``). A worker
+        that exited, or whose pipe end hit EOF or broke — ``poll``
+        reports EOF as readable, so a dead worker surfaces in the read —
+        is ``died`` (formatted with its exit code); one silent past the
+        timeout is ``hung``.
+        """
+        if timeout_s is None:
+            timeout_s = self._barrier_timeout_s
+            hung = f"no reply within barrier_timeout_s={timeout_s:.1f}"
         conn = self.conns[idx]
         proc = self.procs[idx]
-        deadline = time.monotonic() + self._barrier_timeout_s
-        while not conn.poll(_POLL_S):
-            if not proc.is_alive() and not conn.poll(0):
-                raise _ShardFailure("died", f"exitcode {proc.exitcode}")
-            if time.monotonic() > deadline:
-                raise _ShardFailure(
-                    "hung",
-                    f"no reply within barrier_timeout_s="
-                    f"{self._barrier_timeout_s:.1f}",
-                )
+        deadline = time.monotonic() + timeout_s
+        try:
+            while not conn.poll(_POLL_S):
+                if not proc.is_alive() and not conn.poll(0):
+                    raise _ShardFailure("died", died.format(proc.exitcode))
+                if time.monotonic() > deadline:
+                    raise _ShardFailure("hung", hung)
+            return _recv_frame(conn)
+        except (EOFError, OSError) as exc:
+            proc.join(timeout=_POLL_S)  # let a closing worker report its code
+            raise _ShardFailure("died", died.format(proc.exitcode), exc)
 
     def _handle_failure(
         self, idx: int, msg: Optional[tuple], failure: _ShardFailure
@@ -1255,8 +1201,7 @@ class ParallelFleetEngine:
         try:
             self._wait_ready(idx)
             self.conns[idx].send_bytes(_dumps(("replay", tuple(frames))))
-            self._await_reply(idx)
-            reply, _ = _recv_frame(self.conns[idx])
+            reply, _ = self._receive(idx)
         except _ShardFailure as chained:
             # the replacement died too: recurse within the restart budget
             # (the deeper call resends ``msg`` itself when it succeeds)
@@ -1300,7 +1245,7 @@ class ParallelFleetEngine:
         """
         if self._supervise and msg[0] not in _UNLOGGED_FRAMES:
             self._frame_log[idx].append(msg)
-        posted = self.cplane.post(idx, msg)
+        posted = self.plane.post(idx, msg)
         if posted is not None:
             seq, nbytes = posted
             self._cp_seq[idx] = seq
@@ -1324,14 +1269,14 @@ class ParallelFleetEngine:
         periodic ``is_alive``/timeout checks — the same died/hung
         classification as the pipe slow path.
         """
-        cplane = self.cplane
+        plane = self.plane
         want = self._cp_seq[idx]
         proc = self.procs[idx]
         deadline = time.monotonic() + self._barrier_timeout_s
         spins = 0
         naps = 0
         sleep_s = _DOORBELL_SLEEP_S
-        while cplane.rsp_seq(idx) != want:
+        while plane.rsp_seq(idx) != want:
             spins += 1
             if spins <= _DOORBELL_SPINS:
                 continue
@@ -1339,7 +1284,7 @@ class ParallelFleetEngine:
             sleep_s = min(sleep_s * 2.0, _DOORBELL_SLEEP_MAX_S)
             naps += 1
             if naps % _DOORBELL_CHECK_EVERY == 0:
-                if not proc.is_alive() and cplane.rsp_seq(idx) != want:
+                if not proc.is_alive() and plane.rsp_seq(idx) != want:
                     raise _ShardFailure("died", f"exitcode {proc.exitcode}")
                 if time.monotonic() > deadline:
                     raise _ShardFailure(
@@ -1362,19 +1307,10 @@ class ParallelFleetEngine:
                     reply = None
                     received = 0
                 else:
-                    self._await_reply(idx)
-                    reply, received = _recv_frame(self.conns[idx])
+                    reply, received = self._receive(idx)
             except _ShardFailure as failure:
                 self._handle_failure(idx, msg, failure)
                 # respawned and resent over the pipe: collect there
-                on_slots = False
-                continue
-            except (EOFError, OSError) as exc:
-                self._handle_failure(
-                    idx,
-                    msg,
-                    _ShardFailure("died", f"pipe read failed: {exc}", exc),
-                )
                 on_slots = False
                 continue
             break
@@ -1383,16 +1319,15 @@ class ParallelFleetEngine:
             idx, time.perf_counter() - t0, ticks=ticks
         )
         if on_slots:
-            self.ipc.record_doorbell_wait(self.cplane.reply_wait_s(idx))
-            status = self.cplane.reply_status(idx)
-            if status == ControlPlane.OK:
-                result, received = self.cplane.read_reply(idx, msg[0])
+            self.ipc.record_doorbell_wait(self.plane.reply_wait_s(idx))
+            status = self.plane.reply_status(idx)
+            if status == ShmPlane.OK:
+                result, received = self.plane.read_reply(idx, msg[0])
                 self.ipc.record_shm_frame(nbytes, received)
                 return result
             # PAYLOAD_PIPE (tracer drain) or ERROR: the request used the
             # slots but the reply is a full pickled frame on the pipe
-            self._await_reply(idx)
-            reply, received = _recv_frame(self.conns[idx])
+            reply, received = self._receive(idx)
             self.ipc.record_shm_frame(nbytes, 0)
             self.ipc.control_bytes_received += received
         else:
@@ -1457,7 +1392,7 @@ class ParallelFleetEngine:
     def _next_bank(self) -> int:
         """Rotate the bank cursor before a frame that carries shm data.
 
-        The plane has ``_EPOCH_TICKS + 1`` banks, so every row-carrying
+        The segment has ``EPOCH_TICKS + 1`` banks, so every row-carrying
         tick of a batched epoch lands in its own bank and none is
         overwritten before the driver folds it after the single epoch
         reply.
@@ -1477,16 +1412,6 @@ class ParallelFleetEngine:
         return tuple(out)
 
     # -- run loop --------------------------------------------------------
-
-    def _due_times(self, now: float) -> list:
-        """Sample times due at or before ``now`` (the serial catch-up rule)."""
-        sim = self.sim
-        due = []
-        count = sim._sample_count
-        while sim._sample_origin + count * sim.sample_interval_s <= now + _EPS:
-            due.append(sim._sample_origin + count * sim.sample_interval_s)
-            count += 1
-        return due
 
     def _merge_plans(self, plans) -> tuple:
         demands = [0.0] * self.total_servers
@@ -1547,45 +1472,21 @@ class ParallelFleetEngine:
     def _plan_tick(self, step: float, floor: float, observe: bool) -> tuple:
         """Driver-side effects of one batched tick, in serial order.
 
-        Advances the clock, rotates the bank for a row-carrying or
-        ``observe`` tick, replays driver-visible fault events at the new
-        instant, and precomputes the sample stamps — threading the
-        jitter ``floor`` across the epoch because the trace rows
-        themselves are folded only after the single epoch reply.
+        Advances the clock, replays driver-visible fault events at the
+        new instant, stamps the due samples with the serial sampler's
+        own stamper, and rotates the bank for a row-carrying or
+        ``observe`` tick — threading the jitter ``floor`` across the
+        epoch because the trace rows themselves are folded only after
+        the single epoch reply.
         """
         self.clock.advance(step)
         now = self.clock.now
-        due = self._due_times(now)
-        want_row = bool(due)
-        bank = self._next_bank() if (want_row or observe) else self._bank
         changed = self.faults is not None and self.faults.advance(now)
-        stamps = self._stamp(due, floor)
+        stamps = self.sim._stamps_due(now, floor, self.faults)
+        bank = self._next_bank() if (stamps or observe) else self._bank
         if stamps:
             floor = stamps[-1]
-        return bank, want_row, stamps, floor, changed
-
-    def _stamp(self, due: list, floor: float) -> list:
-        """Trace timestamps for the due sample times, in order.
-
-        Each stamp is the due time, jittered through the driver's fault
-        replayer when one is installed; ``floor`` (the previous stamp)
-        keeps jittered stamps monotone. Sample counters move here, not
-        at fold time, so ``next_sample_time`` evolves exactly as it
-        would between serial barriers.
-        """
-        sim = self.sim
-        stamps = []
-        for when in due:
-            t = when
-            if self.faults is not None:
-                t = self.faults.jitter.jittered_time(
-                    when, sim.sample_interval_s, floor=floor
-                )
-            stamps.append(t)
-            floor = t
-            sim._sample_count += 1
-            sim.metrics.samples += 1
-        return stamps
+        return bank, stamps, floor, changed
 
     def _fold_rows(self, folds: list) -> None:
         """Fold ``(bank, stamps)`` plane rows into the traces, in order."""
@@ -1598,7 +1499,7 @@ class ParallelFleetEngine:
                 sim._record_row(t, row)
 
     def _epoch(self, remaining: float, dt: float, coalesce: bool) -> float:
-        """Plan up to ``_EPOCH_TICKS`` ticks and ship them as one epoch.
+        """Plan up to ``EPOCH_TICKS`` ticks and ship them as one epoch.
 
         With ``coalesce`` the head tick pays a real plan exchange; while
         the merged fingerprint holds (no shard event before the merged
@@ -1651,18 +1552,18 @@ class ParallelFleetEngine:
             final = remaining <= _EPS
             oids = self._armed if final else ()
             t0 = self.clock.now
-            bank, want_row, stamps, floor, changed = self._plan_tick(
+            bank, stamps, floor, changed = self._plan_tick(
                 step, floor, bool(oids)
             )
             if changed:
                 engine.stability.reset()
-            frames.append((hint, step, bank, want_row))
-            if want_row:
+            frames.append((hint, step, bank, bool(stamps)))
+            if stamps:
                 folds.append((bank, stamps))
             spans.append((t0, self.clock.now, step))
             if (
                 final
-                or len(frames) >= _EPOCH_TICKS
+                or len(frames) >= EPOCH_TICKS
                 or self._checkpoint_pending()
                 or (
                     coalesce
@@ -1823,8 +1724,8 @@ class ParallelFleetEngine:
             run_t0, run_w0 = self.clock.now, time.perf_counter()
         with WallTimer(sim.metrics):
             if not skip_begin:
-                due = self._due_times(self.clock.now)
-                want_row = bool(due)
+                now = self.clock.now
+                want_row = sim.next_sample_time <= now + _EPS
                 bank = self._next_bank() if want_row else self._bank
                 replies = self._exchange(
                     [
@@ -1833,16 +1734,13 @@ class ParallelFleetEngine:
                     ]
                 )
                 changed = any(replies)
-                if self.faults is not None and self.faults.advance(
-                    self.clock.now
-                ):
+                if self.faults is not None and self.faults.advance(now):
                     changed = True
                 if changed:
                     engine.stability.reset()
-                if due:
-                    self._fold_rows(
-                        [(bank, self._stamp(due, self.sim._trace_floor()))]
-                    )
+                stamps = sim._stamps_due(now, sim._trace_floor(), self.faults)
+                if stamps:
+                    self._fold_rows([(bank, stamps)])
             remaining = seconds
             ops = sim._ops
             while remaining > _EPS:
@@ -2121,9 +2019,5 @@ class ParallelFleetEngine:
             for conn in self.conns:
                 conn.close()
         finally:
-            try:
-                if self.plane is not None:
-                    self.plane.unlink()
-            finally:
-                if self.cplane is not None:
-                    self.cplane.unlink()
+            if self.plane is not None:
+                self.plane.unlink()

@@ -41,8 +41,9 @@ SNAPSHOT_VERSION = 3
 
 #: version stamp embedded in the driver-side manifest
 #: (4: the manifest pins the whole ``FleetConfig`` the fleet was built
-#: from, and resume refuses any simulation built differently)
-MANIFEST_VERSION = 4
+#: from, and resume refuses any simulation built differently; 5: the
+#: driver's jitter state is a target-less ``FaultInjector``)
+MANIFEST_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -105,11 +106,23 @@ def atomic_write(path: str, blob: bytes) -> None:
     os.replace(tmp, path)
 
 
+def _unpickle(path: str) -> dict:
+    """Load one checkpoint pickle; a file this build cannot unpickle is
+    refused by name (a class it references may be gone)."""
+    with open(path, "rb") as fh:
+        try:
+            return pickle.load(fh)
+        except (pickle.UnpicklingError, AttributeError, ImportError, EOFError) as exc:
+            raise SimulationError(
+                f"cannot read checkpoint {path}: another build of this"
+                f" package wrote it, or it is damaged ({exc!r})"
+            ) from exc
+
+
 def read_snapshot(path: str) -> dict:
     """Load and version-check a per-shard snapshot payload."""
     try:
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
+        payload = _unpickle(path)
     except FileNotFoundError:
         raise SimulationError(f"checkpoint snapshot missing: {path}")
     version = payload.get("version")
@@ -125,8 +138,7 @@ def load_manifest(directory: str) -> dict:
     """Load and version-check the driver manifest from a checkpoint dir."""
     path = manifest_path(directory)
     try:
-        with open(path, "rb") as fh:
-            manifest = pickle.load(fh)
+        manifest = _unpickle(path)
     except FileNotFoundError:
         raise SimulationError(
             f"no checkpoint manifest in {directory!r} — nothing to resume "

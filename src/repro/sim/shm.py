@@ -1,29 +1,26 @@
-"""Fixed-layout shared-memory control plane for the parallel fleet.
+"""The parallel fleet's one shared-memory segment: control slots and telemetry.
 
 The rack-sharded driver (:mod:`repro.sim.parallel`) lock-steps its
-workers at coalescing/fault barriers. With the telemetry plane carrying
-the bulk payloads (:mod:`repro.sim.telemetry`), the remaining per-tick
-cost is the control exchange itself: one pickled tuple over a ``Pipe``
-per shard per barrier, paying pickling plus a kernel wakeup in each
-direction. On fine-grained campaigns — 1 s power sampling, fault-dense
-chaos schedules, attack bursts — the engine is *barrier-bound*, not
-compute-bound.
+workers at coalescing/fault barriers. Pickling one tuple per shard per
+barrier over a ``Pipe`` — plus a kernel wakeup in each direction, plus
+every per-sample trace row as pickled ``(index, watts)`` tuples — made
+fine-grained campaigns (1 s power sampling, fault-dense chaos schedules,
+attack bursts) *barrier-bound*. This module moves the steady-state
+barrier path and all bulk telemetry onto one fixed-layout segment of
+8-byte slots (``f`` = float64, ``i`` = int64).
 
-This module moves the steady-state barrier path onto fixed-layout
-shared-memory slots. The driver writes a request frame into its shard's
-request block and rings a **doorbell** (bumps a sequence slot; workers
-busy-poll with a spin-then-sleep backoff); the worker writes its reply
-into the shard's reply block and bumps its own generation counter,
-which doubles as the supervisor's heartbeat. No pickling, no syscalls
-at steady state.
-
+**Control.** The driver writes a request frame into its shard's request
+block and rings a **doorbell** (bumps a sequence slot; workers busy-poll
+with a spin-then-sleep backoff); the worker writes its reply into the
+shard's reply block and bumps its own generation counter, which doubles
+as the supervisor's heartbeat. No pickling, no syscalls at steady state.
 Only three request shapes are slot-encodable — and they are the entire
 steady state:
 
 - ``("plan", hint)`` — one float.
-- ``("epoch", ticks, ())`` — up to ``epoch_ticks`` batched ticks, each
-  ``(hint_or_None, step, bank, want_row)``, sampling no observers. An
-  epoch that samples armed attack monitors (non-empty observer ids)
+- ``("epoch", ticks, ())`` — up to :data:`EPOCH_TICKS` batched ticks,
+  each ``(hint_or_None, step, bank, want_row)``, sampling no observers.
+  An epoch that samples armed attack monitors (non-empty observer ids)
   ends an armed run once and rides the pipe.
 - ``("begin", bank, want_row, ops)`` — with an empty op queue.
 
@@ -33,11 +30,23 @@ and stays on the pipe, which also carries worker errors (full pickled
 traceback) and tracer drains (``PAYLOAD_PIPE`` status: the reply rides
 the pipe while the request still used the slots).
 
-Slot layout (all slots are 8 bytes; ``f`` = float64, ``i`` = int64),
-per shard ``s`` with ``H_s`` hosts and a capacity of ``E`` epoch
-ticks::
+**Telemetry.** Every shard worker writes its hosts' wall-power values
+(and its attack observers' RAPL readings) directly into global-index
+slots of a bank, and the driver folds the row out of the bank in global
+host order. The driver stamps each row-carrying frame with a bank
+index; banks rotate, and there are ``EPOCH_TICKS + 1`` of them, so every
+row-carrying tick of an epoch lands in its own bank and none is
+rewritten before the driver folds them all after the single reply. A
+wall slot holds the sampled watts (``0.0`` for a dark, breaker-tripped
+server) or **NaN** for a crashed machine — a trace *gap*, exactly like
+the serial sampler. An observer slot holds the monitor's reading or NaN
+when the monitor returned ``None``. Values round-trip bit-exactly (raw
+float64 slots), which keeps the sharded traces bit-identical to serial.
 
-    request block (driver writes, worker reads), stride 4 + 4*E:
+Segment layout, for shards ``s`` with ``H_s`` hosts (``S = sum H_s``
+servers) and ``C`` observer slots, in this order::
+
+    request blocks (driver writes, worker reads), stride 4 + 4*EPOCH_TICKS:
         [0] i  REQ_SEQ     doorbell: driver's frame counter
         [1] i  REQ_OP      1 = plan, 2 = epoch, 3 = begin
         [2] f/i REQ_A      plan: hint | epoch: tick count | begin: bank
@@ -45,7 +54,7 @@ ticks::
         [4 + 4*k ..]       epoch tick k: hint (f, NaN = commit-only),
                            step (f), bank (i), want_row (i)
 
-    reply block (worker writes, driver reads), stride 8 + 3*H_s:
+    reply blocks (worker writes, driver reads), stride 8 + 3*H_s:
         [0] i  RSP_SEQ     generation counter == served REQ_SEQ
                            (the supervisor's heartbeat)
         [1] i  RSP_STATUS  0 = OK (slots), 1 = PAYLOAD_PIPE, 2 = ERROR
@@ -58,19 +67,22 @@ ticks::
         [8 ..]             added (i) x H_s | removed (i) x H_s |
                            demands (f) x H_s
 
+    EPOCH_TICKS + 1 banks (f), stride S + C:
+        [ wall[0] ... wall[S-1] | obs[0] ... obs[C-1] ]
+
 Write ordering is payload-then-sequence on both sides: the doorbell /
 generation slot is bumped only after the frame body is complete, so a
 poller that observes the new sequence value observes a complete frame
 (CPython's GIL orders the stores within the writer; x86-TSO and the
 release/acquire behavior of aligned 8-byte slots keep the reader
-consistent — the same discipline the telemetry plane's bank stamping
-relies on).
+consistent). Bank slots need no sequence of their own: the reply that
+follows them is the fence.
 
-The segment uses the telemetry plane's ``clkt-<pid>-<hex>`` naming, so
-:func:`repro.sim.telemetry.sweep_stale_segments` reclaims control
-segments of crashed drivers exactly like telemetry segments. The driver
-creates and unlinks; workers attach and close (shared
-``resource_tracker``, same rules as the telemetry plane).
+Lifecycle: the driver :meth:`creates <ShmPlane.create>` the segment and
+is the only party that ever unlinks it (in a ``finally`` during engine
+shutdown); workers :meth:`attach <ShmPlane.attach>` by name and merely
+close their mapping on exit. Segment names are ``clkt-<pid>-<hex>``, so
+:func:`sweep_stale_segments` reclaims the segment of a crashed driver.
 """
 
 from __future__ import annotations
@@ -79,10 +91,20 @@ import math
 import os
 import secrets
 from multiprocessing import shared_memory
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
-from repro.sim.telemetry import SEGMENT_PREFIX, sweep_stale_segments
+
+#: ticks batched per epoch frame; the segment carries one bank more
+EPOCH_TICKS = 8
+_BANKS = EPOCH_TICKS + 1
+
+#: segment names are ``clkt-<driver pid>-<random hex>`` — the embedded
+#: pid lets a later run prove the owner is gone before sweeping a
+#: leftover segment (a SIGKILLed driver never reaches its unlink)
+SEGMENT_PREFIX = "clkt"
+
+_SHM_DIR = "/dev/shm"
 
 _SLOT_BYTES = 8
 
@@ -96,6 +118,7 @@ _REQ_A = 2
 _REQ_B = 3
 _REQ_TICKS = 4
 _TICK_SLOTS = 4
+_REQ_STRIDE = _REQ_TICKS + _TICK_SLOTS * EPOCH_TICKS
 
 _RSP_SEQ = 0
 _RSP_STATUS = 1
@@ -108,8 +131,62 @@ _RSP_NREM = 7
 _RSP_ARRAYS = 8
 
 
-class ControlPlane:
-    """Per-shard request/reply slot blocks in one shared segment."""
+def _layout(host_counts: Sequence[int], observer_capacity: int) -> Tuple[int, int]:
+    """Slot counts of the control region and of the whole segment."""
+    control = len(host_counts) * _REQ_STRIDE + sum(
+        _RSP_ARRAYS + 3 * h for h in host_counts
+    )
+    return control, control + _BANKS * (sum(host_counts) + observer_capacity)
+
+
+def _segment_owner_pid(name: str) -> Optional[int]:
+    """Parse the creator pid out of a segment name (None: not ours)."""
+    parts = name.split("-")
+    if len(parts) != 3 or parts[0] != SEGMENT_PREFIX:
+        return None
+    try:
+        return int(parts[1])
+    except ValueError:
+        return None
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # pragma: no cover - exists, owned by another uid
+        return True
+    return True
+
+
+def sweep_stale_segments() -> List[str]:
+    """Unlink segments whose creating driver is dead.
+
+    An abnormally killed driver (SIGKILL, OOM) never reaches the
+    ``finally``-unlink in ``ParallelFleetEngine.close``, leaking its
+    segment in ``/dev/shm`` until reboot. Each engine start sweeps the
+    name-prefixed leftovers of *dead* pids; segments whose embedded pid
+    is still alive belong to a concurrent run and are never touched.
+    Returns the names removed (for tests and logging).
+    """
+    if not os.path.isdir(_SHM_DIR):  # pragma: no cover - non-Linux
+        return []
+    removed: List[str] = []
+    for name in os.listdir(_SHM_DIR):
+        pid = _segment_owner_pid(name)
+        if pid is None or pid == os.getpid() or _pid_alive(pid):
+            continue
+        try:
+            os.unlink(os.path.join(_SHM_DIR, name))
+        except FileNotFoundError:  # pragma: no cover - lost the race
+            continue
+        removed.append(name)
+    return removed
+
+
+class ShmPlane:
+    """Per-shard request/reply blocks plus telemetry banks, one segment."""
 
     #: reply statuses
     OK = 0
@@ -120,47 +197,55 @@ class ControlPlane:
     #: is on the pipe
     ERROR = 2
 
+    #: telemetry banks: one per tick of an epoch, plus one
+    banks = _BANKS
+
     def __init__(
         self,
         shm: shared_memory.SharedMemory,
         host_counts: Sequence[int],
-        epoch_ticks: int,
+        observer_capacity: int,
         owner: bool,
     ):
         self._shm = shm
         self.host_counts = tuple(host_counts)
-        self.epoch_ticks = epoch_ticks
+        self.total_servers = sum(self.host_counts)
+        self.observer_capacity = observer_capacity
         self._owner = owner
         self._released = False
         self._f = memoryview(shm.buf).cast("d")
         self._i = memoryview(shm.buf).cast("q")
-        self._req_stride = _REQ_TICKS + _TICK_SLOTS * epoch_ticks
-        self._req_base = [s * self._req_stride for s in range(len(self.host_counts))]
-        total_req = self._req_stride * len(self.host_counts)
+        self._req_base = [s * _REQ_STRIDE for s in range(len(self.host_counts))]
         self._rsp_base = []
-        offset = total_req
+        offset = _REQ_STRIDE * len(self.host_counts)
         for hosts in self.host_counts:
             self._rsp_base.append(offset)
             offset += _RSP_ARRAYS + 3 * hosts
-        self._slots = offset
+        #: the first bank slot (everything before it is control) and
+        #: the segment's slot count
+        self._bank_base, self._slots = _layout(self.host_counts, observer_capacity)
+        self._stride = self.total_servers + observer_capacity
 
     # -- construction ---------------------------------------------------
 
     @classmethod
     def create(
-        cls, host_counts: Sequence[int], epoch_ticks: int
-    ) -> "ControlPlane":
-        """Driver side: allocate the segment, zero-filled (seq 0 = idle)."""
+        cls, host_counts: Sequence[int], observer_capacity: int
+    ) -> "ShmPlane":
+        """Driver side: allocate the segment (control zeroed: seq 0 =
+        idle; banks NaN-filled)."""
         if not host_counts or any(h < 1 for h in host_counts):
             raise SimulationError(
-                f"control plane needs >= 1 host per shard: {host_counts!r}"
+                "the segment needs at least one host server slot per"
+                f" shard: {host_counts!r}"
             )
-        if epoch_ticks < 1:
-            raise SimulationError(f"epoch_ticks must be >= 1: {epoch_ticks}")
+        if observer_capacity < 0:
+            raise SimulationError(
+                f"observer capacity must be >= 0: {observer_capacity}"
+            )
         sweep_stale_segments()
-        n_req = (_REQ_TICKS + _TICK_SLOTS * epoch_ticks) * len(host_counts)
-        n_rsp = sum(_RSP_ARRAYS + 3 * h for h in host_counts)
-        size = (n_req + n_rsp) * _SLOT_BYTES
+        control, slots = _layout(host_counts, observer_capacity)
+        size = slots * _SLOT_BYTES
         while True:
             name = f"{SEGMENT_PREFIX}-{os.getpid()}-{secrets.token_hex(4)}"
             try:
@@ -168,16 +253,31 @@ class ControlPlane:
             except FileExistsError:  # pragma: no cover - 1-in-2^32 collision
                 continue
             break
-        shm.buf[:size] = bytes(size)
-        return cls(shm, host_counts, epoch_ticks, owner=True)
+        plane = cls(shm, host_counts, observer_capacity, owner=True)
+        shm.buf[: control * _SLOT_BYTES] = bytes(control * _SLOT_BYTES)
+        nan = math.nan
+        for slot in range(control, slots):
+            plane._f[slot] = nan
+        return plane
 
     @classmethod
     def attach(
-        cls, name: str, host_counts: Sequence[int], epoch_ticks: int
-    ) -> "ControlPlane":
-        """Worker side: attach by name (same tracker rules as telemetry)."""
+        cls, name: str, host_counts: Sequence[int], observer_capacity: int
+    ) -> "ShmPlane":
+        """Worker side: attach to the driver's segment by name.
+
+        Spawned shard workers share the driver's ``resource_tracker``
+        process, so the attach-side registration CPython performs is a
+        set-level duplicate of the driver's create-side one: the single
+        unregister issued by the driver's :meth:`unlink` clears it, a
+        worker exit triggers no teardown, and a driver that dies without
+        cleanup still gets the segment reaped by the tracker at exit.
+        Nothing to compensate for here — workers must NOT unregister,
+        or they would strip the driver's registration from the shared
+        tracker.
+        """
         shm = shared_memory.SharedMemory(name=name)
-        return cls(shm, host_counts, epoch_ticks, owner=False)
+        return cls(shm, host_counts, observer_capacity, owner=False)
 
     # -- geometry -------------------------------------------------------
 
@@ -190,6 +290,25 @@ class ControlPlane:
     def segment_bytes(self) -> int:
         """Allocated size of the shared segment."""
         return self._slots * _SLOT_BYTES
+
+    @property
+    def row_bytes(self) -> int:
+        """Payload bytes of one full wall-power row."""
+        return self.total_servers * _SLOT_BYTES
+
+    def _wall_slot(self, bank: int, index: int) -> int:
+        if not 0 <= bank < self.banks:
+            raise SimulationError(f"bank out of range: {bank}")
+        if not 0 <= index < self.total_servers:
+            raise SimulationError(f"server index out of range: {index}")
+        return self._bank_base + bank * self._stride + index
+
+    def _observer_slot(self, bank: int, slot: int) -> int:
+        if not 0 <= bank < self.banks:
+            raise SimulationError(f"bank out of range: {bank}")
+        if not 0 <= slot < self.observer_capacity:
+            raise SimulationError(f"observer slot out of range: {slot}")
+        return self._bank_base + bank * self._stride + self.total_servers + slot
 
     # -- driver: request side -------------------------------------------
 
@@ -211,7 +330,7 @@ class ControlPlane:
             nbytes = 3 * _SLOT_BYTES
         elif verb == "epoch":
             ticks, oids = msg[1], msg[2]
-            if oids or len(ticks) > self.epoch_ticks:
+            if oids or len(ticks) > EPOCH_TICKS:
                 return None
             self._i[base + _REQ_A] = len(ticks)
             slot = base + _REQ_TICKS
@@ -353,6 +472,30 @@ class ControlPlane:
             nbytes = 4 * _SLOT_BYTES
         return result, nbytes
 
+    # -- telemetry banks ------------------------------------------------
+
+    def write_wall(self, bank: int, index: int, watts: Optional[float]) -> None:
+        """Write one server's sampled watts (``None`` = crashed, gap)."""
+        self._f[self._wall_slot(bank, index)] = (
+            math.nan if watts is None else watts
+        )
+
+    def read_wall(self, bank: int, index: int) -> Optional[float]:
+        """Read one server's sampled watts (``None`` = crashed, gap)."""
+        value = self._f[self._wall_slot(bank, index)]
+        return None if math.isnan(value) else value
+
+    def write_observer(self, bank: int, slot: int, watts: Optional[float]) -> None:
+        """Write one attack observer's reading (``None`` = no sample)."""
+        self._f[self._observer_slot(bank, slot)] = (
+            math.nan if watts is None else watts
+        )
+
+    def read_observer(self, bank: int, slot: int) -> Optional[float]:
+        """Read one attack observer's reading (``None`` = no sample)."""
+        value = self._f[self._observer_slot(bank, slot)]
+        return None if math.isnan(value) else value
+
     # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
@@ -365,7 +508,13 @@ class ControlPlane:
         self._shm.close()
 
     def unlink(self) -> None:
-        """Driver side: destroy the segment (idempotent, owner-gated)."""
+        """Driver side: destroy the segment (idempotent, swallows races).
+
+        Owner-gated: worker mappings — including those of supervisor-
+        respawned workers, which re-attach to the *live* segment by name
+        — can never unlink it, and the driver's own double call is a
+        no-op past the first.
+        """
         self.close()
         if not self._owner:
             return

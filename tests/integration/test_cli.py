@@ -44,6 +44,29 @@ class TestParser:
         assert args.servers == 16
 
 
+class TestRunArgs:
+    @pytest.mark.parametrize(
+        "argv",
+        (["attack"], ["fleet"], ["ops", "serve"]),
+        ids=("attack", "fleet", "ops-serve"),
+    )
+    def test_parallel_without_spawn_refused(self, argv, capsys, monkeypatch):
+        import multiprocessing
+
+        monkeypatch.setattr(
+            multiprocessing, "get_all_start_methods", lambda: ["fork"]
+        )
+        assert main(argv + ["--parallel", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: --parallel needs the 'spawn' process start method"
+        )
+
+    def test_checkpoint_dir_needs_parallel(self, capsys):
+        assert main(["fleet", "--checkpoint-dir", "ckpt"]) == 2
+        assert "--checkpoint-dir requires --parallel" in capsys.readouterr().err
+
+
 class TestExecution:
     def test_scan_runs_and_reports(self, capsys):
         assert main(["scan", "--seed", "3"]) == 0

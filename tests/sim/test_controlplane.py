@@ -1,4 +1,5 @@
-"""Shared-memory control plane: slot protocol, epoch batching, recovery.
+"""Control slots of the shared-memory segment: slot protocol, epoch
+batching, recovery.
 
 Four contracts from ``docs/parallel.md``:
 
@@ -25,10 +26,9 @@ import pytest
 
 from repro.datacenter.simulation import DatacenterSimulation
 from repro.errors import SimulationError
-from repro.sim import telemetry
-from repro.sim.controlplane import ControlPlane
+from repro.sim import shm
 from repro.sim.faults import FaultEvent, FaultKind, FaultSchedule
-from repro.sim.telemetry import TelemetryPlane
+from repro.sim.shm import EPOCH_TICKS, ShmPlane
 
 SEED = 7
 
@@ -85,8 +85,8 @@ def chaos_schedule():
 
 
 class TestSlotProtocol:
-    def make(self, host_counts=(3, 2), epoch_ticks=4):
-        return ControlPlane.create(host_counts, epoch_ticks)
+    def make(self, host_counts=(3, 2)):
+        return ShmPlane.create(host_counts, 0)
 
     def test_plan_round_trip(self):
         plane = self.make()
@@ -101,7 +101,7 @@ class TestSlotProtocol:
             result = ((7, 8), (9,), (0.5, 0.25), True, 123.0)
             plane.write_reply(1, seq, "plan", result, wait_s=1e-4)
             assert plane.rsp_seq(1) == seq
-            assert plane.reply_status(1) == ControlPlane.OK
+            assert plane.reply_status(1) == ShmPlane.OK
             assert plane.reply_wait_s(1) == pytest.approx(1e-4)
             decoded, received = plane.read_reply(1, "plan")
             assert decoded == result
@@ -134,9 +134,11 @@ class TestSlotProtocol:
             plane.unlink()
 
     def test_slow_path_refusals_leave_doorbell_alone(self):
-        plane = self.make(epoch_ticks=2)
+        plane = self.make()
         try:
-            too_long = tuple((None, 1.0, 0, False) for _ in range(3))
+            too_long = tuple(
+                (None, 1.0, 0, False) for _ in range(EPOCH_TICKS + 1)
+            )
             assert plane.post(0, ("epoch", too_long, ())) is None  # oversized
             assert plane.post(0, ("begin", 0, False, (("op",),))) is None
             one = ((None, 1.0, 0, False),)
@@ -153,12 +155,12 @@ class TestSlotProtocol:
         plane = self.make()
         try:
             seq, _ = plane.post(0, ("plan", 1.0))
-            plane.write_status(0, seq, ControlPlane.PAYLOAD_PIPE, wait_s=0.5)
+            plane.write_status(0, seq, ShmPlane.PAYLOAD_PIPE, wait_s=0.5)
             assert plane.rsp_seq(0) == seq
-            assert plane.reply_status(0) == ControlPlane.PAYLOAD_PIPE
+            assert plane.reply_status(0) == ShmPlane.PAYLOAD_PIPE
             assert plane.reply_wait_s(0) == pytest.approx(0.5)
-            plane.write_status(0, seq + 1, ControlPlane.ERROR, wait_s=0.0)
-            assert plane.reply_status(0) == ControlPlane.ERROR
+            plane.write_status(0, seq + 1, ShmPlane.ERROR, wait_s=0.0)
+            assert plane.reply_status(0) == ShmPlane.ERROR
         finally:
             plane.unlink()
 
@@ -166,8 +168,8 @@ class TestSlotProtocol:
         owner = self.make()
         peer = None
         try:
-            peer = ControlPlane.attach(
-                owner.name, owner.host_counts, owner.epoch_ticks
+            peer = ShmPlane.attach(
+                owner.name, owner.host_counts, owner.observer_capacity
             )
             seq, _ = owner.post(0, ("plan", 9.25))
             assert peer.req_seq(0) == seq
@@ -185,28 +187,25 @@ class TestSlotProtocol:
 
     def test_create_validation(self):
         with pytest.raises(SimulationError, match="host"):
-            ControlPlane.create((), 4)
+            ShmPlane.create((), 4)
         with pytest.raises(SimulationError, match="host"):
-            ControlPlane.create((2, 0), 4)
-        with pytest.raises(SimulationError, match="epoch_ticks"):
-            ControlPlane.create((2,), 0)
+            ShmPlane.create((2, 0), 4)
 
     def test_segment_named_for_stale_sweep(self):
         if not os.path.isdir("/dev/shm"):
             pytest.skip("no /dev/shm on this platform")
-        # control segments use the telemetry naming scheme, so a dead
-        # driver's control segment is reclaimed by the same sweep that
-        # engine startup runs (ControlPlane.create sweeps too)
+        # a dead driver's segment is reclaimed by the sweep that every
+        # segment creation runs
         pid = os.fork()
         if pid == 0:
             os._exit(0)
         os.waitpid(pid, 0)
-        stale = f"{telemetry.SEGMENT_PREFIX}-{pid}-c0ffee00"
+        stale = f"{shm.SEGMENT_PREFIX}-{pid}-c0ffee00"
         with open(os.path.join("/dev/shm", stale), "wb") as fh:
             fh.write(b"\0" * 64)
-        plane = ControlPlane.create((2,), 4)
+        plane = ShmPlane.create((2,), 4)
         try:
-            assert telemetry._segment_owner_pid(plane.name) == os.getpid()
+            assert shm._segment_owner_pid(plane.name) == os.getpid()
             assert not os.path.exists(os.path.join("/dev/shm", stale))
         finally:
             plane.unlink()
@@ -214,15 +213,15 @@ class TestSlotProtocol:
 
 class TestBankFlip:
     def test_epoch_banks_do_not_overwrite_each_other(self):
-        # batched epochs need epoch_ticks + 1 banks: every tick of an
+        # batched epochs need EPOCH_TICKS + 1 banks: every tick of an
         # epoch lands in its own bank, folded only after the one reply
-        plane = TelemetryPlane.create(2, 1, banks=5)
+        plane = ShmPlane.create((2,), 1)
         try:
-            for bank in range(5):
+            for bank in range(plane.banks):
                 plane.write_wall(bank, 0, 100.0 + bank)
                 plane.write_wall(bank, 1, None if bank == 2 else 200.0 + bank)
                 plane.write_observer(bank, 0, 300.0 + bank)
-            for bank in range(5):
+            for bank in range(plane.banks):
                 assert plane.read_wall(bank, 0) == 100.0 + bank
                 if bank == 2:
                     assert plane.read_wall(bank, 1) is None
@@ -233,11 +232,11 @@ class TestBankFlip:
             plane.unlink()
 
     def test_bank_out_of_range_rejected(self):
-        plane = TelemetryPlane.create(2, 0, banks=3)
+        plane = ShmPlane.create((2,), 0)
         try:
-            plane.write_wall(2, 0, 1.0)
+            plane.write_wall(EPOCH_TICKS, 0, 1.0)
             with pytest.raises(SimulationError, match="bank"):
-                plane.write_wall(3, 0, 1.0)
+                plane.write_wall(EPOCH_TICKS + 1, 0, 1.0)
         finally:
             plane.unlink()
 
@@ -246,7 +245,12 @@ class TestBankFlip:
         try:
             sim.run(10.0, parallel=2)
             engine = sim._parallel
-            assert engine.plane.banks == engine.cplane.epoch_ticks + 1
+            assert engine.plane.banks == EPOCH_TICKS + 1
+            # one segment per engine: every shard attaches to it
+            assert engine.cplane is None
+            assert {spec.segment_name for spec in engine._specs} == {
+                engine.plane.name
+            }
         finally:
             sim.close()
 
@@ -433,7 +437,7 @@ class TestStartupFailure:
     def test_control_plane_failure_leaks_no_segment(self, monkeypatch):
         if not os.path.isdir("/dev/shm"):
             pytest.skip("no /dev/shm on this platform")
-        prefix = f"{telemetry.SEGMENT_PREFIX}-{os.getpid()}-"
+        prefix = f"{shm.SEGMENT_PREFIX}-{os.getpid()}-"
 
         def segments():
             return {n for n in os.listdir("/dev/shm") if n.startswith(prefix)}
@@ -441,15 +445,14 @@ class TestStartupFailure:
         def no_space(*args, **kwargs):
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(
-            "repro.sim.parallel.ControlPlane.create", no_space
-        )
+        # fail right after the segment exists
+        monkeypatch.setattr("repro.sim.parallel.IpcMetrics", no_space)
         before = segments()
         sim = build(servers=4, rack_size=2)
         with pytest.raises(OSError) as info:
             sim.run(10.0, parallel=2)
         assert info.value.errno == errno.ENOSPC
-        # the telemetry plane was created first; the failed start-up
-        # must have unlinked it
+        # the segment was created first; the failed start-up must have
+        # unlinked it
         assert segments() == before
         assert sim._parallel is None

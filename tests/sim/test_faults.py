@@ -320,6 +320,39 @@ class TestFaultInjectorOnMachine:
         # outside the window: no displacement, no draw
         assert injector.jittered_time(2000.0, 30.0, floor=last) == 2000.0
 
+    def test_targetless_injector_replays_jitter_only(self):
+        # the sharded driver's slice of a schedule: clock jitter needs no
+        # target and draws exactly what a kernel-holding injector draws
+        jitter = FaultEvent(
+            at=0.0, kind=FaultKind.CLOCK_JITTER, duration_s=2000.0,
+            magnitude=0.3,
+        )
+        machine = Machine(seed=3)
+        ref = FaultInjector(
+            FaultSchedule([jitter], seed=1), kernels=[machine.kernel]
+        )
+        bare = FaultInjector(FaultSchedule([jitter], seed=1), kernels=())
+        assert ref.advance(0.0) and bare.advance(0.0)
+        assert bare.next_barrier(0.0) == ref.next_barrier(0.0) == 2000.0
+        last = 0.0
+        for k in range(1, 20):
+            when = bare.jittered_time(30.0 * k, 30.0, floor=last)
+            assert when == ref.jittered_time(30.0 * k, 30.0, floor=last)
+            last = when
+        assert bare.stats.as_dict() == ref.stats.as_dict()
+
+    @pytest.mark.parametrize(
+        "kind", (FaultKind.MACHINE_CRASH, FaultKind.OOM_KILL,
+                 FaultKind.BREAKER_TRIP),
+    )
+    def test_targetless_injector_refuses_targeted_events(self, kind):
+        duration = 10.0 if kind is not FaultKind.OOM_KILL else 0.0
+        sched = FaultSchedule(
+            [FaultEvent(at=5.0, kind=kind, duration_s=duration)], seed=1
+        )
+        with pytest.raises(SimulationError, match="no target"):
+            FaultInjector(sched, kernels=())
+
     def test_pseudo_eio_default_paths_are_globs_over_real_files(self):
         machine = Machine(seed=3)
         vfs_paths = [p for p, _ in __import__(

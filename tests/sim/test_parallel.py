@@ -4,12 +4,17 @@ same gaps, same tick counts, same fault counters, same trip log. No
 tolerance: float-for-float equality is the contract (`docs/parallel.md`).
 """
 
+import multiprocessing
+import os
+
 import pytest
 
 from repro.datacenter.simulation import DatacenterSimulation
 from repro.errors import CloudError, SimulationError
+from repro.sim import shm
 from repro.sim.fastforward import DriverHorizon
 from repro.sim.faults import FaultEvent, FaultKind, FaultSchedule
+from repro.sim.parallel import ParallelFleetEngine, _ShardFailure
 
 SEED = 7
 
@@ -190,6 +195,64 @@ class TestGuards:
             assert sim.now == 10.0
         finally:
             sim.close()
+
+
+class TestDriverKernelState:
+    """Kernel hooks set on the driver cannot follow the fleet into the
+    shard workers, which rebuild every host from the fleet config."""
+
+    @pytest.mark.parametrize("attr", ("rapl_read_hook", "tick_listeners"))
+    def test_hooked_kernel_refused_before_any_segment(self, attr):
+        prefix = f"{shm.SEGMENT_PREFIX}-{os.getpid()}-"
+
+        def segments():
+            if not os.path.isdir("/dev/shm"):
+                return set()
+            return {n for n in os.listdir("/dev/shm") if n.startswith(prefix)}
+
+        before = segments()
+        sim = build(servers=2, rack_size=2)
+        kernel = sim.fleet.kernels[1]
+        if attr == "rapl_read_hook":
+            kernel.rapl_read_hook = lambda reader, domain: 0
+        else:
+            kernel.tick_listeners.append(lambda result: None)
+        with pytest.raises(SimulationError, match=f"host 1 has kernel.{attr}"):
+            sim.run(5.0, parallel=1)
+        assert sim._parallel is None
+        assert segments() == before
+
+
+class _DeadProcess:
+    """A worker process stub that has already exited."""
+
+    exitcode = 3
+
+    def is_alive(self):
+        return False
+
+    def join(self, timeout=None):
+        pass
+
+
+class TestStartupDeath:
+    def test_closed_pipe_at_startup_names_the_death(self):
+        # a spawned worker that dies before its handshake (say, failing
+        # to import the parent's __main__) leaves a pipe at EOF, which
+        # poll() reports as readable
+        engine = ParallelFleetEngine.__new__(ParallelFleetEngine)
+        parent, child = multiprocessing.Pipe()
+        child.close()
+        engine.conns = [parent]
+        engine.procs = [_DeadProcess()]
+        try:
+            with pytest.raises(_ShardFailure) as info:
+                engine._wait_ready(0)
+        finally:
+            parent.close()
+        assert info.value.kind == "died"
+        assert info.value.detail == "died during startup (exitcode 3)"
+        assert isinstance(info.value.cause, EOFError)
 
 
 class TestSchedulePartition:

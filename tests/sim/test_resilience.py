@@ -21,7 +21,7 @@ import pytest
 
 from repro.datacenter.simulation import DatacenterSimulation
 from repro.errors import SimulationError
-from repro.sim import telemetry
+from repro.sim import shm
 from repro.sim.resilience import (
     SNAPSHOT_VERSION,
     ResilienceConfig,
@@ -147,6 +147,36 @@ class TestSnapshotFiles:
         )
         with pytest.raises(SimulationError, match="version 2"):
             load_manifest(str(tmp_path))
+
+    def test_version_4_manifest_refused_by_path(self, tmp_path):
+        # version 4 pickled the driver's jitter state as a class that no
+        # longer exists
+        path = manifest_path(str(tmp_path))
+        atomic_write(path, pickle.dumps({"version": 4, "faults": None}))
+        with pytest.raises(SimulationError, match="version 4") as info:
+            load_manifest(str(tmp_path))
+        assert path in str(info.value)
+
+    def test_manifest_naming_a_deleted_class_refused(self, tmp_path, monkeypatch):
+        from repro.sim import parallel
+
+        class _DriverFaultReplayer:
+            pass
+
+        _DriverFaultReplayer.__module__ = "repro.sim.parallel"
+        _DriverFaultReplayer.__qualname__ = "_DriverFaultReplayer"
+        monkeypatch.setattr(
+            parallel, "_DriverFaultReplayer", _DriverFaultReplayer,
+            raising=False,
+        )
+        blob = pickle.dumps({"version": 4, "faults": _DriverFaultReplayer()})
+        monkeypatch.delattr(parallel, "_DriverFaultReplayer")
+        assert b"_DriverFaultReplayer" in blob
+        path = manifest_path(str(tmp_path))
+        atomic_write(path, blob)
+        with pytest.raises(SimulationError, match="another build") as info:
+            load_manifest(str(tmp_path))
+        assert path in str(info.value)
 
     def test_missing_manifest_names_resume(self, tmp_path):
         with pytest.raises(SimulationError, match="nothing to resume"):
@@ -391,14 +421,14 @@ class TestStaleSegmentSweep:
         if pid == 0:
             os._exit(0)
         os.waitpid(pid, 0)
-        dead = f"{telemetry.SEGMENT_PREFIX}-{pid}-deadbeef"
-        live = f"{telemetry.SEGMENT_PREFIX}-{os.getpid()}-cafecafe"
+        dead = f"{shm.SEGMENT_PREFIX}-{pid}-deadbeef"
+        live = f"{shm.SEGMENT_PREFIX}-{os.getpid()}-cafecafe"
         other = "unrelated-segment"
         for name in (dead, live, other):
             with open(os.path.join("/dev/shm", name), "wb") as fh:
                 fh.write(b"\0" * 8)
         try:
-            removed = telemetry.sweep_stale_segments()
+            removed = shm.sweep_stale_segments()
             assert dead in removed
             assert not os.path.exists(os.path.join("/dev/shm", dead))
             assert os.path.exists(os.path.join("/dev/shm", live))
@@ -411,9 +441,9 @@ class TestStaleSegmentSweep:
                     pass
 
     def test_segment_names_carry_owner_pid(self):
-        plane = telemetry.TelemetryPlane.create(2, 2)
+        plane = shm.ShmPlane.create((2,), 2)
         try:
-            assert telemetry._segment_owner_pid(plane.name) == os.getpid()
+            assert shm._segment_owner_pid(plane.name) == os.getpid()
         finally:
             plane.unlink()
 

@@ -1,5 +1,6 @@
-"""Shared-memory telemetry plane: geometry, encoding, double-buffer
-reuse, and segment lifecycle (including cleanup after a worker crash).
+"""Telemetry banks of the shared-memory segment: geometry, encoding,
+bank reuse, and segment lifecycle (including cleanup after a worker
+crash).
 """
 
 import math
@@ -9,19 +10,20 @@ from multiprocessing import shared_memory
 
 from repro.datacenter.simulation import DatacenterSimulation
 from repro.errors import SimulationError
-from repro.sim.telemetry import BANKS, TelemetryPlane
+from repro.sim.shm import EPOCH_TICKS, ShmPlane
 
 
 def make_plane(servers=10, observers=4):
-    plane = TelemetryPlane.create(servers, observers)
-    return plane
+    return ShmPlane.create((servers,), observers)
 
 
 class TestGeometry:
     def test_segment_sizing(self):
         plane = make_plane(servers=10, observers=4)
         try:
-            assert plane.segment_bytes == BANKS * (10 + 4) * 8
+            # one shard's request and reply blocks, then the banks
+            control = (4 + 4 * EPOCH_TICKS) + (8 + 3 * 10)
+            assert plane.segment_bytes == (control + plane.banks * (10 + 4)) * 8
             assert plane.row_bytes == 10 * 8
             # the OS may round the mapping up, never down
             assert plane._shm.size >= plane.segment_bytes
@@ -30,15 +32,15 @@ class TestGeometry:
 
     def test_rejects_degenerate_shapes(self):
         with pytest.raises(SimulationError, match="server slot"):
-            TelemetryPlane.create(0, 4)
+            ShmPlane.create((0,), 4)
         with pytest.raises(SimulationError, match="observer capacity"):
-            TelemetryPlane.create(4, -1)
+            ShmPlane.create((4,), -1)
 
     def test_slot_range_checks(self):
         plane = make_plane(servers=3, observers=2)
         try:
             with pytest.raises(SimulationError, match="bank"):
-                plane.write_wall(2, 0, 1.0)
+                plane.write_wall(plane.banks, 0, 1.0)
             with pytest.raises(SimulationError, match="server index"):
                 plane.read_wall(0, 3)
             with pytest.raises(SimulationError, match="observer slot"):
@@ -51,7 +53,7 @@ class TestEncoding:
     def test_starts_nan_everywhere(self):
         plane = make_plane(servers=4, observers=2)
         try:
-            for bank in range(BANKS):
+            for bank in range(plane.banks):
                 assert all(plane.read_wall(bank, i) is None for i in range(4))
                 assert all(
                     plane.read_observer(bank, s) is None for s in range(2)
@@ -89,7 +91,7 @@ class TestEncoding:
         plane = make_plane(servers=3, observers=1)
         try:
             plane.write_wall(1, 2, 77.0)
-            other = TelemetryPlane.attach(plane.name, 3, 1)
+            other = ShmPlane.attach(plane.name, (3,), 1)
             try:
                 assert other.read_wall(1, 2) == 77.0
                 other.write_observer(0, 0, 5.5)
@@ -114,7 +116,7 @@ class TestLifecycle:
     def test_attached_unlink_does_not_destroy(self):
         plane = make_plane(servers=2, observers=1)
         try:
-            other = TelemetryPlane.attach(plane.name, 2, 1)
+            other = ShmPlane.attach(plane.name, (2,), 1)
             other.unlink()  # non-owner: close only
             assert plane.read_wall(0, 0) is None  # still mapped and alive
         finally:
@@ -127,7 +129,7 @@ def _segment_name(sim):
 
 class TestEngineIntegration:
     def test_double_buffer_reuse_across_coalesced_steps(self):
-        # a long coalesced run recycles the two banks far more times than
+        # a long coalesced run recycles the banks far more times than
         # there are banks; the trace must still be bit-identical to serial
         serial = DatacenterSimulation(
             servers=8, rack_size=4, seed=7, sample_interval_s=30.0
@@ -138,7 +140,7 @@ class TestEngineIntegration:
         )
         par.run(3600.0, coalesce=True, parallel=2)
         try:
-            assert par.metrics.samples > BANKS
+            assert par.metrics.samples > ShmPlane.banks
             assert tuple(serial.aggregate_trace.watts) == tuple(
                 par.aggregate_trace.watts
             )
