@@ -5,10 +5,13 @@ patches fix *existing* namespaces' blind spots (Section V-A's second
 stage): the implantation channels (timer_list, locks, sched_debug — the
 CVE-2017-5967 class) and the Case Study I ``net_prio.ifpriomap`` handler.
 
-Applying a patch swaps the pseudo-file's handler for the namespace-aware
-version on a live VFS, the moral equivalent of booting the patched
-kernel. The detection and co-residence tooling can then be re-run to
-verify the channels are closed — without any masking policy.
+Applying a patch serves the pseudo-file through the namespace-aware
+handler on one live VFS, the moral equivalent of booting that host's
+patched kernel. The replacement lives in the VFS's own overlay (see
+:meth:`repro.procfs.vfs.PseudoVFS.patch`): the tree it shares with
+same-shape hosts is untouched, so their files stay unpatched. The
+detection and co-residence tooling can then be re-run to verify the
+channels are closed — without any masking policy.
 """
 
 from __future__ import annotations
@@ -51,9 +54,7 @@ def apply_patch(vfs: PseudoVFS, path: str) -> str:
     if patch is None:
         raise DefenseError(f"no namespace patch available for {path}")
     renderer, note = patch
-    node = vfs.lookup(path)
-    node.render = renderer
-    node.namespaced = True
+    vfs.patch(path, renderer)
     return note
 
 

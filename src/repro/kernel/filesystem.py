@@ -10,7 +10,7 @@ statistics, which change as *anyone* on the host writes — a V=True channel).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.errors import KernelError
 from repro.kernel.scheduler import TickResult
@@ -54,15 +54,34 @@ class Ext4Group:
 
 
 class Ext4Filesystem:
-    """mb_groups state for one disk."""
+    """mb_groups state for one disk.
+
+    The block groups are drawn on first access from the disk's own named
+    stream ``ext4-<disk>``, so a host that never reads ``mb_groups`` or
+    writes to the disk skips the draw, and one that does sees the values
+    a boot-time draw would have given.
+    """
 
     BLOCKS_PER_GROUP = 32768
 
     def __init__(self, disk: str, groups: int, rng: DeterministicRNG):
         self.disk = disk
-        stream = rng.stream(f"ext4-{disk}")
-        self.groups: List[Ext4Group] = []
-        for g in range(groups):
+        self._ngroups = groups
+        self._rng = rng
+        self._groups: Optional[List[Ext4Group]] = None
+
+    @property
+    def groups(self) -> List[Ext4Group]:
+        """The block groups (drawn on first access)."""
+        groups = self._groups
+        if groups is None:
+            groups = self._groups = self._draw_groups()
+        return groups
+
+    def _draw_groups(self) -> List[Ext4Group]:
+        stream = self._rng.stream(f"ext4-{self.disk}")
+        groups: List[Ext4Group] = []
+        for g in range(self._ngroups):
             free = stream.randint(2000, self.BLOCKS_PER_GROUP - 500)
             group = Ext4Group(
                 group=g,
@@ -77,16 +96,18 @@ class Ext4Filesystem:
                 take = stream.randint(0, max(0, count))
                 group.buddy[order] = take
                 remaining -= take * size
-            self.groups.append(group)
+            groups.append(group)
         self._stream = stream
+        return groups
 
     def apply_io(self, write_ops: int) -> None:
         """Writes allocate/free blocks, perturbing group statistics."""
         if write_ops <= 0:
             return
-        touched = min(len(self.groups), 1 + write_ops // 256)
+        groups = self.groups  # draws the groups before the I/O draws
+        touched = min(len(groups), 1 + write_ops // 256)
         for _ in range(touched):
-            group = self._stream.choice(self.groups)
+            group = self._stream.choice(groups)
             delta = self._stream.randint(-24, 24)
             group.free_blocks = max(
                 128, min(self.BLOCKS_PER_GROUP, group.free_blocks + delta)

@@ -6,12 +6,18 @@ tooling needs: a stable channel id (used by the Table I/II machinery) and a
 namespaces. The flag is *declarative documentation that the tests verify
 behaviourally* — the cross-validation detector must rediscover it by
 diffing, never by reading the flag.
+
+A tree is a pure function of a :class:`TreeShape`: renderers reach host
+state only through ``ctx.kernel`` and close over nothing but indices and
+names, so every host of one shape can share one built tree. A
+:class:`PathIndex` flattens a built tree into one ``{path: node}`` dict
+and one cached file walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import FileNotFoundPseudoError, PseudoFileError
 from repro.kernel.namespaces import Namespace, NamespaceType, root_namespace_set
@@ -115,34 +121,67 @@ class PseudoDir:
         self.add(node)
         return node
 
-    def child(self, name: str):
-        """Look up one child, or None."""
-        return self._children.get(name)
-
     def children(self) -> List[object]:
         """All children in insertion order."""
         return list(self._children.values())
 
-    def resolve(self, parts: List[str]):
-        """Resolve a relative path (list of components) to a node."""
-        node: object = self
-        for part in parts:
-            if not isinstance(node, PseudoDir):
-                return None
-            node = node.child(name=part)
-            if node is None:
-                return None
-        return node
 
-    def walk(self, prefix: str = "") -> Iterator[Tuple[str, PseudoFile]]:
-        """Yield (path, file) for every file in this subtree."""
-        for child in self._children.values():
+@dataclass(frozen=True)
+class TreeShape:
+    """The hardware a host's ``/proc`` and ``/sys`` trees depend on.
+
+    The tree builders read nothing but this, so it is also the key under
+    which hosts share one built tree.
+    """
+
+    packages: int
+    #: logical CPUs across all packages
+    cores: int
+    numa_nodes: Tuple[int, ...]
+    disks: Tuple[str, ...]
+    #: the host (``init_net``) device list
+    net_interfaces: Tuple[str, ...]
+    has_rapl: bool
+    has_coretemp: bool
+
+    @classmethod
+    def of(cls, kernel: "Kernel") -> "TreeShape":
+        """The shape of one booted kernel."""
+        config = kernel.config
+        return cls(
+            packages=config.packages,
+            cores=config.total_cores,
+            numa_nodes=tuple(node.node_id for node in kernel.memory.nodes),
+            disks=tuple(config.disks),
+            net_interfaces=tuple(
+                dev.name for dev in kernel.netdev.for_each_netdev_init_net()
+            ),
+            has_rapl=kernel.rapl.present,
+            has_coretemp=config.has_coretemp,
+        )
+
+
+class PathIndex:
+    """Flat views of built trees: every absolute path (directories and
+    files) mapped to its node, and every ``(path, file)`` pair in
+    depth-first insertion order (the walk)."""
+
+    def __init__(self, *roots: PseudoDir):
+        self.nodes: Dict[str, object] = {}
+        self.files: List[Tuple[str, PseudoFile]] = []
+        for root in roots:
+            path = f"/{root.name}"
+            self.nodes[path] = root
+            self._add(root, path)
+
+    def _add(self, directory: PseudoDir, prefix: str) -> None:
+        for child in directory.children():
             path = f"{prefix}/{child.name}"
+            self.nodes[path] = child
             if isinstance(child, PseudoDir):
-                yield from child.walk(path)
+                self._add(child, path)
             else:
-                assert isinstance(child, PseudoFile)
-                yield path, child
+                self.files.append((path, child))
 
 
 def split_path(path: str) -> List[str]:

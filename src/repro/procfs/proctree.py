@@ -1,17 +1,13 @@
-"""Assembly of the ``/proc`` tree for one kernel."""
+"""Assembly of the ``/proc`` tree for one hardware shape."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.kernel.kernel import Kernel
-from repro.procfs.node import PseudoDir
+from repro.procfs.node import PseudoDir, TreeShape
 from repro.procfs.render import proc_core, proc_kernel, proc_net, proc_sys
 
 
-def build_proc_tree(kernel: "Kernel") -> PseudoDir:
-    """Build the ``/proc`` pseudo-tree matching this kernel's hardware."""
+def build_proc_tree(shape: TreeShape) -> PseudoDir:
+    """Build the ``/proc`` pseudo-tree matching this hardware shape."""
     proc = PseudoDir("proc")
 
     # --- top-level status files (all host-global; Table I rows) ---
@@ -63,7 +59,7 @@ def build_proc_tree(kernel: "Kernel") -> PseudoDir:
     random_dir.file("uuid", proc_sys.render_uuid, channel="proc.sys.kernel.random.uuid")
 
     sched_domain_dir = kernel_dir.dir("sched_domain")
-    for cpu in range(kernel.config.total_cores):
+    for cpu in range(shape.cores):
         domain0 = sched_domain_dir.dir(f"cpu{cpu}").dir("domain0")
         for field in ("max_newidle_lb_cost", "min_interval", "max_interval", "name"):
             domain0.file(
@@ -74,7 +70,7 @@ def build_proc_tree(kernel: "Kernel") -> PseudoDir:
 
     # --- /proc/fs/ext4 ---
     ext4_dir = proc.dir("fs").dir("ext4")
-    for disk in kernel.config.disks:
+    for disk in shape.disks:
         ext4_dir.dir(disk).file(
             "mb_groups",
             proc_sys.make_mb_groups_renderer(disk),

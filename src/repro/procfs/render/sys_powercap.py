@@ -4,6 +4,12 @@
 the seam where the defense's power-based namespace installs its hook. With
 no hook (vanilla kernel) every reader receives the host-global MSR-backed
 counter: the leak that enables the synergistic power attack.
+
+Trees are shared by every host of one hardware shape, so a renderer
+addresses its domain as ``(package_id, kind)`` — ``kind`` is the
+:class:`~repro.kernel.rapl.RaplPackage` attribute ``package``, ``core``
+or ``dram`` — and finds the reading host's counter through
+``ctx.kernel.rapl``.
 """
 
 from __future__ import annotations
@@ -12,30 +18,35 @@ from repro.kernel.rapl import RaplDomain
 from repro.procfs.node import ReadContext
 
 
-def make_energy_uj_renderer(domain: RaplDomain):
+def _domain(ctx: ReadContext, package_id: int, kind: str) -> RaplDomain:
+    return getattr(ctx.kernel.rapl.package(package_id), kind)
+
+
+def make_energy_uj_renderer(package_id: int, kind: str):
     """``intel-rapl:*/energy_uj``: the accumulated microjoule counter."""
 
     def render(ctx: ReadContext) -> str:
+        domain = _domain(ctx, package_id, kind)
         value = ctx.kernel.read_energy_uj(domain, reader=ctx.task)
         return f"{value}\n"
 
     return render
 
 
-def make_rapl_name_renderer(domain: RaplDomain):
+def make_rapl_name_renderer(package_id: int, kind: str):
     """``intel-rapl:*/name``: the domain label (package-0 / core / dram)."""
 
     def render(ctx: ReadContext) -> str:
-        return f"{domain.name}\n"
+        return f"{_domain(ctx, package_id, kind).name}\n"
 
     return render
 
 
-def make_rapl_range_renderer(domain: RaplDomain):
+def make_rapl_range_renderer(package_id: int, kind: str):
     """``intel-rapl:*/max_energy_range_uj``: the counter wrap point."""
 
     def render(ctx: ReadContext) -> str:
-        return f"{domain.max_energy_range_uj}\n"
+        return f"{_domain(ctx, package_id, kind).max_energy_range_uj}\n"
 
     return render
 

@@ -6,20 +6,56 @@ reads pass through the container's masking policy first — the stage-1
 defense (and the per-provider restrictions of CC1–CC5) act here, exactly
 like AppArmor deny rules or unreadable bind-mounts act in front of real
 pseudo-files.
+
+The trees are a pure function of the host's :class:`TreeShape`. Each
+shape's trees are built once per process, on the first ``read``,
+``lookup``, ``exists`` or ``walk`` of any host of that shape, and are
+shared by every such host behind one flat :class:`PathIndex`. A built
+tree is never mutated: stage-2 kernel patches live in a per-VFS overlay
+of replacement files that resolution and walks consult first.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from dataclasses import replace
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import FileNotFoundPseudoError, PermissionDeniedError
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.kernel import Kernel
-from repro.procfs.node import PseudoFile, ReadContext, split_path
+from repro.procfs.node import (
+    PathIndex,
+    PseudoFile,
+    ReadContext,
+    Renderer,
+    TreeShape,
+    split_path,
+)
 from repro.procfs.proctree import build_proc_tree
 from repro.procfs.systree import build_sys_tree
+
+#: the built ``/proc`` + ``/sys`` trees of every shape seen in this process
+_TREES: Dict[TreeShape, PathIndex] = {}
+
+#: trees built by this process (tests count builds with it)
+tree_builds = 0
+
+
+def shared_tree(shape: TreeShape) -> PathIndex:
+    """The one built tree of ``shape``, built on first request."""
+    global tree_builds
+    tree = _TREES.get(shape)
+    if tree is None:
+        tree = _TREES[shape] = PathIndex(build_proc_tree(shape), build_sys_tree(shape))
+        tree_builds += 1
+    return tree
+
+
+def _normal(path: str) -> str:
+    """``path`` without empty components (``//``, trailing ``/``)."""
+    return "/" + "/".join(split_path(path))
 
 
 class PseudoVFS:
@@ -27,32 +63,42 @@ class PseudoVFS:
 
     def __init__(self, kernel: "Kernel"):
         self.kernel = kernel
-        self.proc = build_proc_tree(kernel)
-        self.sys = build_sys_tree(kernel)
+        self._tree: Optional[PathIndex] = None
+        #: normalized path -> replacement file served by this VFS only
+        self._patched: Dict[str, PseudoFile] = {}
 
-    # The trees are pure functions of the kernel (renderers close over
-    # nothing but node identity), so checkpoint snapshots carry only the
-    # kernel and rebuild both trees on restore. Renderer replacements
-    # applied by :mod:`repro.defense.kernel_patches` are driver-side
-    # defense state and are not part of shard snapshots.
+    # The shared tree is found again from the kernel's shape on first
+    # access, so snapshots carry only the kernel and the patch overlay
+    # (whose renderers are module-level functions, pickled by name).
     def __getstate__(self):
-        return {"kernel": self.kernel}
+        state = {"kernel": self.kernel}
+        if self._patched:
+            state["patched"] = self._patched
+        return state
 
     def __setstate__(self, state) -> None:
         self.kernel = state["kernel"]
-        self.proc = build_proc_tree(self.kernel)
-        self.sys = build_sys_tree(self.kernel)
+        self._tree = None
+        self._patched = state.get("patched", {})
+
+    @property
+    def tree(self) -> PathIndex:
+        """This host's shared tree (built on first access)."""
+        tree = self._tree
+        if tree is None:
+            tree = self._tree = shared_tree(TreeShape.of(self.kernel))
+        return tree
 
     # ------------------------------------------------------------------
 
     def _resolve(self, path: str) -> Optional[object]:
-        parts = split_path(path)
-        if not parts:
-            return None
-        root = {"proc": self.proc, "sys": self.sys}.get(parts[0])
-        if root is None:
-            return None
-        return root.resolve(parts[1:])
+        nodes = self.tree.nodes
+        patched = self._patched
+        node = patched.get(path) or nodes.get(path)
+        if node is None:
+            path = _normal(path)
+            node = patched.get(path) or nodes.get(path)
+        return node
 
     def lookup(self, path: str) -> PseudoFile:
         """Resolve a path to a file node (no policy applied)."""
@@ -64,6 +110,12 @@ class PseudoVFS:
     def exists(self, path: str) -> bool:
         """Whether a path resolves (file or directory), pre-policy."""
         return self._resolve(path) is not None
+
+    def patch(self, path: str, render: Renderer) -> None:
+        """Serve the file at ``path`` through the namespace-aware
+        ``render`` on this VFS only; the shared tree is left as built."""
+        node = self.lookup(path)
+        self._patched[_normal(path)] = replace(node, render=render, namespaced=True)
 
     def read(self, path: str, ctx: Optional[ReadContext] = None) -> str:
         """Read a pseudo-file as the given context.
@@ -96,8 +148,11 @@ class PseudoVFS:
 
     def walk(self) -> Iterator[Tuple[str, PseudoFile]]:
         """All (path, file) pairs under /proc and /sys, pre-policy."""
-        yield from self.proc.walk("/proc")
-        yield from self.sys.walk("/sys")
+        files = self.tree.files
+        patched = self._patched
+        if not patched:
+            return iter(files)
+        return ((path, patched.get(path, node)) for path, node in files)
 
     def walk_visible(self, ctx: ReadContext) -> Iterator[str]:
         """File paths visible to a context (policy HIDEs filtered out).

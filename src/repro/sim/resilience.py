@@ -36,8 +36,9 @@ from repro.errors import SimulationError
 
 #: version stamp embedded in every per-shard snapshot payload
 #: (2: the shard's fleet state is one ``FleetSlice`` entry; 3: the
-#: pickled kernels and workloads carry the scalar tick's memo fields)
-SNAPSHOT_VERSION = 3
+#: pickled kernels and workloads carry the scalar tick's memo fields;
+#: 4: ext4 block groups are drawn lazily and a VFS carries its patches)
+SNAPSHOT_VERSION = 4
 
 #: version stamp embedded in the driver-side manifest
 #: (4: the manifest pins the whole ``FleetConfig`` the fleet was built

@@ -1,5 +1,7 @@
 """Tests for the stage-2 namespace patches (the CVE-2017-5967 class)."""
 
+import pickle
+
 import pytest
 
 from repro.coresidence.implant import ImplantVerifier
@@ -53,6 +55,18 @@ class TestPatching:
             ).splitlines()
         ]
         assert names == ["lo", "eth0"]
+
+    def test_patches_survive_pickling(self, machine, engine):
+        """A restored patched host is still patched (snapshots carry it)."""
+        apply_all_patches(engine.vfs)
+        restored_machine, restored = pickle.loads(pickle.dumps((machine, engine)))
+        victim = restored.create(name="victim")
+        reader = restored.create(name="reader")
+        victim.arm_timer("victim-timer", delay_seconds=300)
+        restored_machine.run(1, dt=1.0)
+        assert "victim-timer" not in reader.read("/proc/timer_list")
+        for path in PATCHES:
+            assert restored.vfs.lookup(path).namespaced, path
 
     def test_host_still_sees_everything(self, machine, engine):
         """Root-namespace readers keep the full view after patching."""

@@ -175,6 +175,20 @@ class TestFilesystem:
         with pytest.raises(KernelError):
             machine.kernel.filesystem.ext4_for("nvme9")
 
+    def test_ext4_groups_drawn_on_first_access(self):
+        """Boot skips the draw; a late draw equals an early one."""
+        early = Machine(seed=77).kernel
+        late = Machine(seed=77).kernel
+        assert late.filesystem.ext4_for("sda")._groups is None
+        for name in ("vfs-drift", "placement", "ext4-sdb"):
+            late.rng.stream(name).random()
+        groups = [
+            [(g.free_blocks, g.fragments, g.first_free, g.buddy) for g in
+             k.filesystem.ext4_for("sda").groups]
+            for k in (early, late)
+        ]
+        assert groups[0] == groups[1]
+
     def test_ext4_free_blocks_bounded(self, machine):
         run_with_worker(machine, io_ops_per_sec=100_000)
         fs = machine.kernel.filesystem.ext4_for("sda")

@@ -4,14 +4,14 @@ import pytest
 
 from repro.errors import FileNotFoundPseudoError, PseudoFileError
 from repro.kernel.namespaces import NamespaceType
-from repro.procfs.node import PseudoDir, ReadContext, split_path
+from repro.procfs.node import PathIndex, PseudoDir, ReadContext, split_path
 
 
 class TestPseudoDir:
     def test_nested_dirs(self):
         root = PseudoDir("proc")
         root.dir("sys").dir("kernel").file("x", lambda ctx: "1\n")
-        node = root.resolve(["sys", "kernel", "x"])
+        node = PathIndex(root).nodes.get("/proc/sys/kernel/x")
         assert node is not None
         assert node.name == "x"
 
@@ -33,15 +33,15 @@ class TestPseudoDir:
 
     def test_resolve_missing_returns_none(self):
         root = PseudoDir("proc")
-        assert root.resolve(["nope"]) is None
+        assert PathIndex(root).nodes.get("/proc/nope") is None
         root.file("x", lambda ctx: "")
-        assert root.resolve(["x", "deeper"]) is None
+        assert PathIndex(root).nodes.get("/proc/x/deeper") is None
 
     def test_walk_yields_all_files(self):
         root = PseudoDir("proc")
         root.file("a", lambda ctx: "")
         root.dir("d").file("b", lambda ctx: "")
-        paths = {path for path, _ in root.walk("/proc")}
+        paths = {path for path, _ in PathIndex(root).files}
         assert paths == {"/proc/a", "/proc/d/b"}
 
 
