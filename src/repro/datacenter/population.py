@@ -56,6 +56,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.kernel.process import Task
 from repro.obs.registry import MetricRegistry
+from repro.runtime.workload import idle
 from repro.sim.fastforward import DecisionGrid
 from repro.sim.rng import (
     DeterministicRNG,
@@ -75,6 +76,18 @@ from repro.datacenter.tenants import (
     _batch_workload,
     _web_workload,
 )
+
+
+#: the only phase of each constant workload a cold row spawns (the idle
+#: one is a container's init task); cold rows read nothing else of them
+_WEB_PHASE = _web_workload().phases[0]
+_BATCH_PHASE = _batch_workload().phases[0]
+_INIT_PHASE = idle().phases[0]
+
+
+def _draws_web(kind_key: int, seq: int) -> bool:
+    """A row's ``seq``-th worker kind: a keyed draw, 60% web, else batch."""
+    return keyed_u01(kind_key, seq) < 0.6
 
 
 def container_name_for(tenant_ordinal: int, tenants_per_host: int) -> str:
@@ -499,12 +512,12 @@ class TenantPopulation:
         # ascending row order == global tenant-id order: the same spawn /
         # container-creation order a serial per-object loop produces
         he = self.host_engine
+        cold = he.cold.tolist() if he is not None else None
         k = self.k_per_host
-        for j in changed:
-            s = int(rows[j])
-            goal = int(want[j])
-            if he is not None and he.is_cold(s // k):
-                self._cold_reconcile(he, s // k, s, max(goal, 0))
+        for s, goal in zip(rows[changed].tolist(), want[changed].tolist()):
+            host = s // k
+            if cold is not None and cold[host]:
+                self._cold_reconcile(he, host, s, max(goal, 0))
                 continue
             tasks = self._tasks[s]
             while len(tasks) < goal:
@@ -520,30 +533,30 @@ class TenantPopulation:
         move exactly as in ``_spawn_worker`` / ``_kill_worker``; the
         kernel-facing half becomes deferred ops in the host engine, which
         replays them through the real container/exec/kill path if the
-        host ever materializes.
+        host ever materializes. No ``Workload`` is built here: the engine
+        mirrors only a worker's phase, one shared object per kind.
         """
-        from repro.runtime.workload import idle as _idle_workload
-
-        engine = self._engines[host]
         cur = int(self.workers[s])
-        while cur < goal:
-            seq = int(self._spawn_seq[s])
-            self._spawn_seq[s] = seq + 1
-            workload = self._workload_for(s, seq)
-            if engine is not None and not he.row_has_container(s):
+        demand = float(self._host_demand[host])
+        if cur < goal:
+            if self._engines[host] is not None and not he.row_has_container(s):
                 # first spawn creates the container (its init task joins
                 # the scheduler before the worker, like start_init does)
-                he.cold_container(host, s, _idle_workload().phases[0])
-            he.cold_spawn(host, s, seq, workload.phases[0])
-            self._host_demand[host] += workload.demand()
-            self._c_spawns.value += 1
-            cur += 1
-        while cur > goal:
-            demand = he.cold_kill(host, s)
-            self._host_demand[host] -= demand
-            self._c_kills.value += 1
-            cur -= 1
-        self.workers[s] = cur
+                he.cold_container(host, s, _INIT_PHASE)
+            kind_key = int(self._kind_keys[s])
+            first = int(self._spawn_seq[s])
+            self._spawn_seq[s] = first + goal - cur
+            self._c_spawns.value += goal - cur
+            for seq in range(first, first + goal - cur):
+                phase = _WEB_PHASE if _draws_web(kind_key, seq) else _BATCH_PHASE
+                he.cold_spawn(host, s, seq, phase)
+                demand += phase.cpu_demand
+        else:
+            self._c_kills.value += cur - goal
+            for _ in range(cur - goal):
+                demand -= he.cold_kill(host, s)
+        self._host_demand[host] = demand
+        self.workers[s] = goal
 
     # ------------------------------------------------------------------
     # deferred-op replay (called by the host engine during ensure_hot,
@@ -581,9 +594,10 @@ class TenantPopulation:
         return container
 
     def _workload_for(self, s: int, seq: int):
-        """Row ``s``'s ``seq``-th worker: a keyed draw, 60% web, else batch."""
-        kind = keyed_u01(int(self._kind_keys[s]), seq)
-        return _web_workload() if kind < 0.6 else _batch_workload()
+        """Row ``s``'s ``seq``-th worker (kind drawn by ``_draws_web``)."""
+        if _draws_web(int(self._kind_keys[s]), seq):
+            return _web_workload()
+        return _batch_workload()
 
     def _exec_worker(self, s: int, workload) -> float:
         """Start ``workload`` in row ``s``'s container (or bare on its

@@ -19,7 +19,10 @@ it does not mirror:
 * A cold host *keeps* its fully booted :class:`Kernel` object; the
   engine merely defers its ticks, logging ``(t0, dt)`` barriers and the
   tenant-population operations (container creation, worker spawns and
-  kills) that would have applied to it.
+  kills) that would have applied to it. Each host's op log is a packed
+  ``array('q')`` of ``(barrier_seq, row, arg)`` triples: ``arg >= 0``
+  is a spawn ordinal, :data:`OP_KILL` a kill and :data:`OP_CONTAINER`
+  a container creation.
 * Everything the outside world can observe *while the host is cold* is
   mirrored in columns with the exact IEEE-754 operation order of the
   scalar reference (the stage order of :meth:`Kernel.tick`):
@@ -48,6 +51,13 @@ repeated indices in element order, so each per-(host, CPU) fold happens
 in task order exactly like the scalar loop. The golden equivalence suite
 (``tests/datacenter/test_hostengine.py``) pins this bit for bit.
 
+Each cold host's mirror holds only its live tasks: a kill removes the
+slot from the host's task-ordered list, and a parallel list of
+``(cpu, demand)`` floats feeds the refold. The per-CPU demand column is
+therefore always the scheduler's placement fold, so a cold spawn places
+on its first minimum without refolding anything. Spawns and kills cost
+O(live tasks on the host), however many tasks the host has had.
+
 Eligibility
 -----------
 A host can go cold only when nothing about it needs the scalar path:
@@ -60,6 +70,7 @@ the fleet reference) simply stay hot forever — correct, just slower.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -70,6 +81,11 @@ from repro.kernel.process import TaskState
 from repro.kernel.thermal import ThermalSubsystem
 from repro.sim.clock import VirtualClock
 from repro.sim.rng import keyed_gauss_at, stream_key
+
+
+#: deferred-op ``arg`` codes; a non-negative ``arg`` is a spawn ordinal
+OP_KILL = -1
+OP_CONTAINER = -2
 
 
 def _config_signature(kernel: Kernel) -> tuple:
@@ -156,8 +172,9 @@ class ColumnarHostEngine:
         self._rapl_range = float(0)
         self._adopt_t = np.zeros(n, dtype=np.float64)
 
-        # task-mirror slots, flat and append-only (dead slots are masked
-        # out and compacted when they dominate)
+        # task-mirror slots, flat and append-only (dead slots leave every
+        # per-host list at once and are compacted out of the arrays when
+        # they dominate)
         cap = 64
         self._s_demand = np.zeros(cap, dtype=np.float64)
         self._s_ipc = np.zeros(cap, dtype=np.float64)
@@ -168,8 +185,10 @@ class ColumnarHostEngine:
         self._s_alive = np.zeros(cap, dtype=bool)
         self._s_len = 0
         self._dead_slots = 0
-        #: per-host slot ids in task order (the scalar ``_tasks`` mirror)
+        #: per-host live slot ids in task order (the scalar ``_tasks`` mirror)
         self._host_slots: List[List[int]] = [[] for _ in range(n)]
+        #: per-host ``(cpu, demand)`` of those slots, as Python scalars
+        self._host_tasks: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
         #: alive slots of cold hosts in (host, task position) order —
         #: the fold order of every order-sensitive float accumulation
         self._order: Optional[np.ndarray] = None
@@ -181,8 +200,8 @@ class ColumnarHostEngine:
         #: per-host closed participation ranges [start_seq, end_seq)
         self._ranges: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
         self._run_start = np.full(n, -1, dtype=np.int64)
-        #: per-host deferred tenant ops: (barrier_seq, kind, row, arg)
-        self._ops: List[List[tuple]] = [[] for _ in range(n)]
+        #: per-host deferred tenant ops, packed ``(barrier_seq, row, arg)``
+        self._ops: List[array] = [array("q") for _ in range(n)]
         #: tenant rows on cold hosts: row -> mirror slot ids (LIFO)
         self._row_slots: Dict[int, List[int]] = {}
         self._row_has_container: Set[int] = set()
@@ -320,20 +339,25 @@ class ColumnarHostEngine:
         self._s_cpu[slot] = cpu
         self._s_alive[slot] = True
         self._host_slots[host].append(slot)
+        self._host_tasks[host].append((cpu, float(phase.cpu_demand)))
         self._order_dirty = True
         return slot
+
+    def _drop_host_slots(self, i: int) -> None:
+        """Forget host ``i``'s slot mirror (the slots turn dead)."""
+        slots = self._host_slots[i]
+        if slots:
+            self._s_alive[slots] = False
+            self._dead_slots += len(slots)
+        self._host_slots[i] = []
+        self._host_tasks[i] = []
 
     def _adopt(self, i: int) -> None:
         """Snapshot one eligible host's live state into the columns."""
         from repro.datacenter.topology import wall_power_watts
 
         kernel = self.kernels[i]
-        # clear any prior slot mirror of this host
-        for slot in self._host_slots[i]:
-            if self._s_alive[slot]:
-                self._s_alive[slot] = False
-                self._dead_slots += 1
-        self._host_slots[i] = []
+        self._drop_host_slots(i)
         placement = kernel.scheduler._placement
         for task in kernel.scheduler.iter_tasks():
             self._new_slot(i, placement[task], task.workload.phases[0])
@@ -359,7 +383,7 @@ class ColumnarHostEngine:
         self._adopt_t[i] = self.clock.now
         self._ranges[i] = []
         self._run_start[i] = -1
-        self._ops[i] = []
+        self._ops[i] = array("q")
 
         if self.population is not None:
             pop = self.population
@@ -387,88 +411,78 @@ class ColumnarHostEngine:
 
         Mirrors ``kernel_demand_fingerprint`` (0.0-seeded fold in task
         order) and the scheduler's per-CPU ``sum(demands.values())``
-        (int-0-seeded fold in task order) exactly.
+        (int-0-seeded fold in task order) exactly, over the host's live
+        ``(cpu, demand)`` list. The per-CPU fold is also what
+        ``Scheduler.add_task`` places by, so ``_cpu_demand[i]`` stays the
+        placement load for :meth:`_placement_for`.
         """
-        C = self._C
         fp = 0.0
-        totals = [0] * C
-        for slot in self._host_slots[i]:
-            if not self._s_alive[slot]:
-                continue
-            d = float(self._s_demand[slot])
+        totals = [0] * self._C
+        for c, d in self._host_tasks[i]:
             fp = fp + d
-            c = int(self._s_cpu[slot])
             totals[c] = totals[c] + d
         self._fp[i] = fp
-        for c in range(C):
-            total = totals[c]
-            self._cpu_demand[i, c] = total
-            self._scale[i, c] = 1.0 if total <= 1.0 else 1.0 / total
+        self._cpu_demand[i] = totals
+        self._scale[i] = [1.0 if t <= 1.0 else 1.0 / t for t in totals]
 
-    def _placement_for(self, i: int, demand_hint: float = 0.0) -> int:
+    def _placement_for(self, i: int) -> int:
         """Mirror of ``Scheduler.add_task`` placement for a cold host.
 
-        Loads are refolded fresh per spawn, exactly like ``add_task``'s
-        one-pass fold: an int-0-seeded sequential sum per CPU over tasks
-        in placement order.
+        ``add_task`` folds per-CPU loads (int-0-seeded, in placement
+        order) and takes the first strict minimum. ``_cpu_demand[i]``
+        holds exactly that fold: adoption and kills refold it, and
+        spawns extend it by one term. So placement is its first argmin.
         """
-        C = self._C
-        loads = [0] * C
-        for slot in self._host_slots[i]:
-            if not self._s_alive[slot]:
-                continue
-            c = int(self._s_cpu[slot])
-            loads[c] = loads[c] + float(self._s_demand[slot])
-        best = 0
-        best_load = loads[0]
-        for c in range(1, C):
-            if loads[c] < best_load:
-                best = c
-                best_load = loads[c]
-        return best
+        return int(self._cpu_demand[i].argmin())
 
     # ------------------------------------------------------------------
     # cold tenant operations (called by the population's cold branch)
 
-    def _log_op(self, i: int, op: tuple) -> None:
-        self._ops[i].append((len(self._bar_t0),) + op)
+    def _log_op(self, i: int, row: int, arg: int) -> None:
+        self._ops[i].extend((len(self._bar_t0), row, arg))
 
-    def cold_container(self, i: int, row: int, init_phase) -> None:
-        """Defer a benign container creation (init task joins the mirror)."""
-        cpu = self._placement_for(i)
-        slot = self._new_slot(i, cpu, init_phase)
-        self._row_slots.setdefault(row, [])
-        self._row_has_container.add(row)
-        d = float(init_phase.cpu_demand)
-        self._fp[i] = self._fp[i] + d
-        total = self._cpu_demand[i, cpu] + d
-        self._cpu_demand[i, cpu] = total
-        self._scale[i, cpu] = 1.0 if total <= 1.0 else 1.0 / total
-        self._log_op(i, ("container", row, None))
-
-    def cold_spawn(self, i: int, row: int, seq: int, phase) -> None:
-        """Defer one worker spawn for a tenant row on a cold host."""
+    def _cold_task(self, i: int, phase) -> int:
+        """Place a new task on cold host ``i`` and extend its folds by one
+        term (the new task is last in task order); returns its slot."""
         cpu = self._placement_for(i)
         slot = self._new_slot(i, cpu, phase)
-        self._row_slots.setdefault(row, []).append(slot)
         d = float(phase.cpu_demand)
         self._fp[i] = self._fp[i] + d
         total = self._cpu_demand[i, cpu] + d
         self._cpu_demand[i, cpu] = total
         self._scale[i, cpu] = 1.0 if total <= 1.0 else 1.0 / total
-        self._log_op(i, ("spawn", row, seq))
+        return slot
+
+    def cold_container(self, i: int, row: int, init_phase) -> None:
+        """Defer a benign container creation (init task joins the mirror)."""
+        self._cold_task(i, init_phase)
+        self._row_slots.setdefault(row, [])
+        self._row_has_container.add(row)
+        self._log_op(i, row, OP_CONTAINER)
+
+    def cold_spawn(self, i: int, row: int, seq: int, phase) -> None:
+        """Defer one worker spawn for a tenant row on a cold host."""
+        self._row_slots.setdefault(row, []).append(self._cold_task(i, phase))
+        self._log_op(i, row, seq)
 
     def cold_kill(self, i: int, row: int) -> float:
-        """Defer one worker kill (LIFO); returns the worker's demand."""
+        """Defer one worker kill (LIFO); returns the worker's demand.
+
+        The slot leaves the host's live lists in place, the other slots
+        keeping their task order, and the host is refolded over what is
+        left: removing an interior term reorders every downstream partial
+        sum, so the folds cannot be patched by subtraction.
+        """
         slot = self._row_slots[row].pop()
-        demand = float(self._s_demand[slot])
+        slots = self._host_slots[i]
+        pos = slots.index(slot)
+        del slots[pos]
+        _cpu, demand = self._host_tasks[i].pop(pos)
         self._s_alive[slot] = False
         self._dead_slots += 1
         self._order_dirty = True
-        # removing an interior element reorders every downstream partial
-        # sum, so the host's folds are recomputed from scratch
         self._refold_host(i)
-        self._log_op(i, ("kill", row, None))
+        self._log_op(i, row, OP_KILL)
         return demand
 
     # ------------------------------------------------------------------
@@ -485,6 +499,7 @@ class ColumnarHostEngine:
             self._run_start[i] = -1
         kernel = self.kernels[i]
         ops = self._ops[i]
+        nops = len(ops)
         oi = 0
         pop = self.population
         nbar = len(self._bar_t0)
@@ -494,20 +509,21 @@ class ColumnarHostEngine:
                     t0 = self._bar_t0[seq]
                     dt = self._bar_dt[seq]
                     self.clock.sleep_until(t0)
-                    while oi < len(ops) and ops[oi][0] <= seq:
-                        self._replay_op(pop, ops[oi])
-                        oi += 1
+                    while oi < nops and ops[oi] <= seq:
+                        self._replay_op(pop, ops[oi + 1], ops[oi + 2])
+                        oi += 3
                     self.clock.sleep_until(t0 + dt)
                     kernel.tick(dt)
         # ops logged in the current (not yet ticked) iteration happen at
         # the present clock reading, after the window restores it
-        while oi < len(ops):
-            if ops[oi][0] < nbar:
+        while oi < nops:
+            if ops[oi] < nbar:
                 raise SimulationError(
-                    f"deferred op outside any participation range: {ops[oi]}"
+                    "deferred op outside any participation range: "
+                    f"{tuple(ops[oi : oi + 3])}"
                 )
-            self._replay_op(pop, ops[oi])
-            oi += 1
+            self._replay_op(pop, ops[oi + 1], ops[oi + 2])
+            oi += 3
         if kernel.ticks_taken != int(self._ticks[i]):
             raise SimulationError(
                 f"replay desync on host {i}: kernel at tick "
@@ -521,13 +537,9 @@ class ColumnarHostEngine:
         ):
             raise SimulationError(f"thermal noise cursor desync on host {i}")
         # release the host's cold bookkeeping
-        for slot in self._host_slots[i]:
-            if self._s_alive[slot]:
-                self._s_alive[slot] = False
-                self._dead_slots += 1
-        self._host_slots[i] = []
+        self._drop_host_slots(i)
         self._ranges[i] = []
-        self._ops[i] = []
+        self._ops[i] = array("q")
         if pop is not None:
             k = pop.k_per_host
             for row in range(i * k, (i + 1) * k):
@@ -535,18 +547,17 @@ class ColumnarHostEngine:
                 self._row_has_container.discard(row)
         self.materializations += 1
 
-    def _replay_op(self, pop, op: tuple) -> None:
-        _seq, kind, row, arg = op
+    def _replay_op(self, pop, row: int, arg: int) -> None:
         if pop is None:
             raise SimulationError("deferred tenant op with no population bound")
-        if kind == "container":
-            pop.replay_container(row)
-        elif kind == "spawn":
+        if arg >= 0:
             pop.replay_spawn(row, arg)
-        elif kind == "kill":
+        elif arg == OP_KILL:
             pop.replay_kill(row)
+        elif arg == OP_CONTAINER:
+            pop.replay_container(row)
         else:  # pragma: no cover - defensive
-            raise SimulationError(f"unknown deferred op kind: {kind}")
+            raise SimulationError(f"unknown deferred op code: {arg}")
 
     def ensure_hot_kernel(self, kernel: Kernel) -> None:
         idx = self._kernel_index.get(id(kernel))
@@ -580,14 +591,10 @@ class ColumnarHostEngine:
     # the tick
 
     def _rebuild_order(self) -> None:
-        chunks = []
-        for i in np.nonzero(self.cold)[0]:
-            slots = [s for s in self._host_slots[i] if self._s_alive[s]]
-            if slots:
-                chunks.append(np.asarray(slots, dtype=np.int64))
-        self._order = (
-            np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
-        )
+        order: List[int] = []
+        for i in np.nonzero(self.cold)[0].tolist():
+            order.extend(self._host_slots[i])
+        self._order = np.asarray(order, dtype=np.int64)
         self._order_dirty = False
         if self._dead_slots > 64 and self._dead_slots * 2 > self._s_len:
             self._compact_slots()
@@ -612,12 +619,11 @@ class ColumnarHostEngine:
             setattr(self, name, packed)
         self._s_len = len(alive)
         self._dead_slots = 0
+        # every listed slot is live, so each remaps to its packed index
         for i in range(self.n):
-            self._host_slots[i] = [
-                int(remap[s]) for s in self._host_slots[i] if remap[s] >= 0
-            ]
+            self._host_slots[i] = remap[self._host_slots[i]].tolist()
         for row, slots in self._row_slots.items():
-            self._row_slots[row] = [int(remap[s]) for s in slots if remap[s] >= 0]
+            self._row_slots[row] = remap[slots].tolist()
         if self._order is not None:
             self._order = remap[self._order]
 

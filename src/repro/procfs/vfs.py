@@ -100,12 +100,17 @@ class PseudoVFS:
             node = patched.get(path) or nodes.get(path)
         return node
 
-    def lookup(self, path: str) -> PseudoFile:
-        """Resolve a path to a file node (no policy applied)."""
+    # ``lookup`` and ``read`` both resolve here, so a ``read`` is one call
+    # into the public surface (one span when that surface is traced)
+    def _file(self, path: str) -> PseudoFile:
         node = self._resolve(path)
         if node is None or not isinstance(node, PseudoFile):
             raise FileNotFoundPseudoError(path)
         return node
+
+    def lookup(self, path: str) -> PseudoFile:
+        """Resolve a path to a file node (no policy applied)."""
+        return self._file(path)
 
     def exists(self, path: str) -> bool:
         """Whether a path resolves (file or directory), pre-policy."""
@@ -127,7 +132,7 @@ class PseudoVFS:
         """
         if ctx is None:
             ctx = ReadContext(kernel=self.kernel)
-        node = self.lookup(path)
+        node = self._file(path)
         faults = self.kernel.faults
         if faults is not None:
             # transient EIO faults act at the VFS layer, after existence

@@ -37,8 +37,10 @@ from repro.errors import SimulationError
 #: version stamp embedded in every per-shard snapshot payload
 #: (2: the shard's fleet state is one ``FleetSlice`` entry; 3: the
 #: pickled kernels and workloads carry the scalar tick's memo fields;
-#: 4: ext4 block groups are drawn lazily and a VFS carries its patches)
-SNAPSHOT_VERSION = 4
+#: 4: ext4 block groups are drawn lazily and a VFS carries its patches;
+#: 5: the columnar host engine packs its op log into arrays and keeps a
+#: per-host ``(cpu, demand)`` mirror of live slots only)
+SNAPSHOT_VERSION = 5
 
 #: version stamp embedded in the driver-side manifest
 #: (4: the manifest pins the whole ``FleetConfig`` the fleet was built

@@ -10,15 +10,30 @@ trace (fine and coalesced), the Figure 3 attack campaign, and chaos
 schedules that force materialization mid-run.
 """
 
+import numpy as np
 import pytest
 
 from repro.attack.monitor import CrestDetector
 from repro.attack.strategies import SynergisticAttack
 from repro.datacenter.simulation import DatacenterSimulation
+from repro.datacenter.tenants import DiurnalProfile
 from repro.errors import SimulationError
+from repro.kernel.columnar import OP_CONTAINER, OP_KILL
 from repro.sim.faults import FaultEvent, FaultKind, FaultSchedule
 
 SEED = 7
+
+#: a benign load that peaks two virtual hours in, with the day factor
+#: pinned: workers spawn and die at almost every adjustment
+CHURN_PROFILE = DiurnalProfile(peak_hour=2.0, day_factor_range=(1.0, 1.0))
+CHURN_SLICE_S = 60.0
+CHURN_SLICES = 120
+#: pseudo-files whose text depends on the replayed kernel state
+CHURN_READS = (
+    "/proc/loadavg",
+    "/proc/stat",
+    "/sys/class/powercap/intel-rapl:0/energy_uj",
+)
 
 
 def build(hosts, schedule=None, servers=8, rack_size=4, tenants=3,
@@ -51,6 +66,47 @@ def snapshot(sim):
         "faults": sim.fault_report(),
         "trip_log": sim.trip_log(),
     }
+
+
+def build_churn(hosts):
+    """8 hosts, 4 tenants each, breakers rated for the benign peak."""
+    return DatacenterSimulation(
+        servers=8, rack_size=8, seed=SEED, sample_interval_s=CHURN_SLICE_S,
+        tenants_per_host=4, population="columnar", hosts=hosts,
+        tenant_profile=CHURN_PROFILE, breaker_rated_watts=4000.0,
+    )
+
+
+def run_churn(sim, after_slice=None):
+    """Two coalesced virtual hours in one-sample slices."""
+    for _ in range(CHURN_SLICES):
+        sim.run(CHURN_SLICE_S, dt=1.0, coalesce=True)
+        if after_slice is not None:
+            after_slice(sim)
+
+
+def assert_cold_folds(he, i):
+    """Host ``i``'s folds equal a fresh fold over its live slots."""
+    slots = he._host_slots[i]
+    assert all(he._s_alive[s] for s in slots)
+    live = he._s_alive[: he._s_len] & (he._s_host[: he._s_len] == i)
+    assert int(np.count_nonzero(live)) == len(slots)
+    assert he._host_tasks[i] == [
+        (int(he._s_cpu[s]), float(he._s_demand[s])) for s in slots
+    ]
+    fp = 0.0
+    totals = [0] * he._C
+    for s in slots:
+        d = float(he._s_demand[s])
+        fp = fp + d
+        c = int(he._s_cpu[s])
+        totals[c] = totals[c] + d
+    assert float(he._fp[i]) == fp
+    assert he._cpu_demand[i].tolist() == totals
+    assert he._scale[i].tolist() == [
+        1.0 if t <= 1.0 else 1.0 / t for t in totals
+    ]
+    assert len(he._ops[i]) % 3 == 0
 
 
 def chaos_schedule():
@@ -222,6 +278,45 @@ class TestMaterializationLifecycle:
         he = col.host_engine
         assert he.is_cold(0)
         assert he.ticks_taken(0) < he.ticks_taken(7)
+
+
+class TestColdChurn:
+    def test_folds_match_live_slots_after_every_slice(self):
+        sim = build_churn("columnar")
+        he = sim.host_engine
+        checked = []
+
+        def check(sim):
+            for i in range(he.n):
+                if he.is_cold(i):
+                    assert_cold_folds(he, i)
+                    checked.append(i)
+
+        run_churn(sim, check)
+        assert len(checked) == he.n * CHURN_SLICES  # nothing materialized
+        assert sim.population.spawns > 0 and sim.population.kills > 0
+
+    def test_materialize_after_churn_bit_identical(self):
+        ref = build_churn("objects")
+        run_churn(ref)
+        col = build_churn("columnar")
+        run_churn(col)
+        he = col.host_engine
+        assert he.cold_count() == he.n
+        args = set()
+        for ops in he._ops:
+            args.update(ops[2::3])
+        assert OP_CONTAINER in args and OP_KILL in args
+        assert any(arg >= 0 for arg in args)  # a spawn ordinal
+
+        for i in range(he.n):
+            he.observer_acquire(i)
+        assert he.cold_count() == 0
+        assert he.stats()["materializations"] == he.n
+        assert snapshot(ref) == snapshot(col)
+        for r_host, c_host in zip(ref.cloud.hosts, col.cloud.hosts):
+            for path in CHURN_READS:
+                assert c_host.engine.vfs.read(path) == r_host.engine.vfs.read(path)
 
 
 class TestParallelGolden:

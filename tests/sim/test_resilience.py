@@ -139,6 +139,15 @@ class TestSnapshotFiles:
         with pytest.raises(SimulationError, match="has version 2"):
             read_snapshot(path)
 
+    def test_version_4_snapshot_refused(self, tmp_path):
+        # version 4 pickled the columnar host engine's op log as tuples
+        # and its slot mirror with dead slots kept in place
+        path = shard_snapshot_path(str(tmp_path), 0, 1)
+        atomic_write(path, pickle.dumps({"version": 4}))
+        with pytest.raises(SimulationError, match="has version 4") as info:
+            read_snapshot(path)
+        assert path in str(info.value)
+
     def test_stale_manifest_version_rejected(self, tmp_path):
         # version 2 manifests pinned a control-plane configuration that
         # no longer exists; a resume from one must refuse, not misparse
