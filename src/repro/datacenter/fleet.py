@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass, fields
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.datacenter.breaker import CircuitBreaker
 from repro.datacenter.population import TenantPopulation, container_name_for
 from repro.datacenter.tenants import DiurnalProfile, DiurnalTenantDriver
@@ -145,9 +147,19 @@ class FleetSlice:
         self._identity = self.labels == tuple(range(len(self.labels)))
         self._rack_members = members
 
-        #: per-tick wall-power memo shared by the breaker feed, the
-        #: coalescing knee guard, and the trace row
+        #: per-tick wall-power memo of the hot hosts (cold hosts answer
+        #: from the host engine's wall column)
         self.cache = WallPowerCache(config.power_config)
+        #: each host's cell in the (racks x rack_size) matrix the rack
+        #: totals fold over; a short rack's spare cells stay 0.0
+        self._rack_cells = np.array(
+            [r * config.rack_size + j for r, m in enumerate(members)
+             for j in range(len(m))],
+            dtype=np.int64,
+        )
+        #: the per-host wall watts of the current tick, and its clock reading
+        self._watts: Optional[np.ndarray] = None
+        self._watts_at: Optional[float] = None
         self.racks: List[Rack] = [
             Rack(
                 name=f"rack-{r}",
@@ -242,17 +254,56 @@ class FleetSlice:
         for members, rack in zip(self._rack_members, self.racks):
             if rack.breaker.tripped:
                 dark.update(members)
-        if self.injector is not None:
-            labels = self.labels
-            dark.update(labels[local] for local in self.injector.crashed_now())
+        labels = self.labels
+        dark.update(labels[local] for local in self._crashed())
         return dark
 
-    def crashed_kernel_ids(self) -> frozenset:
-        """``id(kernel)`` of crashed servers (they draw no rack power)."""
-        if self.injector is None:
-            return frozenset()
-        kernels = self.kernels
-        return frozenset(id(kernels[local]) for local in self.injector.crashed_now())
+    def host_watts(self) -> np.ndarray:
+        """Per-host wall watts in slice order (crashed hosts included).
+
+        Built once per tick and shared by the breaker feed, the knee
+        guard and the trace row: cold hosts read the host engine's wall
+        column, hot hosts the per-tick :class:`WallPowerCache`. Wall
+        power changes only when a host ticks, and every tick advances
+        the clock, so the clock reading keys the memo. Read-only.
+        """
+        now = self.clock.now
+        if self._watts_at != now:
+            he = self.host_engine
+            cache_watts = self.cache.watts
+            kernels = self.kernels
+            if he is None:
+                watts = np.array([cache_watts(k) for k in kernels], dtype=np.float64)
+            else:
+                watts = he.walls()
+                for i in np.flatnonzero(~he.cold).tolist():
+                    watts[i] = cache_watts(kernels[i])
+            self._watts, self._watts_at = watts, now
+        return self._watts
+
+    def rack_watts(self, crashed=()) -> List[float]:
+        """Each rack's wall power: ``Rack.wall_power`` over the watts row.
+
+        ``crashed`` holds slice positions drawing no power. The fold runs
+        column by column over the (racks x rack_size) matrix, from int
+        0 like ``sum()``; crashed hosts and a short rack's spare cells
+        add 0.0, which leaves these non-negative totals unchanged.
+        """
+        watts = self.host_watts()
+        if crashed:
+            watts = watts.copy()
+            watts[list(crashed)] = 0.0
+        cells = np.zeros(len(self.racks) * self.config.rack_size, dtype=np.float64)
+        cells[self._rack_cells] = watts
+        cells = cells.reshape(len(self.racks), self.config.rack_size)
+        totals = 0 + cells[:, 0]
+        for j in range(1, self.config.rack_size):
+            totals = totals + cells[:, j]
+        return totals.tolist()
+
+    def _crashed(self):
+        """Slice positions of crashed servers."""
+        return self.injector.crashed_now() if self.injector is not None else ()
 
     def breakers_safe(self) -> bool:
         """Whether every rack is far enough from its breaker's trip knee.
@@ -262,24 +313,23 @@ class FleetSlice:
         phase-stable (constant-power) window cannot trip, so skipping is
         legal. Tripped racks are dark and cannot get darker.
         """
-        crashed = self.crashed_kernel_ids()
         knee = self.config.breaker_knee_ratio
-        for rack in self.racks:
+        for rack, watts in zip(self.racks, self.rack_watts(self._crashed())):
             if rack.breaker.tripped:
                 continue
-            if rack.wall_power(crashed) / rack.breaker.rated_watts > knee:
+            if watts / rack.breaker.rated_watts > knee:
                 return False
         return True
 
     def row(self) -> list:
         """Per-host wall watts in slice order: ``None`` crashed, 0.0 dark."""
-        crashed = self.injector.crashed_now() if self.injector is not None else ()
-        dark = self.dark()
-        watts = self.cache.watts
-        return [
-            None if local in crashed else (0.0 if g in dark else watts(kernel))
-            for local, (g, kernel) in enumerate(zip(self.labels, self.kernels))
-        ]
+        row = self.host_watts().tolist()
+        local = self._local_index
+        for g in self.dark():
+            row[local[g]] = 0.0
+        for i in self._crashed():
+            row[i] = None
+        return row
 
     # -- the loop body --------------------------------------------------
 
@@ -313,30 +363,20 @@ class FleetSlice:
             return None
         he = self.host_engine
         kernels = self.kernels
-        if pop is None:
-            demands = tuple(
-                0.0 if g in dark else kernel.demand_fingerprint()
-                for g, kernel in zip(labels, kernels)
-            )
-        elif he is None:
-            host_demand = pop.host_demand
-            demands = tuple(
-                0.0 if g in dark else kernel.demand_fingerprint() + host_demand(g)
-                for g, kernel in zip(labels, kernels)
-            )
+        if he is None:
+            fp = np.zeros(len(kernels), dtype=np.float64)
+            hot = range(len(kernels))
         else:
-            host_demand = pop.host_demand
-            demands = tuple(
-                0.0
-                if g in dark
-                else (
-                    he.fingerprint(local)
-                    if he.is_cold(local)
-                    else kernel.demand_fingerprint()
-                )
-                + host_demand(g)
-                for local, (g, kernel) in enumerate(zip(labels, kernels))
-            )
+            fp = he.fingerprints()
+            hot = np.flatnonzero(~he.cold).tolist()
+        for i in hot:
+            fp[i] = kernels[i].demand_fingerprint()
+        if pop is not None:
+            fp = fp + pop._host_demand
+        local = self._local_index
+        for g in dark:
+            fp[local[g]] = 0.0
+        demands = tuple(fp.tolist())
         horizon = math.inf
         if pop is not None:
             horizon = pop.next_event_time(now, dark)
@@ -344,11 +384,11 @@ class FleetSlice:
             for t, tenant in enumerate(self.tenants):
                 if labels[t // k] not in dark:
                     horizon = min(horizon, tenant.next_event_time(now))
-        for local, (g, kernel) in enumerate(zip(labels, kernels)):
-            # cold hosts hold only single-phase unbounded workloads (the
-            # eligibility contract), so their phase horizon is +inf
-            if g not in dark and (he is None or not he.is_cold(local)):
-                horizon = min(horizon, now + kernel.next_phase_boundary_s())
+        # cold hosts hold only single-phase unbounded workloads (the
+        # eligibility contract), so their phase horizon is +inf
+        for i in hot:
+            if labels[i] not in dark:
+                horizon = min(horizon, now + kernels[i].next_phase_boundary_s())
         if self.injector is not None:
             horizon = min(horizon, self.injector.next_barrier(now))
         return demands, horizon
@@ -370,8 +410,7 @@ class FleetSlice:
             for g, kernel in zip(self.labels, self.kernels):
                 if g not in dark:
                     kernel.tick(step)
-        crashed = self.crashed_kernel_ids()
         now = clock.now
-        for rack in self.racks:
-            rack.observe(step, now, crashed)
+        for rack, watts in zip(self.racks, self.rack_watts(self._crashed())):
+            rack.breaker.observe(watts, step, now)
         return self.advance_faults()

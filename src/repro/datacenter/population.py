@@ -64,6 +64,7 @@ from repro.sim.rng import (
     keyed_gauss_array,
     keyed_u01,
     keyed_u01_array,
+    keyed_u01_at,
     keyed_uniform,
     keyed_uniform_array,
     stream_key,
@@ -85,9 +86,13 @@ _BATCH_PHASE = _batch_workload().phases[0]
 _INIT_PHASE = idle().phases[0]
 
 
+#: the share of web workers among a row's spawns
+_WEB_SHARE = 0.6
+
+
 def _draws_web(kind_key: int, seq: int) -> bool:
     """A row's ``seq``-th worker kind: a keyed draw, 60% web, else batch."""
-    return keyed_u01(kind_key, seq) < 0.6
+    return keyed_u01(kind_key, seq) < _WEB_SHARE
 
 
 def container_name_for(tenant_ordinal: int, tenants_per_host: int) -> str:
@@ -509,16 +514,16 @@ class TenantPopulation:
                 self._prune(int(s))
             self._dirty_any = bool(self._dirty.any())
         changed = np.nonzero(want != self.workers[rows])[0]
+        rows, want = rows[changed], want[changed]
+        he = self.host_engine
+        if he is not None:
+            cold = he.cold[rows // self.k_per_host]
+            if cold.any():
+                self._cold_churn(he, rows[cold], np.maximum(want[cold], 0))
+                rows, want = rows[~cold], want[~cold]
         # ascending row order == global tenant-id order: the same spawn /
         # container-creation order a serial per-object loop produces
-        he = self.host_engine
-        cold = he.cold.tolist() if he is not None else None
-        k = self.k_per_host
-        for s, goal in zip(rows[changed].tolist(), want[changed].tolist()):
-            host = s // k
-            if cold is not None and cold[host]:
-                self._cold_reconcile(he, host, s, max(goal, 0))
-                continue
+        for s, goal in zip(rows.tolist(), want.tolist()):
             tasks = self._tasks[s]
             while len(tasks) < goal:
                 self._spawn_worker(s)
@@ -526,37 +531,35 @@ class TenantPopulation:
                 self._kill_worker(s)
             self.workers[s] = len(tasks)
 
-    def _cold_reconcile(self, he, host: int, s: int, goal: int) -> None:
-        """Reconcile one row on a cold host without touching its kernel.
+    def _cold_churn(self, he, rows: "np.ndarray", goal: "np.ndarray") -> None:
+        """Reconcile the rows on cold hosts without touching their kernels.
 
         The draws, spawn ordinals, demand bookkeeping and metric counters
         move exactly as in ``_spawn_worker`` / ``_kill_worker``; the
-        kernel-facing half becomes deferred ops in the host engine, which
-        replays them through the real container/exec/kill path if the
-        host ever materializes. No ``Workload`` is built here: the engine
-        mirrors only a worker's phase, one shared object per kind.
+        kernel-facing half is one host-engine batch of deferred churn,
+        which the engine replays through the real container/exec/kill
+        path if a host ever materializes. No ``Workload`` is built here:
+        the engine mirrors only a worker's phase, one shared object per
+        kind.
         """
-        cur = int(self.workers[s])
-        demand = float(self._host_demand[host])
-        if cur < goal:
-            if self._engines[host] is not None and not he.row_has_container(s):
-                # first spawn creates the container (its init task joins
-                # the scheduler before the worker, like start_init does)
-                he.cold_container(host, s, _INIT_PHASE)
-            kind_key = int(self._kind_keys[s])
-            first = int(self._spawn_seq[s])
-            self._spawn_seq[s] = first + goal - cur
-            self._c_spawns.value += goal - cur
-            for seq in range(first, first + goal - cur):
-                phase = _WEB_PHASE if _draws_web(kind_key, seq) else _BATCH_PHASE
-                he.cold_spawn(host, s, seq, phase)
-                demand += phase.cpu_demand
-        else:
-            self._c_kills.value += cur - goal
-            for _ in range(cur - goal):
-                demand -= he.cold_kill(host, s)
-        self._host_demand[host] = demand
-        self.workers[s] = goal
+        delta = goal - self.workers[rows]
+        moved = delta != 0
+        rows, delta = rows[moved], delta[moved]
+        grow = delta > 0
+        spawning, new = rows[grow], delta[grow]
+        first = self._spawn_seq[spawning]
+        total = int(new.sum())
+        # each new worker's ordinal: its row's first plus its rank there
+        rank = np.arange(total) - np.repeat(np.cumsum(new) - new, new)
+        web = keyed_u01_at(
+            np.repeat(self._kind_keys[spawning], new), np.repeat(first, new) + rank
+        ) < _WEB_SHARE
+        phases = [_WEB_PHASE if w else _BATCH_PHASE for w in web.tolist()]
+        he.cold_churn(rows, delta, phases, _INIT_PHASE, self._host_demand)
+        self._spawn_seq[spawning] = first + new
+        self.workers[rows] += delta
+        self._c_spawns.value += total
+        self._c_kills.value -= int(delta[~grow].sum())
 
     # ------------------------------------------------------------------
     # deferred-op replay (called by the host engine during ensure_hot,
@@ -572,7 +575,7 @@ class TenantPopulation:
         The kind draw is keyed on the spawn ordinal, so recomputing it
         here yields the workload the scalar path would have picked; the
         ``_spawn_seq`` / ``_host_demand`` columns were already advanced
-        virtually by ``_cold_reconcile`` and must not move again.
+        virtually by ``_cold_churn`` and must not move again.
         """
         self._exec_worker(s, self._workload_for(s, seq))
 
@@ -600,9 +603,9 @@ class TenantPopulation:
         return _batch_workload()
 
     def _exec_worker(self, s: int, workload) -> float:
-        """Start ``workload`` in row ``s``'s container (or bare on its
-        kernel), track the task, and return its demand."""
-        container = self._container_for(s)
+        """Start ``workload`` in row ``s``'s container (bare on its kernel
+        while the row has none), track the task, and return its demand."""
+        container = self._containers[s]
         if container is not None:
             task = container.exec(workload.name, workload=workload)
         else:
@@ -629,6 +632,7 @@ class TenantPopulation:
     def _spawn_worker(self, s: int) -> None:
         seq = int(self._spawn_seq[s])
         self._spawn_seq[s] = seq + 1
+        self._container_for(s)
         demand = self._exec_worker(s, self._workload_for(s, seq))
         self._host_demand[s // self.k_per_host] += demand
         self._c_spawns.value += 1

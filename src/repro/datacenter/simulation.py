@@ -263,6 +263,8 @@ class DatacenterSimulation:
         #: tick-coalescing fast-forward (engaged by ``run(coalesce=True)``)
         self.fastforward = FastForwardEngine(max_step_s=max_coalesce_s)
         self.metrics: SimMetrics = self.fastforward.metrics
+        if self.host_engine is not None:
+            self.host_engine.use_registry(self.metrics.registry)
         #: extra event-horizon callables ``now -> absolute next event time``
         #: (attack strategies register theirs here)
         self.horizon_sources: List[Callable[[float], float]] = []
@@ -405,6 +407,14 @@ class DatacenterSimulation:
         }
         if self.tracer is not None:
             status["trace"] = {"driver": self.tracer.health()}
+        he = self.host_engine
+        if he is not None:
+            status["columnar"] = {
+                "cold": he.cold_count(),
+                "barriers": len(he._bar_t0),
+                "op_log_bytes": he.op_log_bytes(),
+                "materializations": he.materializations,
+            }
         engine = self._parallel
         if engine is not None:
             ipc = engine.ipc

@@ -48,12 +48,16 @@ class WallPowerCache:
     """Per-tick memo of each server's wall power.
 
     Wall power is a pure function of a kernel's ``last_tick``, which only
-    changes when the kernel executes a tick — yet one simulation step used
-    to recompute it up to three times per kernel (:meth:`Rack.observe`,
-    the breaker-knee coalescing guard, and the trace sampler). Entries are
-    keyed on ``kernel.ticks_taken``, so a clock advance that ticks the
-    kernel invalidates its entry automatically and everything between two
-    ticks is served from the memo.
+    changes when the kernel executes a tick. A fleet reads it once per
+    tick per host: :meth:`repro.datacenter.fleet.FleetSlice.host_watts`
+    builds one per-host vector that the breaker feed, the breaker-knee
+    coalescing guard and the trace sampler share. That vector asks this
+    memo for hot hosts only; cold hosts of a columnar fleet come straight
+    from the host engine's wall column. Entries are keyed on
+    ``kernel.ticks_taken``, so a clock advance that ticks the kernel
+    invalidates its entry automatically and everything between two ticks
+    is served from the memo. :meth:`watts` also routes a cold host to the
+    wall column, for callers outside the fleet loop.
     """
 
     def __init__(self, config: Optional[ServerPowerConfig] = None):
@@ -99,7 +103,14 @@ class WallPowerCache:
 
 @dataclass
 class Rack:
-    """A rack: servers sharing one branch circuit breaker."""
+    """A rack: servers sharing one branch circuit breaker.
+
+    :meth:`wall_power` is the scalar form of the rack total: PDUs use it,
+    and the tests use it as the oracle for the fleet's vector form
+    (:meth:`repro.datacenter.fleet.FleetSlice.rack_watts`), which folds
+    every rack's total from the per-tick host-watts vector and feeds the
+    breakers without calling :meth:`observe`.
+    """
 
     name: str
     kernels: List[Kernel]

@@ -48,32 +48,28 @@ class PseudoWalker:
         self.ctx = ctx
 
     def read_one(self, path: str) -> WalkEntry:
-        """Read a single path, converting policy errors into outcomes."""
-        try:
-            node = self.vfs.lookup(path)
-        except FileNotFoundPseudoError:
+        """Read a single path, converting policy errors into outcomes.
+
+        The node (for its channel) comes from :meth:`PseudoVFS.find`, so
+        each read is one call into the VFS's ``read``/``lookup`` surface.
+        """
+        node = self.vfs.find(path)
+        if node is None:
             return WalkEntry(path=path, outcome=ReadOutcome.ABSENT, content=None,
                              channel=None)
         try:
             content = self.vfs.read(path, self.ctx)
         except TransientReadError:
-            return WalkEntry(
-                path=path, outcome=ReadOutcome.ERROR, content=None,
-                channel=node.channel,
-            )
+            outcome = ReadOutcome.ERROR
         except PermissionDeniedError:
-            return WalkEntry(
-                path=path, outcome=ReadOutcome.DENIED, content=None,
-                channel=node.channel,
-            )
+            outcome = ReadOutcome.DENIED
         except FileNotFoundPseudoError:
-            return WalkEntry(
-                path=path, outcome=ReadOutcome.ABSENT, content=None,
-                channel=node.channel,
-            )
-        return WalkEntry(
-            path=path, outcome=ReadOutcome.OK, content=content, channel=node.channel
-        )
+            outcome = ReadOutcome.ABSENT
+        else:
+            return WalkEntry(path=path, outcome=ReadOutcome.OK, content=content,
+                             channel=node.channel)
+        return WalkEntry(path=path, outcome=outcome, content=None,
+                         channel=node.channel)
 
     def walk(self, paths: Optional[List[str]] = None) -> Dict[str, WalkEntry]:
         """Read every path (default: the full tree) in this context."""

@@ -18,11 +18,12 @@ it does not mirror:
 
 * A cold host *keeps* its fully booted :class:`Kernel` object; the
   engine merely defers its ticks, logging ``(t0, dt)`` barriers and the
-  tenant-population operations (container creation, worker spawns and
-  kills) that would have applied to it. Each host's op log is a packed
-  ``array('q')`` of ``(barrier_seq, row, arg)`` triples: ``arg >= 0``
-  is a spawn ordinal, :data:`OP_KILL` a kill and :data:`OP_CONTAINER`
-  a container creation.
+  tenant-population churn that would have applied to it. Each host's op
+  log holds one record per barrier with churn: the barrier sequence
+  number (an ``array('i')``) and the signed worker delta of each of the
+  host's ``k`` tenant rows (``k`` entries of an ``array('b')``). Replay
+  re-derives the rest: spawn ordinals from a per-row cursor, kills as
+  LIFO pops, and the container creation before a row's first spawn.
 * Everything the outside world can observe *while the host is cold* is
   mirrored in columns with the exact IEEE-754 operation order of the
   scalar reference (the stage order of :meth:`Kernel.tick`):
@@ -52,11 +53,15 @@ in task order exactly like the scalar loop. The golden equivalence suite
 (``tests/datacenter/test_hostengine.py``) pins this bit for bit.
 
 Each cold host's mirror holds only its live tasks: a kill removes the
-slot from the host's task-ordered list, and a parallel list of
-``(cpu, demand)`` floats feeds the refold. The per-CPU demand column is
-therefore always the scheduler's placement fold, so a cold spawn places
-on its first minimum without refolding anything. Spawns and kills cost
-O(live tasks on the host), however many tasks the host has had.
+slot from the host's task-ordered list and marks the host's folds
+dirty. A dirty host is refolded before its next placement, and every
+other dirty host in one vector pass before anything reads the folds
+(:meth:`tick_all`, the plan fingerprint, :meth:`ensure_hot`, a
+checkpoint pickle). The per-CPU demand column is therefore the
+scheduler's placement fold whenever a spawn places on its first
+minimum. The population hands over one step's churn on cold hosts as a
+single :meth:`cold_churn` batch, so a spawn or kill costs O(live tasks
+on the host), however many tasks the host has had.
 
 Eligibility
 -----------
@@ -79,13 +84,25 @@ from repro.errors import SimulationError
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import TaskState
 from repro.kernel.thermal import ThermalSubsystem
+from repro.obs.registry import MetricRegistry
 from repro.sim.clock import VirtualClock
 from repro.sim.rng import keyed_gauss_at, stream_key
 
 
-#: deferred-op ``arg`` codes; a non-negative ``arg`` is a spawn ordinal
-OP_KILL = -1
-OP_CONTAINER = -2
+#: range of one row's worker delta in an op record (``array('b')``)
+MIN_ROW_DELTA, MAX_ROW_DELTA = -128, 127
+
+
+#: the per-slot task-mirror columns
+_SLOT_COLUMNS = (
+    "_s_demand",
+    "_s_ipc",
+    "_s_cmr",
+    "_s_bmr",
+    "_s_host",
+    "_s_cpu",
+    "_s_alive",
+)
 
 
 def _config_signature(kernel: Kernel) -> tuple:
@@ -200,11 +217,19 @@ class ColumnarHostEngine:
         #: per-host closed participation ranges [start_seq, end_seq)
         self._ranges: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
         self._run_start = np.full(n, -1, dtype=np.int64)
-        #: per-host deferred tenant ops, packed ``(barrier_seq, row, arg)``
-        self._ops: List[array] = [array("q") for _ in range(n)]
+        #: per-host op records: the barrier seq of each record, and the
+        #: signed worker delta of each of the host's tenant rows
+        self._op_bar: List[array] = [array("i") for _ in range(n)]
+        self._op_delta: List[array] = [array("b") for _ in range(n)]
+        self._op_records = 0
         #: tenant rows on cold hosts: row -> mirror slot ids (LIFO)
         self._row_slots: Dict[int, List[int]] = {}
         self._row_has_container: Set[int] = set()
+        #: tenant rows on cold hosts: row -> ordinal of its next replayed
+        #: spawn (the population's ``_spawn_seq`` at adoption)
+        self._row_cursor: Dict[int, int] = {}
+        #: cold hosts whose ``_fp``/``_cpu_demand``/``_scale`` are stale
+        self._dirty: Set[int] = set()
 
         self._kernel_index: Dict[int, int] = {
             id(k): i for i, k in enumerate(self.kernels)
@@ -215,6 +240,7 @@ class ColumnarHostEngine:
         self.demotions = 0
         self.cold_host_ticks = 0
         self.hot_host_ticks = 0
+        self.use_registry(MetricRegistry())
 
         if population is not None:
             self.bind_population(population)
@@ -223,6 +249,7 @@ class ColumnarHostEngine:
     # checkpoint plumbing
 
     def __getstate__(self) -> dict:
+        self._refold_dirty()
         state = dict(self.__dict__)
         state["_kernel_index"] = None  # id()-keyed; rebuilt on restore
         return state
@@ -233,6 +260,15 @@ class ColumnarHostEngine:
 
     # ------------------------------------------------------------------
     # wiring
+
+    def use_registry(self, registry: MetricRegistry) -> None:
+        """Publish the replay-debt gauges into ``registry``."""
+        self._g_barriers = registry.gauge(
+            "columnar.deferred_barriers", "barriers logged for deferred replay"
+        )
+        self._g_op_bytes = registry.gauge(
+            "columnar.op_log_bytes", "bytes of packed deferred-op records"
+        )
 
     def bind_population(self, population) -> None:
         """Attach the tenant population (column-to-column coupling).
@@ -270,19 +306,28 @@ class ColumnarHostEngine:
     def cold_count(self) -> int:
         return int(self.cold.sum())
 
-    def fingerprint(self, i: int) -> float:
-        """Cold-host mirror of ``kernel.demand_fingerprint()``."""
-        return float(self._fp[i])
+    def fingerprints(self) -> np.ndarray:
+        """Cold-host mirror of ``kernel.demand_fingerprint()``, per host
+        (a copy; entries of hot hosts are stale)."""
+        self._refold_dirty()
+        return self._fp.copy()
 
     def wall_watts(self, i: int) -> float:
         """Cold-host mirror of ``topology.wall_power_watts(kernel)``."""
         return float(self._wall[i])
 
+    def walls(self) -> np.ndarray:
+        """:meth:`wall_watts` per host (a copy; entries of hot hosts are
+        stale)."""
+        return self._wall.copy()
+
     def ticks_taken(self, i: int) -> int:
         return int(self._ticks[i])
 
-    def row_has_container(self, row: int) -> bool:
-        return row in self._row_has_container
+    def op_log_bytes(self) -> int:
+        """Bytes the packed op records take (growth slack excluded)."""
+        k = self.population.k_per_host if self.population is not None else 0
+        return self._op_records * (self._op_bar[0].itemsize + k)
 
     # ------------------------------------------------------------------
     # eligibility / adoption
@@ -314,22 +359,22 @@ class ColumnarHostEngine:
                 return False
         return True
 
+    def _grow_slots(self, size: int) -> None:
+        """Make room for ``size`` slots (capacity doubles)."""
+        cap = len(self._s_demand)
+        if size <= cap:
+            return
+        while cap < size:
+            cap *= 2
+        for name in _SLOT_COLUMNS:
+            arr = getattr(self, name)
+            grown = np.zeros(cap, dtype=arr.dtype)
+            grown[: len(arr)] = arr
+            setattr(self, name, grown)
+
     def _new_slot(self, host: int, cpu: int, phase) -> int:
         slot = self._s_len
-        if slot == len(self._s_demand):
-            for name in (
-                "_s_demand",
-                "_s_ipc",
-                "_s_cmr",
-                "_s_bmr",
-                "_s_host",
-                "_s_cpu",
-                "_s_alive",
-            ):
-                arr = getattr(self, name)
-                grown = np.zeros(len(arr) * 2, dtype=arr.dtype)
-                grown[: len(arr)] = arr
-                setattr(self, name, grown)
+        self._grow_slots(slot + 1)
         self._s_len = slot + 1
         self._s_demand[slot] = phase.cpu_demand
         self._s_ipc[slot] = phase.ipc
@@ -361,7 +406,7 @@ class ColumnarHostEngine:
         placement = kernel.scheduler._placement
         for task in kernel.scheduler.iter_tasks():
             self._new_slot(i, placement[task], task.workload.phases[0])
-        self._refold_host(i)
+        self._dirty.add(i)
 
         self._ticks[i] = kernel.ticks_taken
         self._wall[i] = wall_power_watts(kernel, self.power_config)
@@ -383,7 +428,7 @@ class ColumnarHostEngine:
         self._adopt_t[i] = self.clock.now
         self._ranges[i] = []
         self._run_start[i] = -1
-        self._ops[i] = array("q")
+        self._drop_ops(i)
 
         if self.population is not None:
             pop = self.population
@@ -403,87 +448,183 @@ class ColumnarHostEngine:
                 ]
                 if pop._containers[row] is not None:
                     self._row_has_container.add(row)
+                self._row_cursor[row] = int(pop._spawn_seq[row])
         self.cold[i] = True
         self._order_dirty = True
 
-    def _refold_host(self, i: int) -> None:
-        """Recompute the order-sensitive folds of one host.
+    def _drop_ops(self, i: int) -> None:
+        self._op_records -= len(self._op_bar[i])
+        self._op_bar[i] = array("i")
+        self._op_delta[i] = array("b")
+
+    def _refold_dirty(self) -> None:
+        """Refold every dirty host in one vector pass.
 
         Mirrors ``kernel_demand_fingerprint`` (0.0-seeded fold in task
         order) and the scheduler's per-CPU ``sum(demands.values())``
-        (int-0-seeded fold in task order) exactly, over the host's live
-        ``(cpu, demand)`` list. The per-CPU fold is also what
-        ``Scheduler.add_task`` places by, so ``_cpu_demand[i]`` stays the
-        placement load for :meth:`_placement_for`.
+        (int-0-seeded fold in task order) exactly: ``np.add.at`` is
+        unbuffered, so over the live slots in (host, task position)
+        order each target accumulates term by term in task order, from
+        zero. The per-CPU fold is also what ``Scheduler.add_task``
+        places by, so ``_cpu_demand`` is again the placement load.
         """
-        fp = 0.0
-        totals = [0] * self._C
-        for c, d in self._host_tasks[i]:
-            fp = fp + d
-            totals[c] = totals[c] + d
-        self._fp[i] = fp
-        self._cpu_demand[i] = totals
-        self._scale[i] = [1.0 if t <= 1.0 else 1.0 / t for t in totals]
-
-    def _placement_for(self, i: int) -> int:
-        """Mirror of ``Scheduler.add_task`` placement for a cold host.
-
-        ``add_task`` folds per-CPU loads (int-0-seeded, in placement
-        order) and takes the first strict minimum. ``_cpu_demand[i]``
-        holds exactly that fold: adoption and kills refold it, and
-        spawns extend it by one term. So placement is its first argmin.
-        """
-        return int(self._cpu_demand[i].argmin())
+        if not self._dirty:
+            return
+        if self._order_dirty:
+            self._rebuild_order()
+        dirty = np.fromiter(self._dirty, dtype=np.int64, count=len(self._dirty))
+        self._dirty.clear()
+        mask = np.zeros(self.n, dtype=bool)
+        mask[dirty] = True
+        order = self._order
+        sel = order[mask[self._s_host[order]]]
+        hosts = self._s_host[sel]
+        demand = self._s_demand[sel]
+        self._fp[dirty] = 0.0
+        np.add.at(self._fp, hosts, demand)
+        C = self._C
+        self._cpu_demand[dirty] = 0.0
+        np.add.at(self._cpu_demand.reshape(-1), hosts * C + self._s_cpu[sel], demand)
+        totals = self._cpu_demand[dirty]
+        self._scale[dirty] = np.divide(
+            1.0, totals, out=np.ones_like(totals), where=totals > 1.0
+        )
 
     # ------------------------------------------------------------------
-    # cold tenant operations (called by the population's cold branch)
+    # cold tenant churn (the population's cold branch, once per step)
 
-    def _log_op(self, i: int, row: int, arg: int) -> None:
-        self._ops[i].extend((len(self._bar_t0), row, arg))
+    def cold_churn(
+        self,
+        rows: np.ndarray,
+        deltas: np.ndarray,
+        phases: Sequence[object],
+        init_phase,
+        host_demand: np.ndarray,
+    ) -> None:
+        """Apply one step's worker churn on cold hosts, deferring it.
 
-    def _cold_task(self, i: int, phase) -> int:
-        """Place a new task on cold host ``i`` and extend its folds by one
-        term (the new task is last in task order); returns its slot."""
-        cpu = self._placement_for(i)
-        slot = self._new_slot(i, cpu, phase)
-        d = float(phase.cpu_demand)
-        self._fp[i] = self._fp[i] + d
-        total = self._cpu_demand[i, cpu] + d
-        self._cpu_demand[i, cpu] = total
-        self._scale[i, cpu] = 1.0 if total <= 1.0 else 1.0 / total
-        return slot
-
-    def cold_container(self, i: int, row: int, init_phase) -> None:
-        """Defer a benign container creation (init task joins the mirror)."""
-        self._cold_task(i, init_phase)
-        self._row_slots.setdefault(row, [])
-        self._row_has_container.add(row)
-        self._log_op(i, row, OP_CONTAINER)
-
-    def cold_spawn(self, i: int, row: int, seq: int, phase) -> None:
-        """Defer one worker spawn for a tenant row on a cold host."""
-        self._row_slots.setdefault(row, []).append(self._cold_task(i, phase))
-        self._log_op(i, row, seq)
-
-    def cold_kill(self, i: int, row: int) -> float:
-        """Defer one worker kill (LIFO); returns the worker's demand.
-
-        The slot leaves the host's live lists in place, the other slots
-        keeping their task order, and the host is refolded over what is
-        left: removing an interior term reorders every downstream partial
-        sum, so the folds cannot be patched by subtraction.
+        ``rows`` are tenant rows on cold hosts in ascending order, each
+        with a non-zero signed worker delta; ``phases`` holds the phase
+        of every new worker, rows in order and each row's workers in
+        spawn-ordinal order. Per host, the ops run in row order, each
+        row's contiguous, exactly as a per-row scalar loop would:
+        placement is the first minimum of the per-CPU fold (a host
+        refolds first if a kill left it dirty), a row's first spawn
+        creates its container (the init task joins the mirror first),
+        and kills pop the row's newest worker. ``host_demand[h]`` folds
+        every spawned demand (+) and killed demand (-) in that order.
+        Each touched host logs one op record for the current barrier.
         """
-        slot = self._row_slots[row].pop()
-        slots = self._host_slots[i]
-        pos = slots.index(slot)
-        del slots[pos]
-        _cpu, demand = self._host_tasks[i].pop(pos)
-        self._s_alive[slot] = False
-        self._dead_slots += 1
+        if deltas.size == 0:
+            return
+        if int(deltas.min()) < MIN_ROW_DELTA or int(deltas.max()) > MAX_ROW_DELTA:
+            raise SimulationError(
+                "worker delta outside an op record's range"
+                f" [{MIN_ROW_DELTA}, {MAX_ROW_DELTA}]"
+            )
+        seq = len(self._bar_t0)
+        self._refold_dirty()
+        pop = self.population
+        k = pop.k_per_host
+        engines = pop._engines
+        C = self._C
+        row_slots = self._row_slots
+        has_container = self._row_has_container
+        dirty = self._dirty
+        first = self._s_len
+        new_host: List[int] = []
+        new_cpu: List[int] = []
+        new_phase: List[object] = []
+        killed: List[int] = []
+        touched: List[int] = []
+        demands: List[float] = []
+
+        def place(phase) -> int:
+            """Append a task to host ``h``'s mirror on the first least
+            loaded CPU, extending the placement fold; returns its slot."""
+            d = float(phase.cpu_demand)
+            cpu = loads.index(min(loads))
+            loads[cpu] = loads[cpu] + d
+            slot = first + len(new_phase)
+            slots.append(slot)
+            tasks.append((cpu, d))
+            new_host.append(h)
+            new_cpu.append(cpu)
+            new_phase.append(phase)
+            return slot
+
+        phase_at = iter(phases)
+        rows_l = rows.tolist()
+        deltas_l = deltas.tolist()
+        hd = host_demand.tolist()
+        i, end = 0, len(rows_l)
+        while i < end:
+            h = rows_l[i] // k
+            base = h * k
+            record = [0] * k
+            slots = self._host_slots[h]
+            tasks = self._host_tasks[h]
+            loads = None
+            acc = hd[h]
+            while i < end and rows_l[i] < base + k:
+                row, delta = rows_l[i], deltas_l[i]
+                i += 1
+                record[row - base] = delta
+                if delta < 0:
+                    mine = row_slots[row]
+                    for _ in range(-delta):
+                        slot = mine.pop()
+                        pos = slots.index(slot)
+                        del slots[pos]
+                        acc = acc - tasks.pop(pos)[1]
+                        killed.append(slot)
+                    dirty.add(h)
+                    loads = None
+                    continue
+                if loads is None:
+                    if h in dirty:
+                        # a kill left the folds stale: redo the
+                        # scheduler's placement fold (int-0-seeded, in
+                        # task order) over the host's live tasks
+                        loads = [0] * C
+                        for c, d in tasks:
+                            loads[c] = loads[c] + d
+                    else:
+                        loads = self._cpu_demand[h].tolist()
+                mine = row_slots.setdefault(row, [])
+                if row not in has_container and engines[h] is not None:
+                    # the container's init task joins before the worker
+                    has_container.add(row)
+                    place(init_phase)
+                for _ in range(delta):
+                    phase = next(phase_at)
+                    mine.append(place(phase))
+                    acc = acc + phase.cpu_demand
+            self._op_bar[h].append(seq)
+            self._op_delta[h].extend(record)
+            touched.append(h)
+            demands.append(acc)
+        self._op_records += len(touched)
+        host_demand[touched] = demands
+        # spawns extended ``loads`` only locally: refold every touched
+        # host (appending a term last in task order is the same fold)
+        dirty.update(touched)
         self._order_dirty = True
-        self._refold_host(i)
-        self._log_op(i, row, OP_KILL)
-        return demand
+        if killed:
+            self._s_alive[killed] = False
+            self._dead_slots += len(killed)
+        if new_phase:
+            end = first + len(new_phase)
+            self._grow_slots(end)
+            self._s_len = end
+            new = slice(first, end)
+            self._s_host[new] = new_host
+            self._s_cpu[new] = new_cpu
+            self._s_demand[new] = [p.cpu_demand for p in new_phase]
+            self._s_ipc[new] = [p.ipc for p in new_phase]
+            self._s_cmr[new] = [p.cache_miss_per_kinst for p in new_phase]
+            self._s_bmr[new] = [p.branch_miss_per_kinst for p in new_phase]
+            self._s_alive[new] = True
 
     # ------------------------------------------------------------------
     # materialization / demotion
@@ -492,16 +633,19 @@ class ColumnarHostEngine:
         """Materialize host ``i``: replay deferred ticks through Kernel.tick."""
         if not self.cold[i]:
             return
+        self._refold_dirty()
         self.cold[i] = False
         self._order_dirty = True
         if self._run_start[i] >= 0:
             self._ranges[i].append((int(self._run_start[i]), len(self._bar_t0)))
             self._run_start[i] = -1
         kernel = self.kernels[i]
-        ops = self._ops[i]
-        nops = len(ops)
-        oi = 0
+        bars = self._op_bar[i]
+        deltas = self._op_delta[i]
+        nrec = len(bars)
+        ri = 0
         pop = self.population
+        k = pop.k_per_host if pop is not None else 0
         nbar = len(self._bar_t0)
         with self.clock.replay_window(float(self._adopt_t[i])):
             for a, b in self._ranges[i]:
@@ -509,21 +653,22 @@ class ColumnarHostEngine:
                     t0 = self._bar_t0[seq]
                     dt = self._bar_dt[seq]
                     self.clock.sleep_until(t0)
-                    while oi < nops and ops[oi] <= seq:
-                        self._replay_op(pop, ops[oi + 1], ops[oi + 2])
-                        oi += 3
+                    while ri < nrec and bars[ri] <= seq:
+                        self._replay_record(pop, i, deltas[ri * k : (ri + 1) * k])
+                        ri += 1
                     self.clock.sleep_until(t0 + dt)
                     kernel.tick(dt)
-        # ops logged in the current (not yet ticked) iteration happen at
-        # the present clock reading, after the window restores it
-        while oi < nops:
-            if ops[oi] < nbar:
+        # records logged in the current (not yet ticked) iteration happen
+        # at the present clock reading, after the window restores it
+        while ri < nrec:
+            if bars[ri] < nbar:
                 raise SimulationError(
-                    "deferred op outside any participation range: "
-                    f"{tuple(ops[oi : oi + 3])}"
+                    "deferred op record outside any participation range:"
+                    f" barrier {bars[ri]}, deltas"
+                    f" {tuple(deltas[ri * k : (ri + 1) * k])}"
                 )
-            self._replay_op(pop, ops[oi + 1], ops[oi + 2])
-            oi += 3
+            self._replay_record(pop, i, deltas[ri * k : (ri + 1) * k])
+            ri += 1
         if kernel.ticks_taken != int(self._ticks[i]):
             raise SimulationError(
                 f"replay desync on host {i}: kernel at tick "
@@ -539,25 +684,36 @@ class ColumnarHostEngine:
         # release the host's cold bookkeeping
         self._drop_host_slots(i)
         self._ranges[i] = []
-        self._ops[i] = array("q")
+        self._drop_ops(i)
         if pop is not None:
-            k = pop.k_per_host
             for row in range(i * k, (i + 1) * k):
                 self._row_slots.pop(row, None)
                 self._row_has_container.discard(row)
+                self._row_cursor.pop(row, None)
         self.materializations += 1
 
-    def _replay_op(self, pop, row: int, arg: int) -> None:
+    def _replay_record(self, pop, i: int, deltas) -> None:
+        """Replay one op record of host ``i``: its rows' churn in row order.
+
+        A positive delta first creates the row's container if it has
+        none yet (the condition the cold spawn tested), then spawns at
+        the row's ordinal cursor; a negative one pops the row's newest
+        workers.
+        """
         if pop is None:
             raise SimulationError("deferred tenant op with no population bound")
-        if arg >= 0:
-            pop.replay_spawn(row, arg)
-        elif arg == OP_KILL:
-            pop.replay_kill(row)
-        elif arg == OP_CONTAINER:
-            pop.replay_container(row)
-        else:  # pragma: no cover - defensive
-            raise SimulationError(f"unknown deferred op code: {arg}")
+        row = i * pop.k_per_host
+        for delta in deltas:
+            if delta > 0:
+                pop.replay_container(row)
+                first = self._row_cursor[row]
+                for seq in range(first, first + delta):
+                    pop.replay_spawn(row, seq)
+                self._row_cursor[row] = first + delta
+            else:
+                for _ in range(-delta):
+                    pop.replay_kill(row)
+            row += 1
 
     def ensure_hot_kernel(self, kernel: Kernel) -> None:
         idx = self._kernel_index.get(id(kernel))
@@ -604,15 +760,7 @@ class ColumnarHostEngine:
         remap = np.full(self._s_len, -1, dtype=np.int64)
         alive = np.nonzero(self._s_alive[: self._s_len])[0]
         remap[alive] = np.arange(len(alive))
-        for name in (
-            "_s_demand",
-            "_s_ipc",
-            "_s_cmr",
-            "_s_bmr",
-            "_s_host",
-            "_s_cpu",
-            "_s_alive",
-        ):
+        for name in _SLOT_COLUMNS:
             arr = getattr(self, name)
             packed = np.zeros(max(64, len(alive) * 2), dtype=arr.dtype)
             packed[: len(alive)] = arr[alive]
@@ -634,15 +782,18 @@ class ColumnarHostEngine:
         barrier time recorded for deferred replay); ``dark`` holds host
         indices that draw no power this tick (tripped racks, crashes).
         """
+        self._refold_dirty()
         cold = self.cold
         any_cold = cold.any()
         seq = len(self._bar_t0)
         if any_cold:
             self._bar_t0.append(float(t0))
             self._bar_dt.append(float(dt))
+            self._g_barriers.value = seq + 1
+            self._g_op_bytes.value = self.op_log_bytes()
         # hot hosts: the per-object reference path, exactly as before
-        for i in range(self.n):
-            if not cold[i] and i not in dark:
+        for i in np.flatnonzero(~cold).tolist():
+            if i not in dark:
                 self.kernels[i].tick(dt)
                 self.hot_host_ticks += 1
         if not any_cold:
@@ -784,6 +935,7 @@ class ColumnarHostEngine:
             "cold_host_ticks": self.cold_host_ticks,
             "hot_host_ticks": self.hot_host_ticks,
             "barriers": len(self._bar_t0),
+            "op_log_bytes": self.op_log_bytes(),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

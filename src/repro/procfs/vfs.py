@@ -100,11 +100,16 @@ class PseudoVFS:
             node = patched.get(path) or nodes.get(path)
         return node
 
+    def find(self, path: str) -> Optional[PseudoFile]:
+        """The file node at ``path``, or ``None`` (no policy applied)."""
+        node = self._resolve(path)
+        return node if isinstance(node, PseudoFile) else None
+
     # ``lookup`` and ``read`` both resolve here, so a ``read`` is one call
     # into the public surface (one span when that surface is traced)
     def _file(self, path: str) -> PseudoFile:
-        node = self._resolve(path)
-        if node is None or not isinstance(node, PseudoFile):
+        node = self.find(path)
+        if node is None:
             raise FileNotFoundPseudoError(path)
         return node
 

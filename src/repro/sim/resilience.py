@@ -39,8 +39,10 @@ from repro.errors import SimulationError
 #: pickled kernels and workloads carry the scalar tick's memo fields;
 #: 4: ext4 block groups are drawn lazily and a VFS carries its patches;
 #: 5: the columnar host engine packs its op log into arrays and keeps a
-#: per-host ``(cpu, demand)`` mirror of live slots only)
-SNAPSHOT_VERSION = 5
+#: per-host ``(cpu, demand)`` mirror of live slots only; 6: the op log
+#: holds one record of row deltas per host per barrier, and the engine
+#: carries per-row spawn-ordinal cursors and a set of dirty hosts)
+SNAPSHOT_VERSION = 6
 
 #: version stamp embedded in the driver-side manifest
 #: (4: the manifest pins the whole ``FleetConfig`` the fleet was built

@@ -109,3 +109,89 @@ def test_split_slices_match_the_whole_fleet(population, hosts):
         remaining -= step
     assert max(steps) > 1.0, "the run never coalesced"
     assert saw_dark, "the fault schedule never darkened a host"
+
+
+def old_row(fleet):
+    """The per-host trace row as the slice computed it one host at a time."""
+    crashed = fleet.injector.crashed_now() if fleet.injector is not None else ()
+    dark = fleet.dark()
+    return [
+        None if local in crashed
+        else (0.0 if g in dark else fleet.cache.watts(kernel))
+        for local, (g, kernel) in enumerate(zip(fleet.labels, fleet.kernels))
+    ]
+
+
+def old_fingerprints(fleet, dark):
+    """The plan fingerprint as the slice computed it one host at a time."""
+    he, pop = fleet.host_engine, fleet.population
+    out = []
+    for local, (g, kernel) in enumerate(zip(fleet.labels, fleet.kernels)):
+        if g in dark:
+            out.append(0.0)
+            continue
+        if he is not None and he.is_cold(local):
+            fp = float(he._fp[local])
+        else:
+            fp = kernel.demand_fingerprint()
+        out.append(fp if pop is None else fp + pop.host_demand(g))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("hosts", ["columnar", "objects"])
+def test_vector_watts_and_fingerprints_match_per_host(hosts):
+    """The per-tick host-watts vector, the rack totals folded from it and
+    the vector plan fingerprint equal the per-host expressions bit for
+    bit, on a short last rack, a crashed host, a tripped rack and a hot
+    host among cold ones."""
+    cfg = FleetConfig(
+        profile=PROVIDER_PROFILES["CC1"], seed=SEED, start_time=0.0,
+        servers=12, rack_size=8, breaker_rated_watts=1300.0,
+        tenant_profile=None, tenants_per_host=2, population="columnar",
+        hosts=hosts, power_config=ServerPowerConfig(),
+        breaker_knee_ratio=0.98,
+    )
+    fleet = build(cfg)
+    assert [len(rack.kernels) for rack in fleet.racks] == [8, 4]
+    fleet.install_faults(
+        FaultSchedule([
+            FaultEvent(at=60.0, kind=FaultKind.MACHINE_CRASH,
+                       duration_s=120.0, server=10),
+            FaultEvent(at=150.0, kind=FaultKind.BREAKER_TRIP,
+                       duration_s=90.0, server=0),
+        ], seed=SEED),
+        SEED,
+    )
+    he = fleet.host_engine
+    engine = FastForwardEngine(max_step_s=3600.0)
+    fleet.advance_faults()
+    remaining, seen = 420.0, set()
+    while remaining > 1e-9:
+        now = fleet.clock.now
+        if he is not None and now >= 30.0 and he.is_cold(3):
+            he.observer_acquire(3)
+        dark = fleet.dark()
+        fp, horizon = fleet.plan(now, min(1.0, remaining), dark)
+        assert fp == old_fingerprints(fleet, dark)
+        stable = engine.stability.observe((fp, frozenset(dark)))
+        step = engine.plan_step(
+            now=now, remaining=remaining, base_dt=1.0, horizon=horizon,
+            stable=stable and fleet.breakers_safe(),
+        )
+        if fleet.commit(step, dark):
+            engine.stability.reset()
+        crashed = fleet.injector.crashed_now()
+        ids = frozenset(id(fleet.kernels[i]) for i in crashed)
+        assert fleet.rack_watts(crashed) == [
+            rack.wall_power(ids) for rack in fleet.racks
+        ]
+        assert fleet.row() == old_row(fleet)
+        if crashed:
+            seen.add("crashed")
+        if any(rack.breaker.tripped for rack in fleet.racks):
+            seen.add("tripped")
+        if he is not None and 0 < he.cold_count() < he.n:
+            seen.add("hot among cold")
+        remaining -= step
+    want = {"crashed", "tripped"} | ({"hot among cold"} if he else set())
+    assert seen == want

@@ -18,7 +18,6 @@ from repro.attack.strategies import SynergisticAttack
 from repro.datacenter.simulation import DatacenterSimulation
 from repro.datacenter.tenants import DiurnalProfile
 from repro.errors import SimulationError
-from repro.kernel.columnar import OP_CONTAINER, OP_KILL
 from repro.sim.faults import FaultEvent, FaultKind, FaultSchedule
 
 SEED = 7
@@ -87,6 +86,7 @@ def run_churn(sim, after_slice=None):
 
 def assert_cold_folds(he, i):
     """Host ``i``'s folds equal a fresh fold over its live slots."""
+    he.fingerprints()  # a reader: refolds the dirty hosts
     slots = he._host_slots[i]
     assert all(he._s_alive[s] for s in slots)
     live = he._s_alive[: he._s_len] & (he._s_host[: he._s_len] == i)
@@ -106,7 +106,58 @@ def assert_cold_folds(he, i):
     assert he._scale[i].tolist() == [
         1.0 if t <= 1.0 else 1.0 / t for t in totals
     ]
-    assert len(he._ops[i]) % 3 == 0
+    k = he.population.k_per_host
+    assert len(he._op_delta[i]) == k * len(he._op_bar[i])
+
+
+def records(he, i):
+    """Host ``i``'s op log as ``(barrier, deltas)`` pairs."""
+    k = he.population.k_per_host
+    deltas = he._op_delta[i]
+    return [
+        (bar, tuple(deltas[r * k : (r + 1) * k]))
+        for r, bar in enumerate(he._op_bar[i])
+    ]
+
+
+def kill_then_spawn(deltas):
+    """Whether a kill on one row precedes a spawn on a later row."""
+    return any(
+        d < 0 and any(e > 0 for e in deltas[j + 1 :])
+        for j, d in enumerate(deltas)
+    )
+
+
+def assert_materialized_equal(ref, col):
+    """Materialize every cold host; traces and replayed kernels match."""
+    he = col.host_engine
+    for i in range(he.n):
+        he.observer_acquire(i)
+    assert he.cold_count() == 0
+    assert snapshot(ref) == snapshot(col)
+    for r_host, c_host in zip(ref.cloud.hosts, col.cloud.hosts):
+        for path in CHURN_READS:
+            assert c_host.engine.vfs.read(path) == r_host.engine.vfs.read(path)
+
+
+def force_targets(sim, plan):
+    """Override tenant targets at given steps: ``{step: {row: f(workers)}}``.
+
+    The override runs inside the population step, so forced churn rides
+    the same barrier as the natural churn of that step.
+    """
+    pop = sim.population
+    real = pop._targets
+    steps = [0]
+
+    def targets(now, k_now, rows):
+        out = real(now, k_now, rows)
+        for row, want in plan.get(steps[0], {}).items():
+            out[rows == row] = want(int(pop.workers[row]))
+        steps[0] += 1
+        return out
+
+    pop._targets = targets
 
 
 def chaos_schedule():
@@ -303,20 +354,66 @@ class TestColdChurn:
         run_churn(col)
         he = col.host_engine
         assert he.cold_count() == he.n
-        args = set()
-        for ops in he._ops:
-            args.update(ops[2::3])
-        assert OP_CONTAINER in args and OP_KILL in args
-        assert any(arg >= 0 for arg in args)  # a spawn ordinal
-
+        logged = [rec for i in range(he.n) for rec in records(he, i)]
+        assert any(min(d) < 0 for _, d in logged)
+        assert any(max(d) > 0 for _, d in logged)
+        # one record per (host, barrier), and only with churn in it
         for i in range(he.n):
-            he.observer_acquire(i)
-        assert he.cold_count() == 0
+            bars = he._op_bar[i]
+            assert len(set(bars)) == len(bars)
+        assert all(any(d) for _, d in logged)
+        assert he.op_log_bytes() == len(logged) * (4 + 4)
+        assert_materialized_equal(ref, col)
         assert he.stats()["materializations"] == he.n
-        assert snapshot(ref) == snapshot(col)
-        for r_host, c_host in zip(ref.cloud.hosts, col.cloud.hosts):
-            for path in CHURN_READS:
-                assert c_host.engine.vfs.read(path) == r_host.engine.vfs.read(path)
+        assert he.op_log_bytes() == 0
+
+    def test_forced_churn_replays_bit_identical(self):
+        # host 0: rows 0 and 1 first spawn (each creates its container)
+        # at the first step, row 1 three workers at once; host 1 at a
+        # later step: a kill of two on row 4, then spawns on rows 5 and 6
+        plan = {
+            0: {0: lambda w: 1, 1: lambda w: 3},
+            30: {
+                4: lambda w: max(w, 2) - 2,
+                5: lambda w: w + 3,
+                6: lambda w: w + 1,
+            },
+        }
+        ref = build_churn("objects")
+        col = build_churn("columnar")
+        for sim in (ref, col):
+            force_targets(sim, plan)
+            for _ in range(40):
+                sim.run(CHURN_SLICE_S, dt=1.0, coalesce=True)
+        he = col.host_engine
+        assert he.cold_count() == he.n
+        first = records(he, 0)[0]
+        assert first[1][:2] == (1, 3)
+        forced = [d for _, d in records(he, 1) if d[1:3] == (3, 1)]
+        assert forced and kill_then_spawn(forced[0]) and forced[0][0] <= -2
+        # no container exists yet: every row's creation is deferred
+        pop = col.population
+        assert all(c is None for c in pop._containers)
+        assert_materialized_equal(ref, col)
+        assert all(c is not None for c in pop._containers[:8])
+
+    def test_out_of_range_delta_refused(self):
+        col = build_churn("columnar")
+        force_targets(col, {0: {2: lambda w: 200}})
+        with pytest.raises(SimulationError, match="op record"):
+            col.run(CHURN_SLICE_S, dt=1.0, coalesce=True)
+
+    def test_vector_kind_draws_match_scalar(self):
+        from repro.datacenter.population import _draws_web
+        from repro.sim.rng import keyed_u01_at
+
+        pop = build_churn("columnar").population
+        keys = np.repeat(pop._kind_keys, 50)
+        ordinals = np.tile(np.arange(50), pop.n)
+        web = keyed_u01_at(keys, ordinals) < 0.6
+        assert web.tolist() == [
+            _draws_web(int(key), int(o)) for key, o in zip(keys, ordinals)
+        ]
 
 
 class TestParallelGolden:

@@ -139,3 +139,44 @@ class TestWalkerUnderFaults:
         machine.run(10.0, dt=1.0)
         walker = PseudoWalker(engine.vfs, ReadContext(kernel=machine.kernel))
         assert walker.read_one("/proc/uptime").outcome is ReadOutcome.OK
+
+
+class TestWalkerReadSurface:
+    def test_one_vfs_call_per_read(self, machine, engine, monkeypatch):
+        """Each read_one makes one call into the VFS's read/lookup
+        surface (none for a path that does not resolve), and keeps each
+        outcome's channel."""
+        from repro.sim.faults import KernelFaultState
+        from repro.sim.rng import DeterministicRNG
+
+        vfs = engine.vfs
+        calls = []
+        for name in ("read", "lookup"):
+            real = getattr(vfs, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(vfs, name, counted)
+        policy = (
+            MaskingPolicy(name="m").deny("/proc/meminfo").hide("/proc/stat")
+        )
+        c = engine.create(name="c1", policy=policy)
+        faults = KernelFaultState(DeterministicRNG(1))
+        faults.add_eio("/proc/uptime", until=1e9)
+        machine.kernel.faults = faults
+        walker = PseudoWalker(vfs, c.read_context())
+        cases = {
+            "/proc/loadavg": (ReadOutcome.OK, "proc.loadavg", 1),
+            "/proc/meminfo": (ReadOutcome.DENIED, "proc.meminfo", 1),
+            "/proc/stat": (ReadOutcome.ABSENT, "proc.stat", 1),
+            "/proc/uptime": (ReadOutcome.ERROR, "proc.uptime", 1),
+            "/proc/bogus": (ReadOutcome.ABSENT, None, 0),
+        }
+        for path, (outcome, channel, n) in cases.items():
+            calls.clear()
+            entry = walker.read_one(path)
+            assert (entry.outcome, entry.channel) == (outcome, channel), path
+            assert calls == ["read"] * n, path
+            assert (entry.content is None) == (outcome is not ReadOutcome.OK)

@@ -421,6 +421,33 @@ class TestSimulationOps:
         summary = validate_metrics_stream(str(tmp_path / "metrics.jsonl"))
         assert summary["t_last"] == 60.0
 
+    def test_status_reports_columnar_replay_debt(self, tmp_path):
+        sim = DatacenterSimulation(
+            servers=4, rack_size=4, seed=11, sample_interval_s=60.0,
+            tenants_per_host=2, hosts="columnar",
+        )
+        ops = sim.enable_ops(str(tmp_path), every_sim_s=60.0, port=0)
+
+        def status():
+            with urllib.request.urlopen(ops.server.url + "/status") as r:
+                return json.loads(r.read())["columnar"]
+
+        try:
+            before = status()
+            sim.run(60.0, dt=1.0)
+            after = status()
+        finally:
+            sim.close()
+        assert before == {
+            "cold": 4, "barriers": 0, "op_log_bytes": 0, "materializations": 0,
+        }
+        assert after["cold"] == 4 and after["materializations"] == 0
+        assert after["barriers"] == 60
+        assert after["op_log_bytes"] > 0
+        reg = sim.metrics.registry
+        assert reg.gauge("columnar.deferred_barriers").value == 60
+        assert reg.gauge("columnar.op_log_bytes").value == after["op_log_bytes"]
+
     def test_parallel_status_includes_shard_economy(self, tmp_path):
         sim = build_fleet(2, ops_dir=tmp_path)
         try:

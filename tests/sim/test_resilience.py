@@ -148,6 +148,15 @@ class TestSnapshotFiles:
             read_snapshot(path)
         assert path in str(info.value)
 
+    def test_version_5_snapshot_refused(self, tmp_path):
+        # version 5 pickled the columnar host engine's op log as
+        # (barrier, row, arg) triples, with no ordinal cursors
+        path = shard_snapshot_path(str(tmp_path), 0, 1)
+        atomic_write(path, pickle.dumps({"version": 5}))
+        with pytest.raises(SimulationError, match="has version 5") as info:
+            read_snapshot(path)
+        assert path in str(info.value)
+
     def test_stale_manifest_version_rejected(self, tmp_path):
         # version 2 manifests pinned a control-plane configuration that
         # no longer exists; a resume from one must refuse, not misparse
