@@ -84,6 +84,8 @@ from repro.datacenter.tenants import (
 _WEB_PHASE = _web_workload().phases[0]
 _BATCH_PHASE = _batch_workload().phases[0]
 _INIT_PHASE = idle().phases[0]
+#: a new cold worker's phase by kind index: 0 web, 1 batch
+_WORKER_PHASES = (_WEB_PHASE, _BATCH_PHASE)
 
 
 #: the share of web workers among a row's spawns
@@ -551,11 +553,13 @@ class TenantPopulation:
         total = int(new.sum())
         # each new worker's ordinal: its row's first plus its rank there
         rank = np.arange(total) - np.repeat(np.cumsum(new) - new, new)
-        web = keyed_u01_at(
+        batch = keyed_u01_at(
             np.repeat(self._kind_keys[spawning], new), np.repeat(first, new) + rank
-        ) < _WEB_SHARE
-        phases = [_WEB_PHASE if w else _BATCH_PHASE for w in web.tolist()]
-        he.cold_churn(rows, delta, phases, _INIT_PHASE, self._host_demand)
+        ) >= _WEB_SHARE
+        he.cold_churn(
+            rows, delta, batch.astype(np.intp), _WORKER_PHASES, _INIT_PHASE,
+            self._host_demand,
+        )
         self._spawn_seq[spawning] = first + new
         self.workers[rows] += delta
         self._c_spawns.value += total

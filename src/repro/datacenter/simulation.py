@@ -9,6 +9,7 @@ truth against which the attacker's RAPL-derived view is compared.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, List, Optional
@@ -35,7 +36,7 @@ class PowerTrace:
 
     ``peak``/``trough``/``mean`` are maintained incrementally on
     :meth:`append` (the running sum folds left-to-right, exactly like
-    ``sum()`` over the list would), so reading them is O(1) no matter how
+    ``sum()`` over the samples would), so reading them is O(1) no matter how
     long the trace has grown.
 
     ``downtime`` is populated only on traces produced by
@@ -44,8 +45,10 @@ class PowerTrace:
     (0.0 = fully observed window, approaching 1.0 = mostly down).
     """
 
-    times: List[float] = field(default_factory=list)
-    watts: List[float] = field(default_factory=list)
+    #: samples packed as C doubles (``array('d')``): 8 B a sample where
+    #: a list of boxed floats takes about 32 B
+    times: array = field(default_factory=lambda: array("d"))
+    watts: array = field(default_factory=lambda: array("d"))
     gaps: List[float] = field(default_factory=list)
     downtime: List[float] = field(default_factory=list)
     _peak: float = field(default=-math.inf, init=False, repr=False)
@@ -53,6 +56,8 @@ class PowerTrace:
     _sum: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.times = array("d", self.times)
+        self.watts = array("d", self.watts)
         for w in self.watts:
             self._fold(w)
 
@@ -409,11 +414,17 @@ class DatacenterSimulation:
             status["trace"] = {"driver": self.tracer.health()}
         he = self.host_engine
         if he is not None:
+            lat = he._h_materialize
             status["columnar"] = {
                 "cold": he.cold_count(),
                 "barriers": len(he._bar_t0),
                 "op_log_bytes": he.op_log_bytes(),
                 "materializations": he.materializations,
+                "materialize_s": {
+                    "count": lat.count,
+                    "p50": lat.quantile(0.5),
+                    "max": lat.max if lat.count else 0.0,
+                },
             }
         engine = self._parallel
         if engine is not None:

@@ -18,12 +18,12 @@ it does not mirror:
 
 * A cold host *keeps* its fully booted :class:`Kernel` object; the
   engine merely defers its ticks, logging ``(t0, dt)`` barriers and the
-  tenant-population churn that would have applied to it. Each host's op
-  log holds one record per barrier with churn: the barrier sequence
-  number (an ``array('i')``) and the signed worker delta of each of the
-  host's ``k`` tenant rows (``k`` entries of an ``array('b')``). Replay
-  re-derives the rest: spawn ordinals from a per-row cursor, kills as
-  LIFO pops, and the container creation before a row's first spawn.
+  tenant-population churn that would have applied to it: fleet-wide
+  op-log columns hold one record per (host, barrier with churn), the
+  signed worker delta of each of the host's ``k`` tenant rows. Replay
+  re-derives the rest: spawn ordinals (the population's ``_spawn_seq``
+  less the logged spawns), kills as LIFO pops, and the container
+  creation before a row's first spawn.
 * Everything the outside world can observe *while the host is cold* is
   mirrored in columns with the exact IEEE-754 operation order of the
   scalar reference (the stage order of :meth:`Kernel.tick`):
@@ -46,22 +46,18 @@ it does not mirror:
   host is eligible again, it is demoted back to columns by re-adopting
   the live kernel state.
 
-Ordered float folds use ``np.add.at`` over a slot array sorted by
-``(host, task position)``; ``ufunc.at`` is unbuffered and accumulates
-repeated indices in element order, so each per-(host, CPU) fold happens
-in task order exactly like the scalar loop. The golden equivalence suite
-(``tests/datacenter/test_hostengine.py``) pins this bit for bit.
-
-Each cold host's mirror holds only its live tasks: a kill removes the
-slot from the host's task-ordered list and marks the host's folds
-dirty. A dirty host is refolded before its next placement, and every
-other dirty host in one vector pass before anything reads the folds
-(:meth:`tick_all`, the plan fingerprint, :meth:`ensure_hot`, a
-checkpoint pickle). The per-CPU demand column is therefore the
-scheduler's placement fold whenever a spawn places on its first
-minimum. The population hands over one step's churn on cold hosts as a
-single :meth:`cold_churn` batch, so a spawn or kill costs O(live tasks
-on the host), however many tasks the host has had.
+The task mirror is flat slot columns. A host's tasks get ascending
+slot ids in task order (compaction keeps it), so every ordered float
+fold is one ``np.add.at`` over the live slots in id order: ``ufunc.at``
+is unbuffered and accumulates repeated indices in element order, so
+each per-(host, CPU) fold runs in task order like the scalar loop.
+Per-row slot stacks give each kill its row's newest worker. One step's
+cold churn is one :meth:`cold_churn` batch of vector rounds over all
+touched hosts. A kill marks its host dirty; a dirty host refolds before
+its next placement, and every other one in one vector pass before
+anything reads the folds (:meth:`tick_all`, the plan fingerprint,
+:meth:`ensure_hot`, a checkpoint pickle).
+``tests/datacenter/test_hostengine.py`` pins all of this bit for bit.
 
 Eligibility
 -----------
@@ -75,8 +71,8 @@ the fleet reference) simply stay hot forever — correct, just slower.
 
 from __future__ import annotations
 
-from array import array
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from time import perf_counter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -89,20 +85,44 @@ from repro.sim.clock import VirtualClock
 from repro.sim.rng import keyed_gauss_at, stream_key
 
 
-#: range of one row's worker delta in an op record (``array('b')``)
+#: range of one row's worker delta in an op record (``int8``)
 MIN_ROW_DELTA, MAX_ROW_DELTA = -128, 127
+
+#: ``columnar.materialize_s`` bucket bounds (wall seconds)
+MATERIALIZE_BOUNDS = (1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0)
 
 
 #: the per-slot task-mirror columns
 _SLOT_COLUMNS = (
-    "_s_demand",
-    "_s_ipc",
-    "_s_cmr",
-    "_s_bmr",
-    "_s_host",
-    "_s_cpu",
-    "_s_alive",
+    "_s_demand", "_s_ipc", "_s_cmr", "_s_bmr", "_s_host", "_s_cpu", "_s_prev", "_s_alive",
 )
+
+#: the op-log columns
+_OP_COLUMNS = ("_op_host", "_op_bar", "_op_delta")
+
+
+def _reserve(arr: np.ndarray, size: int) -> np.ndarray:
+    """``arr``, or a zero-padded copy with room for ``size`` rows
+    (capacity doubles)."""
+    cap = len(arr)
+    if size <= cap:
+        return arr
+    cap = max(cap, 64)
+    while cap < size:
+        cap *= 2
+    grown = np.zeros((cap,) + arr.shape[1:], dtype=arr.dtype)
+    grown[: len(arr)] = arr
+    return grown
+
+
+def _phase_columns(phases: Sequence[object]) -> np.ndarray:
+    """Demand, IPC, cache- and branch-miss rates of each phase: a
+    ``(4, len(phases))`` table in slot-column order."""
+    return np.array(
+        [(p.cpu_demand, p.ipc, p.cache_miss_per_kinst, p.branch_miss_per_kinst)
+         for p in phases],
+        dtype=np.float64,
+    ).reshape(-1, 4).T
 
 
 def _config_signature(kernel: Kernel) -> tuple:
@@ -189,9 +209,8 @@ class ColumnarHostEngine:
         self._rapl_range = float(0)
         self._adopt_t = np.zeros(n, dtype=np.float64)
 
-        # task-mirror slots, flat and append-only (dead slots leave every
-        # per-host list at once and are compacted out of the arrays when
-        # they dominate)
+        # task-mirror slots, flat and append-only (dead slots are
+        # compacted out of the columns when they dominate)
         cap = 64
         self._s_demand = np.zeros(cap, dtype=np.float64)
         self._s_ipc = np.zeros(cap, dtype=np.float64)
@@ -199,17 +218,18 @@ class ColumnarHostEngine:
         self._s_bmr = np.zeros(cap, dtype=np.float64)
         self._s_host = np.zeros(cap, dtype=np.int64)
         self._s_cpu = np.zeros(cap, dtype=np.int64)
+        #: per-row LIFO stacks of live worker slots: a worker slot's next
+        #: older worker in its row (-1: none); ``_row_top`` is each
+        #: row's newest
+        self._s_prev = np.zeros(cap, dtype=np.int64)
         self._s_alive = np.zeros(cap, dtype=bool)
         self._s_len = 0
         self._dead_slots = 0
-        #: per-host live slot ids in task order (the scalar ``_tasks`` mirror)
-        self._host_slots: List[List[int]] = [[] for _ in range(n)]
-        #: per-host ``(cpu, demand)`` of those slots, as Python scalars
-        self._host_tasks: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
-        #: alive slots of cold hosts in (host, task position) order —
-        #: the fold order of every order-sensitive float accumulation
+        #: live slot ids, ascending (``None`` when stale) — the fold
+        #: order of every order-sensitive float accumulation
         self._order: Optional[np.ndarray] = None
-        self._order_dirty = True
+        #: cold hosts whose ``_fp``/``_cpu_demand``/``_scale`` are stale
+        self._dirty = np.zeros(n, dtype=bool)
 
         # deferred-replay log
         self._bar_t0: List[float] = []
@@ -217,19 +237,15 @@ class ColumnarHostEngine:
         #: per-host closed participation ranges [start_seq, end_seq)
         self._ranges: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
         self._run_start = np.full(n, -1, dtype=np.int64)
-        #: per-host op records: the barrier seq of each record, and the
-        #: signed worker delta of each of the host's tenant rows
-        self._op_bar: List[array] = [array("i") for _ in range(n)]
-        self._op_delta: List[array] = [array("b") for _ in range(n)]
-        self._op_records = 0
-        #: tenant rows on cold hosts: row -> mirror slot ids (LIFO)
-        self._row_slots: Dict[int, List[int]] = {}
-        self._row_has_container: Set[int] = set()
-        #: tenant rows on cold hosts: row -> ordinal of its next replayed
-        #: spawn (the population's ``_spawn_seq`` at adoption)
-        self._row_cursor: Dict[int, int] = {}
-        #: cold hosts whose ``_fp``/``_cpu_demand``/``_scale`` are stale
-        self._dirty: Set[int] = set()
+        #: op records in barrier order: the host, the barrier seq, and
+        #: the signed worker delta of each of the host's tenant rows
+        self._op_host = np.zeros(0, dtype=np.int32)
+        self._op_bar = np.zeros(0, dtype=np.int32)
+        self._op_delta = np.zeros((0, 1), dtype=np.int8)
+        self._op_len = 0
+        self._row_top = np.zeros(0, dtype=np.int64)
+        #: tenant rows whose next cold spawn first creates the container
+        self._row_init = np.zeros(0, dtype=bool)
 
         self._kernel_index: Dict[int, int] = {
             id(k): i for i, k in enumerate(self.kernels)
@@ -262,12 +278,18 @@ class ColumnarHostEngine:
     # wiring
 
     def use_registry(self, registry: MetricRegistry) -> None:
-        """Publish the replay-debt gauges into ``registry``."""
+        """Publish the replay-debt gauges and the materialization-latency
+        histogram into ``registry``."""
         self._g_barriers = registry.gauge(
             "columnar.deferred_barriers", "barriers logged for deferred replay"
         )
         self._g_op_bytes = registry.gauge(
             "columnar.op_log_bytes", "bytes of packed deferred-op records"
+        )
+        self._h_materialize = registry.histogram(
+            "columnar.materialize_s",
+            "wall seconds per host materialization (deferred replay)",
+            bounds=MATERIALIZE_BOUNDS,
         )
 
     def bind_population(self, population) -> None:
@@ -283,6 +305,9 @@ class ColumnarHostEngine:
                 )
         self.population = population
         population.host_engine = self
+        self._op_delta = np.zeros((0, population.k_per_host), dtype=np.int8)
+        self._row_top = np.full(population.n, -1, dtype=np.int64)
+        self._row_init = np.zeros(population.n, dtype=bool)
 
     def adopt_all(self) -> int:
         """Adopt every currently eligible host; returns the cold count."""
@@ -325,9 +350,15 @@ class ColumnarHostEngine:
         return int(self._ticks[i])
 
     def op_log_bytes(self) -> int:
-        """Bytes the packed op records take (growth slack excluded)."""
-        k = self.population.k_per_host if self.population is not None else 0
-        return self._op_records * (self._op_bar[0].itemsize + k)
+        """Bytes the packed op records take (growth slack excluded): an
+        int32 host, an int32 barrier and one int8 delta per row each."""
+        return self._op_len * (4 + 4 + self._op_delta.shape[1])
+
+    def op_records(self, i: int) -> Tuple[List[int], List[List[int]]]:
+        """Host ``i``'s op records in barrier order: their barrier seqs
+        and, per record, the worker delta of each of the host's rows."""
+        mine = np.flatnonzero(self._op_host[: self._op_len] == i)
+        return self._op_bar[mine].tolist(), self._op_delta[mine].tolist()
 
     # ------------------------------------------------------------------
     # eligibility / adoption
@@ -359,54 +390,76 @@ class ColumnarHostEngine:
                 return False
         return True
 
-    def _grow_slots(self, size: int) -> None:
-        """Make room for ``size`` slots (capacity doubles)."""
-        cap = len(self._s_demand)
-        if size <= cap:
-            return
-        while cap < size:
-            cap *= 2
+    def _append_slots(self, hosts, cols: np.ndarray, cpus=0, alive=False) -> int:
+        """Append slots for ``cols`` (a :func:`_phase_columns` table, one
+        column per slot); returns the first new slot id."""
+        first = self._s_len
+        end = first + cols.shape[1]
         for name in _SLOT_COLUMNS:
-            arr = getattr(self, name)
-            grown = np.zeros(cap, dtype=arr.dtype)
-            grown[: len(arr)] = arr
-            setattr(self, name, grown)
+            setattr(self, name, _reserve(getattr(self, name), end))
+        new = slice(first, end)
+        self._s_host[new] = hosts
+        self._s_demand[new], self._s_ipc[new], self._s_cmr[new], self._s_bmr[new] = cols
+        self._s_cpu[new] = cpus
+        self._s_alive[new] = alive
+        self._s_len = end
+        self._order = None
+        return first
 
-    def _new_slot(self, host: int, cpu: int, phase) -> int:
-        slot = self._s_len
-        self._grow_slots(slot + 1)
-        self._s_len = slot + 1
-        self._s_demand[slot] = phase.cpu_demand
-        self._s_ipc[slot] = phase.ipc
-        self._s_cmr[slot] = phase.cache_miss_per_kinst
-        self._s_bmr[slot] = phase.branch_miss_per_kinst
-        self._s_host[slot] = host
-        self._s_cpu[slot] = cpu
-        self._s_alive[slot] = True
-        self._host_slots[host].append(slot)
-        self._host_tasks[host].append((cpu, float(phase.cpu_demand)))
-        self._order_dirty = True
-        return slot
+    def _live(self) -> np.ndarray:
+        """The live slot ids, ascending; first drops the dead slots from
+        the columns (keeping slot order) if they dominate."""
+        if self._order is None:
+            alive = np.flatnonzero(self._s_alive[: self._s_len])
+            if self._dead_slots > 64 and self._dead_slots * 2 > self._s_len:
+                # the stacks name live slots only (the stale tops of hot
+                # hosts' rows, and -1, read the trailing -1)
+                remap = np.full(self._s_len + 1, -1, dtype=np.int64)
+                remap[alive] = np.arange(len(alive))
+                for name in _SLOT_COLUMNS:
+                    arr = getattr(self, name)
+                    packed = np.zeros(max(64, len(alive) * 2), dtype=arr.dtype)
+                    packed[: len(alive)] = arr[alive]
+                    setattr(self, name, packed)
+                self._s_len = len(alive)
+                self._s_prev[: self._s_len] = remap[self._s_prev[: self._s_len]]
+                self._row_top = remap[self._row_top]
+                self._dead_slots = 0
+                alive = np.arange(self._s_len)
+            self._order = alive
+        return self._order
 
-    def _drop_host_slots(self, i: int) -> None:
-        """Forget host ``i``'s slot mirror (the slots turn dead)."""
-        slots = self._host_slots[i]
-        if slots:
-            self._s_alive[slots] = False
-            self._dead_slots += len(slots)
-        self._host_slots[i] = []
-        self._host_tasks[i] = []
+    def _kill_slots(self, slots: np.ndarray) -> None:
+        self._s_alive[slots] = False
+        self._dead_slots += len(slots)
+        self._order = None
 
     def _adopt(self, i: int) -> None:
-        """Snapshot one eligible host's live state into the columns."""
+        """Snapshot one eligible (hot, so slot-less) host's live state
+        into the columns."""
         from repro.datacenter.topology import wall_power_watts
 
         kernel = self.kernels[i]
-        self._drop_host_slots(i)
         placement = kernel.scheduler._placement
-        for task in kernel.scheduler.iter_tasks():
-            self._new_slot(i, placement[task], task.workload.phases[0])
-        self._dirty.add(i)
+        tasks = list(kernel.scheduler.iter_tasks())
+        cols = _phase_columns([t.workload.phases[0] for t in tasks])
+        first = self._append_slots(i, cols, [placement[t] for t in tasks], alive=True)
+        pop = self.population
+        if pop is not None:
+            # stack each row's workers in the row's order, so later cold
+            # kills pop the same LIFO order the scalar path would
+            slot_of = {id(t): first + n for n, t in enumerate(tasks)}
+            k = pop.k_per_host
+            for row in range(i * k, (i + 1) * k):
+                top = -1
+                for task in pop._tasks[row]:
+                    self._s_prev[slot_of[id(task)]] = top
+                    top = slot_of[id(task)]
+                self._row_top[row] = top
+                self._row_init[row] = (
+                    pop._containers[row] is None and pop._engines[i] is not None
+                )
+        self._dirty[i] = True
 
         self._ticks[i] = kernel.ticks_taken
         self._wall[i] = wall_power_watts(kernel, self.power_config)
@@ -428,67 +481,43 @@ class ColumnarHostEngine:
         self._adopt_t[i] = self.clock.now
         self._ranges[i] = []
         self._run_start[i] = -1
-        self._drop_ops(i)
-
-        if self.population is not None:
-            pop = self.population
-            k = pop.k_per_host
-            # map the row's live tasks onto the freshly scanned slots so
-            # later cold kills pop the same LIFO order the scalar path
-            # would; slot ids follow task order, so positions line up
-            slot_of = {}
-            pos = 0
-            tasks_in_order = list(kernel.scheduler.iter_tasks())
-            for task in tasks_in_order:
-                slot_of[id(task)] = self._host_slots[i][pos]
-                pos += 1
-            for row in range(i * k, (i + 1) * k):
-                self._row_slots[row] = [
-                    slot_of[id(t)] for t in pop._tasks[row]
-                ]
-                if pop._containers[row] is not None:
-                    self._row_has_container.add(row)
-                self._row_cursor[row] = int(pop._spawn_seq[row])
         self.cold[i] = True
-        self._order_dirty = True
 
-    def _drop_ops(self, i: int) -> None:
-        self._op_records -= len(self._op_bar[i])
-        self._op_bar[i] = array("i")
-        self._op_delta[i] = array("b")
-
-    def _refold_dirty(self) -> None:
-        """Refold every dirty host in one vector pass.
-
-        Mirrors ``kernel_demand_fingerprint`` (0.0-seeded fold in task
-        order) and the scheduler's per-CPU ``sum(demands.values())``
-        (int-0-seeded fold in task order) exactly: ``np.add.at`` is
-        unbuffered, so over the live slots in (host, task position)
-        order each target accumulates term by term in task order, from
-        zero. The per-CPU fold is also what ``Scheduler.add_task``
-        places by, so ``_cpu_demand`` is again the placement load.
-        """
-        if not self._dirty:
-            return
-        if self._order_dirty:
-            self._rebuild_order()
-        dirty = np.fromiter(self._dirty, dtype=np.int64, count=len(self._dirty))
-        self._dirty.clear()
-        mask = np.zeros(self.n, dtype=bool)
-        mask[dirty] = True
-        order = self._order
-        sel = order[mask[self._s_host[order]]]
-        hosts = self._s_host[sel]
-        demand = self._s_demand[sel]
-        self._fp[dirty] = 0.0
-        np.add.at(self._fp, hosts, demand)
-        C = self._C
-        self._cpu_demand[dirty] = 0.0
-        np.add.at(self._cpu_demand.reshape(-1), hosts * C + self._s_cpu[sel], demand)
-        totals = self._cpu_demand[dirty]
-        self._scale[dirty] = np.divide(
+    def _rescale(self, hosts: np.ndarray) -> None:
+        """The scheduler's per-CPU grant scale from the demand folds."""
+        totals = self._cpu_demand[hosts]
+        self._scale[hosts] = np.divide(
             1.0, totals, out=np.ones_like(totals), where=totals > 1.0
         )
+
+    def _refold(self, hosts: np.ndarray, slots: np.ndarray, loads_only=False) -> None:
+        """Refold ``hosts`` (distinct) from ``slots``: live slots in
+        ascending id order, a superset of theirs. ``loads_only`` redoes
+        just the per-CPU fold and leaves the hosts dirty.
+
+        ``np.add.at`` is unbuffered, so each target accumulates term by
+        term in task order, from zero: exactly the 0.0-seeded
+        ``kernel_demand_fingerprint`` fold and the scheduler's
+        int-0-seeded per-CPU fold, which ``Scheduler.add_task`` places by.
+        """
+        mask = np.zeros(self.n, dtype=bool)
+        mask[hosts] = True
+        sel = slots[mask[self._s_host[slots]]]
+        on = self._s_host[sel]
+        demand = self._s_demand[sel]
+        self._cpu_demand[hosts] = 0.0
+        np.add.at(self._cpu_demand.reshape(-1), on * self._C + self._s_cpu[sel], demand)
+        if loads_only:
+            return
+        self._fp[hosts] = 0.0
+        np.add.at(self._fp, on, demand)
+        self._rescale(hosts)
+        self._dirty[hosts] = False
+
+    def _refold_dirty(self) -> None:
+        """Refold every dirty host in one vector pass."""
+        if self._dirty.any():
+            self._refold(np.flatnonzero(self._dirty), self._live())
 
     # ------------------------------------------------------------------
     # cold tenant churn (the population's cold branch, once per step)
@@ -497,6 +526,7 @@ class ColumnarHostEngine:
         self,
         rows: np.ndarray,
         deltas: np.ndarray,
+        kinds: np.ndarray,
         phases: Sequence[object],
         init_phase,
         host_demand: np.ndarray,
@@ -504,16 +534,15 @@ class ColumnarHostEngine:
         """Apply one step's worker churn on cold hosts, deferring it.
 
         ``rows`` are tenant rows on cold hosts in ascending order, each
-        with a non-zero signed worker delta; ``phases`` holds the phase
-        of every new worker, rows in order and each row's workers in
-        spawn-ordinal order. Per host, the ops run in row order, each
-        row's contiguous, exactly as a per-row scalar loop would:
-        placement is the first minimum of the per-CPU fold (a host
-        refolds first if a kill left it dirty), a row's first spawn
-        creates its container (the init task joins the mirror first),
-        and kills pop the row's newest worker. ``host_demand[h]`` folds
-        every spawned demand (+) and killed demand (-) in that order.
-        Each touched host logs one op record for the current barrier.
+        with a non-zero signed worker delta; ``kinds`` indexes
+        ``phases`` for every new worker (rows in order, each row's
+        workers in spawn-ordinal order). Per host the ops run as the
+        per-row scalar loop runs them: kills pop the row's newest
+        workers, a row's first spawn places its container's init task
+        first, and a spawn takes the first minimum of the per-CPU fold,
+        refolded first after a kill. Placement runs one vector round
+        per new-task rank within a host, over all touched hosts. Each
+        touched host logs one op record for the barrier.
         """
         if deltas.size == 0:
             return
@@ -522,109 +551,109 @@ class ColumnarHostEngine:
                 "worker delta outside an op record's range"
                 f" [{MIN_ROW_DELTA}, {MAX_ROW_DELTA}]"
             )
-        seq = len(self._bar_t0)
         self._refold_dirty()
-        pop = self.population
-        k = pop.k_per_host
-        engines = pop._engines
-        C = self._C
-        row_slots = self._row_slots
-        has_container = self._row_has_container
-        dirty = self._dirty
-        first = self._s_len
-        new_host: List[int] = []
-        new_cpu: List[int] = []
-        new_phase: List[object] = []
-        killed: List[int] = []
-        touched: List[int] = []
-        demands: List[float] = []
+        live = self._live()  # compacts now, if at all: slot ids hold below
+        k = self.population.k_per_host
+        hosts = rows // k
+        grow = deltas > 0
 
-        def place(phase) -> int:
-            """Append a task to host ``h``'s mirror on the first least
-            loaded CPU, extending the placement fold; returns its slot."""
-            d = float(phase.cpu_demand)
-            cpu = loads.index(min(loads))
-            loads[cpu] = loads[cpu] + d
-            slot = first + len(new_phase)
-            slots.append(slot)
-            tasks.append((cpu, d))
-            new_host.append(h)
-            new_cpu.append(cpu)
-            new_phase.append(phase)
-            return slot
+        # --- kills: pop each killing row's stack, newest first ---------
+        shrink = np.flatnonzero(~grow)
+        popped = [(np.zeros(0, dtype=np.int64),) * 3]
+        for rank in range(max(0, -int(deltas.min()))):
+            op = shrink[deltas[shrink] < -rank]
+            slot = self._row_top[rows[op]]
+            self._row_top[rows[op]] = self._s_prev[slot]
+            popped.append((slot, op, np.full(op.size, rank)))
+        killed, k_op, k_rank = (np.concatenate(c) for c in zip(*popped))
 
-        phase_at = iter(phases)
-        rows_l = rows.tolist()
-        deltas_l = deltas.tolist()
-        hd = host_demand.tolist()
-        i, end = 0, len(rows_l)
-        while i < end:
-            h = rows_l[i] // k
-            base = h * k
-            record = [0] * k
-            slots = self._host_slots[h]
-            tasks = self._host_tasks[h]
-            loads = None
-            acc = hd[h]
-            while i < end and rows_l[i] < base + k:
-                row, delta = rows_l[i], deltas_l[i]
-                i += 1
-                record[row - base] = delta
-                if delta < 0:
-                    mine = row_slots[row]
-                    for _ in range(-delta):
-                        slot = mine.pop()
-                        pos = slots.index(slot)
-                        del slots[pos]
-                        acc = acc - tasks.pop(pos)[1]
-                        killed.append(slot)
-                    dirty.add(h)
-                    loads = None
-                    continue
-                if loads is None:
-                    if h in dirty:
-                        # a kill left the folds stale: redo the
-                        # scheduler's placement fold (int-0-seeded, in
-                        # task order) over the host's live tasks
-                        loads = [0] * C
-                        for c, d in tasks:
-                            loads[c] = loads[c] + d
-                    else:
-                        loads = self._cpu_demand[h].tolist()
-                mine = row_slots.setdefault(row, [])
-                if row not in has_container and engines[h] is not None:
-                    # the container's init task joins before the worker
-                    has_container.add(row)
-                    place(init_phase)
-                for _ in range(delta):
-                    phase = next(phase_at)
-                    mine.append(place(phase))
-                    acc = acc + phase.cpu_demand
-            self._op_bar[h].append(seq)
-            self._op_delta[h].extend(record)
-            touched.append(h)
-            demands.append(acc)
-        self._op_records += len(touched)
-        host_demand[touched] = demands
-        # spawns extended ``loads`` only locally: refold every touched
-        # host (appending a term last in task order is the same fold)
-        dirty.update(touched)
-        self._order_dirty = True
-        if killed:
-            self._s_alive[killed] = False
-            self._dead_slots += len(killed)
-        if new_phase:
-            end = first + len(new_phase)
-            self._grow_slots(end)
-            self._s_len = end
-            new = slice(first, end)
-            self._s_host[new] = new_host
-            self._s_cpu[new] = new_cpu
-            self._s_demand[new] = [p.cpu_demand for p in new_phase]
-            self._s_ipc[new] = [p.ipc for p in new_phase]
-            self._s_cmr[new] = [p.cache_miss_per_kinst for p in new_phase]
-            self._s_bmr[new] = [p.branch_miss_per_kinst for p in new_phase]
-            self._s_alive[new] = True
+        # --- new slots in op order (so per host in task order): each
+        # spawning row's init task if its container is pending, then its
+        # workers, whose kinds are ``kinds`` in that order
+        spawn = np.flatnonzero(grow)
+        s_row = rows[spawn]
+        init = self._row_init[s_row]
+        self._row_init[s_row] = False
+        count = deltas[spawn] + init
+        start = np.cumsum(count) - count
+        owner = np.repeat(np.arange(spawn.size), count)
+        worker = (np.arange(owner.size) > start[owner]) | ~init[owner]
+        kind = np.full(owner.size, len(phases))
+        kind[worker] = kinds
+        n_op = spawn[owner]
+        n_host = hosts[n_op]
+        table = _phase_columns(list(phases) + [init_phase])
+        first = self._append_slots(n_host, table[:, kind])
+        # push each row's workers on its stack, oldest first
+        pushed = first + np.flatnonzero(worker)
+        self._s_prev[pushed] = pushed - 1
+        self._s_prev[first + start + init] = self._row_top[s_row]
+        self._row_top[s_row] = first + start + count - 1
+
+        # --- host_demand: the killed (-) and spawned (+) worker demands,
+        # per host in op order
+        t_op = np.concatenate((k_op, n_op[worker]))
+        t_key = np.concatenate((k_rank, np.arange(pushed.size)))
+        t_val = np.concatenate((-self._s_demand[killed], self._s_demand[pushed]))
+        by = np.lexsort((t_key, t_op))
+        np.add.at(host_demand, hosts[t_op[by]], t_val[by])
+
+        # --- placement rounds, one per new-task rank within its host ---
+        rank = np.arange(owner.size) - np.searchsorted(n_host, n_host)
+        # a new task after a kill of its host (since the host's previous
+        # new task) first refolds the host's loads
+        kills_to = np.concatenate(([0], np.cumsum(~grow)))  # kills before op i
+        since = np.where(rank > 0, np.roll(n_op, 1), np.searchsorted(hosts, n_host))
+        refold = kills_to[n_op] > kills_to[since]
+        # what those refolds read: the hosts' pre-batch live slots, each
+        # gone from its kill's op on, and the new tasks of lower rank
+        mask = np.zeros(self.n, dtype=bool)
+        mask[n_host[refold]] = True
+        pool = live[mask[self._s_host[live]]]
+        gone_at = np.full(pool.size, rows.size)
+        mine = mask[self._s_host[killed]]
+        gone_at[np.searchsorted(pool, killed[mine])] = k_op[mine]
+        at_op = np.zeros(self.n, dtype=np.int64)
+        for r in range(int(rank.max(initial=-1)) + 1):
+            idx = np.flatnonzero(rank == r)
+            h = n_host[idx]
+            stale = refold[idx]
+            if stale.any():
+                at_op[h[stale]] = n_op[idx[stale]]
+                held = pool[gone_at > at_op[self._s_host[pool]]]
+                placed = first + np.flatnonzero(rank < r)
+                self._refold(h[stale], np.concatenate((held, placed)), loads_only=True)
+            cpu = self._cpu_demand[h].argmin(axis=1)  # the first minimum
+            d = self._s_demand[first + idx]
+            self._cpu_demand[h, cpu] += d
+            self._fp[h] += d  # a dirty host's is refolded later
+            self._s_cpu[first + idx] = cpu
+        self._s_alive[first : self._s_len] = True
+        self._kill_slots(killed)
+        self._dirty[hosts[shrink]] = True
+
+        fresh = np.ones(hosts.size, dtype=bool)
+        fresh[1:] = hosts[1:] != hosts[:-1]  # rows ascend, so hosts do
+        touched = hosts[fresh]
+        self._rescale(touched[~self._dirty[touched]])
+        # one op record per touched host for the current barrier
+        end = self._op_len + len(touched)
+        for name in _OP_COLUMNS:
+            setattr(self, name, _reserve(getattr(self, name), end))
+        new = slice(self._op_len, end)
+        self._op_host[new] = touched
+        self._op_bar[new] = len(self._bar_t0)
+        self._op_delta[new] = 0
+        self._op_delta[self._op_len - 1 + np.cumsum(fresh), rows - hosts * k] = deltas
+        self._op_len = end
+
+    def _drop_ops(self, i: int) -> None:
+        """Forget host ``i``'s op records."""
+        keep = np.flatnonzero(self._op_host[: self._op_len] != i)
+        for name in _OP_COLUMNS:
+            arr = getattr(self, name)
+            arr[: len(keep)] = arr[keep]
+        self._op_len = len(keep)
 
     # ------------------------------------------------------------------
     # materialization / demotion
@@ -633,19 +662,24 @@ class ColumnarHostEngine:
         """Materialize host ``i``: replay deferred ticks through Kernel.tick."""
         if not self.cold[i]:
             return
+        began = perf_counter()
         self._refold_dirty()
         self.cold[i] = False
-        self._order_dirty = True
         if self._run_start[i] >= 0:
             self._ranges[i].append((int(self._run_start[i]), len(self._bar_t0)))
             self._run_start[i] = -1
         kernel = self.kernels[i]
-        bars = self._op_bar[i]
-        deltas = self._op_delta[i]
+        bars, deltas = self.op_records(i)
         nrec = len(bars)
         ri = 0
         pop = self.population
-        k = pop.k_per_host if pop is not None else 0
+        cursor: List[int] = []
+        if pop is not None:
+            # each row's first deferred spawn ordinal: the population's
+            # count less the spawns the log still holds
+            k = pop.k_per_host
+            logged = np.maximum(np.asarray(deltas, dtype=np.int64), 0).reshape(-1, k)
+            cursor = (pop._spawn_seq[i * k : (i + 1) * k] - logged.sum(axis=0)).tolist()
         nbar = len(self._bar_t0)
         with self.clock.replay_window(float(self._adopt_t[i])):
             for a, b in self._ranges[i]:
@@ -654,7 +688,7 @@ class ColumnarHostEngine:
                     dt = self._bar_dt[seq]
                     self.clock.sleep_until(t0)
                     while ri < nrec and bars[ri] <= seq:
-                        self._replay_record(pop, i, deltas[ri * k : (ri + 1) * k])
+                        self._replay_record(pop, i, deltas[ri], cursor)
                         ri += 1
                     self.clock.sleep_until(t0 + dt)
                     kernel.tick(dt)
@@ -664,10 +698,9 @@ class ColumnarHostEngine:
             if bars[ri] < nbar:
                 raise SimulationError(
                     "deferred op record outside any participation range:"
-                    f" barrier {bars[ri]}, deltas"
-                    f" {tuple(deltas[ri * k : (ri + 1) * k])}"
+                    f" barrier {bars[ri]}, deltas {tuple(deltas[ri])}"
                 )
-            self._replay_record(pop, i, deltas[ri * k : (ri + 1) * k])
+            self._replay_record(pop, i, deltas[ri], cursor)
             ri += 1
         if kernel.ticks_taken != int(self._ticks[i]):
             raise SimulationError(
@@ -682,17 +715,15 @@ class ColumnarHostEngine:
         ):
             raise SimulationError(f"thermal noise cursor desync on host {i}")
         # release the host's cold bookkeeping
-        self._drop_host_slots(i)
+        live = self._live()
+        self._kill_slots(live[self._s_host[live] == i])
         self._ranges[i] = []
-        self._drop_ops(i)
-        if pop is not None:
-            for row in range(i * k, (i + 1) * k):
-                self._row_slots.pop(row, None)
-                self._row_has_container.discard(row)
-                self._row_cursor.pop(row, None)
+        if nrec:
+            self._drop_ops(i)
         self.materializations += 1
+        self._h_materialize.observe(perf_counter() - began)
 
-    def _replay_record(self, pop, i: int, deltas) -> None:
+    def _replay_record(self, pop, i: int, deltas, cursor: List[int]) -> None:
         """Replay one op record of host ``i``: its rows' churn in row order.
 
         A positive delta first creates the row's container if it has
@@ -702,18 +733,17 @@ class ColumnarHostEngine:
         """
         if pop is None:
             raise SimulationError("deferred tenant op with no population bound")
-        row = i * pop.k_per_host
-        for delta in deltas:
+        base = i * pop.k_per_host
+        for j, delta in enumerate(deltas):
+            row = base + j
             if delta > 0:
                 pop.replay_container(row)
-                first = self._row_cursor[row]
-                for seq in range(first, first + delta):
+                for seq in range(cursor[j], cursor[j] + delta):
                     pop.replay_spawn(row, seq)
-                self._row_cursor[row] = first + delta
+                cursor[j] += delta
             else:
                 for _ in range(-delta):
                     pop.replay_kill(row)
-            row += 1
 
     def ensure_hot_kernel(self, kernel: Kernel) -> None:
         idx = self._kernel_index.get(id(kernel))
@@ -745,35 +775,6 @@ class ColumnarHostEngine:
 
     # ------------------------------------------------------------------
     # the tick
-
-    def _rebuild_order(self) -> None:
-        order: List[int] = []
-        for i in np.nonzero(self.cold)[0].tolist():
-            order.extend(self._host_slots[i])
-        self._order = np.asarray(order, dtype=np.int64)
-        self._order_dirty = False
-        if self._dead_slots > 64 and self._dead_slots * 2 > self._s_len:
-            self._compact_slots()
-
-    def _compact_slots(self) -> None:
-        """Drop dead slots, preserving per-host task order."""
-        remap = np.full(self._s_len, -1, dtype=np.int64)
-        alive = np.nonzero(self._s_alive[: self._s_len])[0]
-        remap[alive] = np.arange(len(alive))
-        for name in _SLOT_COLUMNS:
-            arr = getattr(self, name)
-            packed = np.zeros(max(64, len(alive) * 2), dtype=arr.dtype)
-            packed[: len(alive)] = arr[alive]
-            setattr(self, name, packed)
-        self._s_len = len(alive)
-        self._dead_slots = 0
-        # every listed slot is live, so each remaps to its packed index
-        for i in range(self.n):
-            self._host_slots[i] = remap[self._host_slots[i]].tolist()
-        for row, slots in self._row_slots.items():
-            self._row_slots[row] = remap[slots].tolist()
-        if self._order is not None:
-            self._order = remap[self._order]
 
     def tick_all(self, dt: float, dark, t0: float) -> None:
         """Advance every non-dark host by ``dt``: hot scalars, cold columns.
@@ -816,9 +817,7 @@ class ColumnarHostEngine:
             return
         self.cold_host_ticks += int(part.sum())
 
-        if self._order_dirty:
-            self._rebuild_order()
-        order = self._order
+        order = self._live()
         n, C, P = self.n, self._C, self._P
         params = self._params
 

@@ -41,14 +41,17 @@ from repro.errors import SimulationError
 #: 5: the columnar host engine packs its op log into arrays and keeps a
 #: per-host ``(cpu, demand)`` mirror of live slots only; 6: the op log
 #: holds one record of row deltas per host per barrier, and the engine
-#: carries per-row spawn-ordinal cursors and a set of dirty hosts)
-SNAPSHOT_VERSION = 6
+#: carries per-row spawn-ordinal cursors and a set of dirty hosts; 7: the
+#: engine's op log and task mirror are fleet-wide columns — per-row slot
+#: stacks, a dirty-host mask, no per-host slot lists or row cursors)
+SNAPSHOT_VERSION = 7
 
 #: version stamp embedded in the driver-side manifest
 #: (4: the manifest pins the whole ``FleetConfig`` the fleet was built
 #: from, and resume refuses any simulation built differently; 5: the
-#: driver's jitter state is a target-less ``FaultInjector``)
-MANIFEST_VERSION = 5
+#: driver's jitter state is a target-less ``FaultInjector``; 6: the
+#: pickled power traces hold their samples as ``array('d')``)
+MANIFEST_VERSION = 6
 
 
 @dataclass(frozen=True)

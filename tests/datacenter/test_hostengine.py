@@ -84,16 +84,16 @@ def run_churn(sim, after_slice=None):
             after_slice(sim)
 
 
+def live_slots(he, i):
+    """Host ``i``'s live mirror slots, ascending (its task order)."""
+    n = he._s_len
+    return np.flatnonzero(he._s_alive[:n] & (he._s_host[:n] == i)).tolist()
+
+
 def assert_cold_folds(he, i):
     """Host ``i``'s folds equal a fresh fold over its live slots."""
     he.fingerprints()  # a reader: refolds the dirty hosts
-    slots = he._host_slots[i]
-    assert all(he._s_alive[s] for s in slots)
-    live = he._s_alive[: he._s_len] & (he._s_host[: he._s_len] == i)
-    assert int(np.count_nonzero(live)) == len(slots)
-    assert he._host_tasks[i] == [
-        (int(he._s_cpu[s]), float(he._s_demand[s])) for s in slots
-    ]
+    slots = live_slots(he, i)
     fp = 0.0
     totals = [0] * he._C
     for s in slots:
@@ -106,18 +106,24 @@ def assert_cold_folds(he, i):
     assert he._scale[i].tolist() == [
         1.0 if t <= 1.0 else 1.0 / t for t in totals
     ]
-    k = he.population.k_per_host
-    assert len(he._op_delta[i]) == k * len(he._op_bar[i])
+    # each row's stack holds its live workers, newest on top
+    pop = he.population
+    k = pop.k_per_host
+    for row in range(i * k, (i + 1) * k):
+        stack = []
+        s = int(he._row_top[row])
+        while s >= 0:
+            stack.append(s)
+            s = int(he._s_prev[s])
+        assert len(stack) == int(pop.workers[row])
+        assert stack == sorted(stack, reverse=True) and set(stack) <= set(slots)
+    assert he._op_delta.shape[1] == k
 
 
 def records(he, i):
     """Host ``i``'s op log as ``(barrier, deltas)`` pairs."""
-    k = he.population.k_per_host
-    deltas = he._op_delta[i]
-    return [
-        (bar, tuple(deltas[r * k : (r + 1) * k]))
-        for r, bar in enumerate(he._op_bar[i])
-    ]
+    bars, deltas = he.op_records(i)
+    return [(bar, tuple(d)) for bar, d in zip(bars, deltas)]
 
 
 def kill_then_spawn(deltas):
@@ -158,6 +164,66 @@ def force_targets(sim, plan):
         return out
 
     pop._targets = targets
+
+
+def random_plan(seed, steps=40, rows=32):
+    """Seeded random forced churn, plus the batch shapes the vector
+    rounds must order like the per-row scalar loop:
+
+    * host 1 at step 20 kills on rows 4 and 6 and spawns on rows 5 and
+      7: a kill then a spawn on a later row, and the host going dirty
+      twice in one batch;
+    * row 9 (host 2) spawns 127 workers at step 25 and kills them all at
+      step 26, the extremes of an op record's delta;
+    * row 12 (host 3) holds no worker until step 10, so its first spawn,
+      which creates its container, lands in a mid-run batch.
+    """
+    rng = np.random.default_rng(seed)
+    plan = {}
+    for step in range(steps):
+        picked = rng.choice(rows, size=rows // 2, replace=False).tolist()
+        deltas = rng.integers(-3, 5, size=len(picked)).tolist()
+        plan[step] = {
+            row: (lambda w, d=d: max(0, w + d)) for row, d in zip(picked, deltas)
+        }
+    for step in range(10):
+        plan[step][12] = lambda w: 0
+    plan[10][12] = lambda w: 2
+    plan[19].update({4: lambda w: w + 3, 6: lambda w: w + 2})
+    plan[20].update({
+        4: lambda w: w - 2, 5: lambda w: w + 3,
+        6: lambda w: w - 1, 7: lambda w: w + 2,
+    })
+    plan[25][9] = lambda w: w + 127
+    plan[26][9] = lambda w: w - 127
+    return plan
+
+
+def assert_mirror_matches(ref, col):
+    """Every cold host's mirror equals the reference kernel's state:
+    placement CPUs and demands in task order, the per-CPU placement fold,
+    the demand fingerprint, and the population's host demands."""
+    he = col.host_engine
+    he.fingerprints()  # a reader: refolds the dirty hosts
+    for i in range(he.n):
+        if not he.is_cold(i):
+            continue
+        sched = ref.cloud.hosts[i].kernel.scheduler
+        slots = live_slots(he, i)
+        tasks = list(sched.iter_tasks())
+        assert he._s_cpu[slots].tolist() == [sched._placement[t] for t in tasks]
+        assert he._s_demand[slots].tolist() == [
+            t.workload.demand() for t in tasks
+        ]
+        loads = [0] * he._C
+        for t, c in sched._placement.items():
+            loads[c] = loads[c] + t.workload.demand()
+        assert he._cpu_demand[i].tolist() == loads
+        assert float(he._fp[i]) == ref.cloud.hosts[i].kernel.demand_fingerprint()
+    assert (
+        col.population._host_demand.tolist()
+        == ref.population._host_demand.tolist()
+    )
 
 
 def chaos_schedule():
@@ -359,10 +425,10 @@ class TestColdChurn:
         assert any(max(d) > 0 for _, d in logged)
         # one record per (host, barrier), and only with churn in it
         for i in range(he.n):
-            bars = he._op_bar[i]
+            bars = [bar for bar, _ in records(he, i)]
             assert len(set(bars)) == len(bars)
         assert all(any(d) for _, d in logged)
-        assert he.op_log_bytes() == len(logged) * (4 + 4)
+        assert he.op_log_bytes() == len(logged) * (4 + 4 + 4)
         assert_materialized_equal(ref, col)
         assert he.stats()["materializations"] == he.n
         assert he.op_log_bytes() == 0
@@ -402,6 +468,28 @@ class TestColdChurn:
         force_targets(col, {0: {2: lambda w: 200}})
         with pytest.raises(SimulationError, match="op record"):
             col.run(CHURN_SLICE_S, dt=1.0, coalesce=True)
+
+    @pytest.mark.parametrize("seed", [3, 17, 2026])
+    def test_random_batches_match_object_hosts(self, seed):
+        plan = random_plan(seed)
+        ref = build_churn("objects")
+        col = build_churn("columnar")
+        for sim in (ref, col):
+            force_targets(sim, plan)
+        for _ in range(len(plan)):
+            for sim in (ref, col):
+                sim.run(CHURN_SLICE_S, dt=1.0, coalesce=True)
+            assert_mirror_matches(ref, col)
+        he = col.host_engine
+        assert he.cold_count() == he.n
+        host1 = [d for _, d in records(he, 1)]
+        assert (-2, 3, -1, 2) in host1
+        row9 = [d[1] for _, d in records(he, 2)]
+        assert 127 in row9 and -127 in row9
+        row12 = [(bar, d[0]) for bar, d in records(he, 3) if d[0]]
+        assert row12[0][1] == 2 and row12[0][0] > 0
+        assert all(c is None for c in col.population._containers)
+        assert_materialized_equal(ref, col)
 
     def test_vector_kind_draws_match_scalar(self):
         from repro.datacenter.population import _draws_web

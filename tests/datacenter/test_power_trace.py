@@ -49,7 +49,7 @@ class TestAveragedPlacement:
         for t in times:
             trace.append(t, 100.0 + t)
         avg = trace.averaged(2.0)
-        assert avg.times == [0.0, 2.0, 4.0, 6.0]
+        assert list(avg.times) == [0.0, 2.0, 4.0, 6.0]
         # window [2, 4) holds t = 2.1, 2.8, 3.5
         expected = (102.1 + 102.8 + 103.5) / 3
         assert avg.watts[1] == pytest.approx(expected)
@@ -63,8 +63,8 @@ class TestAveragedPlacement:
         trace.append(1.0, 20.0)
         trace.append(50.0, 99.0)
         avg = trace.averaged(10.0)
-        assert avg.times == [0.0, 50.0]
-        assert avg.watts == [15.0, 99.0]
+        assert list(avg.times) == [0.0, 50.0]
+        assert list(avg.watts) == [15.0, 99.0]
         # the wholly-empty interior windows are recorded as gaps
         assert avg.gaps == [10.0, 20.0, 30.0, 40.0]
 
@@ -74,8 +74,8 @@ class TestAveragedPlacement:
         trace.append(35.0, 2.0)
         trace.append(71.0, 3.0)
         avg = trace.averaged(10.0)
-        assert avg.times == [0.0, 30.0, 70.0]
-        assert avg.watts == [1.0, 2.0, 3.0]
+        assert list(avg.times) == [0.0, 30.0, 70.0]
+        assert list(avg.watts) == [1.0, 2.0, 3.0]
         assert avg.gaps == [10.0, 20.0, 40.0, 50.0, 60.0]
 
     def test_window_anchor_is_first_sample(self):
@@ -84,8 +84,8 @@ class TestAveragedPlacement:
         trace.append(14.9, 3.0)
         trace.append(15.1, 5.0)
         avg = trace.averaged(10.0)
-        assert avg.times == [5.0, 15.0]
-        assert avg.watts == [2.0, 5.0]
+        assert list(avg.times) == [5.0, 15.0]
+        assert list(avg.watts) == [2.0, 5.0]
 
 
 class TestAveragedDowntime:
@@ -105,8 +105,8 @@ class TestAveragedDowntime:
         for t in (3.0, 4.0, 5.0):
             trace.append(t, 30.0)
         avg = trace.averaged(3.0)
-        assert avg.times == [0.0, 3.0]
-        assert avg.watts == [15.0, 30.0]
+        assert list(avg.times) == [0.0, 3.0]
+        assert list(avg.watts) == [15.0, 30.0]
         assert avg.downtime == [pytest.approx(1.0 / 3.0), 0.0]
 
     def test_gaps_do_not_shrink_the_divisor(self):
@@ -120,7 +120,7 @@ class TestAveragedDowntime:
             else:
                 trace.append(t, 100.0)
         avg = trace.averaged(30.0)
-        assert avg.watts == [100.0]
+        assert list(avg.watts) == [100.0]
         assert avg.downtime == [pytest.approx(0.1)]
 
     def test_trailing_gap_only_windows_become_gaps(self):
@@ -130,8 +130,8 @@ class TestAveragedDowntime:
         for t in (10.0, 11.0, 21.0):
             trace.note_gap(t)
         avg = trace.averaged(10.0)
-        assert avg.times == [0.0]
-        assert avg.watts == [15.0]
+        assert list(avg.times) == [0.0]
+        assert list(avg.watts) == [15.0]
         assert avg.gaps == [10.0, 20.0]
         assert avg.downtime == [0.0]
 
@@ -144,7 +144,7 @@ class TestAveragedDowntime:
             trace.note_gap(t)
         trace.append(20.0, 30.0)
         avg = trace.averaged(10.0)
-        assert avg.times == [0.0, 20.0]
+        assert list(avg.times) == [0.0, 20.0]
         assert avg.gaps == [10.0]
         assert avg.downtime == [0.0, 0.0]
 
@@ -153,7 +153,7 @@ class TestAveragedDowntime:
         trace.note_gap(0.0)
         trace.append(10.0, 5.0)
         avg = trace.averaged(10.0)
-        assert avg.times == [10.0]
+        assert list(avg.times) == [10.0]
         assert avg.gaps == []
         assert avg.downtime == [0.0]
 

@@ -45,7 +45,7 @@ class TestPowerTrace:
         for t in range(10):
             trace.append(float(t), float(t))
         sub = trace.window(3.0, 6.0)
-        assert sub.times == [3.0, 4.0, 5.0]
+        assert list(sub.times) == [3.0, 4.0, 5.0]
 
     def test_averaged_with_multi_window_gap(self):
         """A gap spanning several windows must flush the open bucket once."""
@@ -55,7 +55,7 @@ class TestPowerTrace:
         for t in range(95, 100):
             trace.append(float(t), 200.0)
         avg = trace.averaged(30.0)
-        assert avg.times == [0.0, 90.0]
+        assert list(avg.times) == [0.0, 90.0]
         assert avg.watts[0] == pytest.approx(100.0)
         assert avg.watts[1] == pytest.approx(200.0)
 
@@ -65,8 +65,8 @@ class TestPowerTrace:
         trace.append(29.0, 300.0)
         trace.append(61.0, 500.0)  # skips the [30, 60) window entirely
         avg = trace.averaged(30.0)
-        assert avg.times == [0.0, 60.0]
-        assert avg.watts == [pytest.approx(200.0), pytest.approx(500.0)]
+        assert list(avg.times) == [0.0, 60.0]
+        assert list(avg.watts) == [pytest.approx(200.0), pytest.approx(500.0)]
 
     @pytest.mark.parametrize("stat", ["peak", "trough", "mean", "swing_fraction"])
     def test_empty_trace_stats_raise_descriptive_error(self, stat):
@@ -156,7 +156,7 @@ class TestDatacenterSimulation:
         """
         sim = DatacenterSimulation(servers=1, seed=1, sample_interval_s=1.0)
         sim.run(6.0, dt=0.3)
-        assert sim.aggregate_trace.times == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+        assert list(sim.aggregate_trace.times) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
     def test_baseline_sample_recorded_at_t0(self):
         sim = DatacenterSimulation(servers=1, seed=1, sample_interval_s=10.0)
@@ -170,7 +170,7 @@ class TestDatacenterSimulation:
         sim.run(3.0, dt=1.0)
         sim.cloud.run(3.0)  # advances the clock without sampling
         sim.run(4.0, dt=1.0)
-        assert sim.aggregate_trace.times == [float(t) for t in range(11)]
+        assert list(sim.aggregate_trace.times) == [float(t) for t in range(11)]
 
     def test_set_sample_interval_reanchors_at_now(self):
         sim = DatacenterSimulation(servers=1, seed=1, sample_interval_s=30.0)
@@ -178,7 +178,7 @@ class TestDatacenterSimulation:
         sim.set_sample_interval(1.0)
         assert sim.next_sample_time == pytest.approx(61.0)
         sim.run(5.0, dt=1.0)
-        assert sim.aggregate_trace.times[-5:] == [61.0, 62.0, 63.0, 64.0, 65.0]
+        assert list(sim.aggregate_trace.times[-5:]) == [61.0, 62.0, 63.0, 64.0, 65.0]
 
     def test_coalesced_run_keeps_the_sample_grid(self):
         ref = DatacenterSimulation(servers=1, seed=5, sample_interval_s=30.0)

@@ -440,6 +440,7 @@ class TestSimulationOps:
             sim.close()
         assert before == {
             "cold": 4, "barriers": 0, "op_log_bytes": 0, "materializations": 0,
+            "materialize_s": {"count": 0, "p50": 0.0, "max": 0.0},
         }
         assert after["cold"] == 4 and after["materializations"] == 0
         assert after["barriers"] == 60
@@ -447,6 +448,25 @@ class TestSimulationOps:
         reg = sim.metrics.registry
         assert reg.gauge("columnar.deferred_barriers").value == 60
         assert reg.gauge("columnar.op_log_bytes").value == after["op_log_bytes"]
+
+    def test_status_reports_materialization_latency(self):
+        sim = DatacenterSimulation(
+            servers=4, rack_size=4, seed=11, sample_interval_s=60.0,
+            tenants_per_host=2, hosts="columnar",
+        )
+        try:
+            sim.run(120.0, dt=1.0)
+            he = sim.host_engine
+            he.ensure_hot(1)
+            he.ensure_hot(1)  # already hot: nothing replayed, nothing observed
+            he.ensure_hot(3)
+            lat = sim.ops_status()["columnar"]["materialize_s"]
+        finally:
+            sim.close()
+        hist = sim.metrics.registry.get("columnar.materialize_s")
+        assert hist.count == lat["count"] == 2
+        assert 0.0 < hist.min <= lat["p50"] <= lat["max"] == hist.max
+        assert sim.ops_status()["columnar"]["materializations"] == 2
 
     def test_parallel_status_includes_shard_economy(self, tmp_path):
         sim = build_fleet(2, ops_dir=tmp_path)

@@ -157,6 +157,15 @@ class TestSnapshotFiles:
             read_snapshot(path)
         assert path in str(info.value)
 
+    def test_version_6_snapshot_refused(self, tmp_path):
+        # version 6 pickled the columnar host engine's op log as per-host
+        # arrays, beside per-host slot lists and per-row cursors
+        path = shard_snapshot_path(str(tmp_path), 0, 1)
+        atomic_write(path, pickle.dumps({"version": 6}))
+        with pytest.raises(SimulationError, match="has version 6") as info:
+            read_snapshot(path)
+        assert path in str(info.value)
+
     def test_stale_manifest_version_rejected(self, tmp_path):
         # version 2 manifests pinned a control-plane configuration that
         # no longer exists; a resume from one must refuse, not misparse
@@ -172,6 +181,14 @@ class TestSnapshotFiles:
         path = manifest_path(str(tmp_path))
         atomic_write(path, pickle.dumps({"version": 4, "faults": None}))
         with pytest.raises(SimulationError, match="version 4") as info:
+            load_manifest(str(tmp_path))
+        assert path in str(info.value)
+
+    def test_version_5_manifest_refused(self, tmp_path):
+        # version 5 pickled the power traces' samples as lists of floats
+        path = manifest_path(str(tmp_path))
+        atomic_write(path, pickle.dumps({"version": 5, "faults": None}))
+        with pytest.raises(SimulationError, match="version 5") as info:
             load_manifest(str(tmp_path))
         assert path in str(info.value)
 
