@@ -32,14 +32,14 @@ Two population benchmarks ride along (``repro.datacenter.population``):
   trivial tenant per host (shards starved between barriers); columnar
   per-shard work must pull the share below that.
 
-``test_control_plane_round_trip`` drives the shm control slots
-(``repro.sim.shm``) on the barrier-bound extreme — 8 shards of
-one server each, 1 s ticks — and gates it with absolute bounds: zero
-pickled control frames at steady state, at most a quarter of the
-unbatched frame count (``ticks x shards``; epoch batching folds up to 8
-ticks into one round trip), and an epoch-amortized per-tick barrier
-round-trip p50 of at most ``BENCH_CONTROL_MAX_P50_US`` microseconds.
-The trace must match the serial driver's bit for bit.
+``test_control_plane_round_trip`` drives the barrier transport (the
+shard pipes, ``repro.sim.parallel``) on the barrier-bound extreme — 8
+shards of one server each, 1 s ticks — and gates it with absolute
+bounds: at most a quarter of the unbatched control-frame count
+(``ticks x shards``; epoch batching folds up to 8 ticks into one round
+trip), and an epoch-amortized per-tick barrier round-trip p50 of at
+most ``BENCH_CONTROL_MAX_P50_US`` microseconds. The trace must match
+the serial driver's bit for bit.
 
 Environment knobs (used by the CI perf-smoke job):
 
@@ -55,7 +55,7 @@ Environment knobs (used by the CI perf-smoke job):
 - ``BENCH_CONTROL_MAX_P50_US``: maximum epoch-amortized per-tick
   barrier round-trip p50, in microseconds, for the control-plane gate
   (default 10; ``0`` disables the latency assertion, the frame-count
-  assertions always hold).
+  assertion always holds).
 - ``BENCH_HOST_GATE_SERVERS``: fleet size for the columnar host-engine
   throughput gate (default 128; ``0`` skips it).
 - ``BENCH_HOST_MIN_RATIO``: minimum columnar/object host-tick
@@ -299,8 +299,6 @@ def _run_control_plane(parallel: int):
             "ticks": sim.metrics.ticks,
             "pipe_control_frames": ipc.pipe_control_frames,
             "control_bytes": ipc.control_bytes,
-            "shm_control_frames": ipc.shm_control_frames,
-            "shm_control_bytes": ipc.shm_control_bytes,
             "round_trip_p50_us": round(ipc.round_trip_p50 * 1e6, 2),
             "barrier_wait_total_s": round(ipc.barrier_wait_total_s, 4),
             "barrier_wait_skew": round(ipc.barrier_wait_skew, 3),
@@ -310,33 +308,26 @@ def _run_control_plane(parallel: int):
 
 
 def test_control_plane_round_trip(results_dir):
-    """CI gate for the shm control plane (docs/parallel.md).
+    """CI gate for the barrier transport (docs/parallel.md).
 
     Same fleet, same seed, serial and sharded: the traces must be
-    bit-identical, the sharded run must post *zero* pickled control
-    frames (every steady-state barrier rode the slots), epoch batching
-    must cut the slot frames to at most a quarter of one per shard per
-    tick, and the epoch-amortized per-tick round-trip p50 must stay
-    under the absolute gate.
+    bit-identical, epoch batching must cut the control frames to at
+    most a quarter of one per shard per tick, and the epoch-amortized
+    per-tick round-trip p50 must stay under the absolute gate.
     """
     max_p50_us = float(os.environ.get("BENCH_CONTROL_MAX_P50_US", "") or 10.0)
     serial_trace, _ = _run_control_plane(0)
-    shm_trace, stats = _run_control_plane(CONTROL_WORKERS)
+    sharded_trace, stats = _run_control_plane(CONTROL_WORKERS)
 
-    assert shm_trace == serial_trace
-    # the headline claim: steady state never pickles a control frame
-    assert stats["pipe_control_frames"] == 0, (
-        f"shm run posted {stats['pipe_control_frames']} pickled"
-        " control frames at steady state"
-    )
+    assert sharded_trace == serial_trace
     unbatched = stats["ticks"] * CONTROL_WORKERS
-    assert 0 < stats["shm_control_frames"] * 4 <= unbatched, (
-        f"{stats['shm_control_frames']} slot frames for {unbatched}"
+    assert 0 < stats["pipe_control_frames"] * 4 <= unbatched, (
+        f"{stats['pipe_control_frames']} control frames for {unbatched}"
         " shard-ticks: epochs are not batching (gate: <= 1/4)"
     )
     if max_p50_us > 0:
         assert stats["round_trip_p50_us"] <= max_p50_us, (
-            f"shm p50 {stats['round_trip_p50_us']:.2f}us/tick over the"
+            f"p50 {stats['round_trip_p50_us']:.2f}us/tick over the"
             f" {max_p50_us}us gate"
         )
 
@@ -345,20 +336,18 @@ def test_control_plane_round_trip(results_dir):
         "workers": CONTROL_WORKERS,
         "virtual_seconds": VIRTUAL_S,
         "gate_max_p50_us": max_p50_us,
-        "shm": stats,
+        "sharded": stats,
     }
     _merge_bench_json(results_dir, "control_plane", section)
 
     write_result(
         results_dir,
         "control_plane_shm",
-        f"shm control plane at {CONTROL_SERVERS} shards"
+        f"control plane at {CONTROL_SERVERS} shards"
         f" x {VIRTUAL_S:.0f}s\n\n"
         f"wall:            {stats['wall_s']:.2f}s\n"
-        f"pipe frames:     {stats['pipe_control_frames']}"
-        f" ({stats['control_bytes']} B pickled)\n"
-        f"shm frames:      {stats['shm_control_frames']}"
-        f" ({stats['shm_control_bytes']} B slots;"
+        f"control frames:  {stats['pipe_control_frames']}"
+        f" ({stats['control_bytes']} B pickled;"
         f" unbatched {unbatched})\n"
         f"p50 round trip:  {stats['round_trip_p50_us']:.2f}us/tick"
         f" (gate <= {max_p50_us}us)\n"

@@ -609,16 +609,17 @@ class DatacenterSimulation:
         uninterrupted run. See ``docs/resilience.md``.
 
         ``control_plane`` is kept only for the benchmark harness, which
-        passes ``"shm"``: the shared-memory slot plane is the only
-        parallel barrier transport (``docs/parallel.md``), and any other
-        value raises.
+        passes ``"shm"``, the one accepted value; any other raises. Every
+        parallel barrier frame rides the shard pipes, and the
+        shared-memory segment carries only the telemetry banks
+        (``docs/parallel.md``).
         """
         if seconds <= 0:
             raise SimulationError(f"run needs positive duration: {seconds}")
         if control_plane != "shm":
             raise SimulationError(
-                f"unknown control plane {control_plane!r}: shm is the only"
-                " parallel barrier transport"
+                f"unknown control plane {control_plane!r}: \"shm\" is the"
+                " only accepted value"
             )
         if parallel or self._parallel is not None:
             if on_tick is not None:

@@ -29,10 +29,6 @@ STEP_BOUNDS = (1.0, 2.0, 5.0, 15.0, 60.0, 300.0, 1800.0, 7200.0)
 #: bucket bounds for per-frame driver barrier waits (wall seconds)
 BARRIER_BOUNDS = (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0)
 
-#: bucket bounds for worker doorbell-poll waits (wall seconds) — the
-#: shm control plane's spin window sits under the first few buckets
-DOORBELL_BOUNDS = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1)
-
 #: retained per-tick round-trip samples for the p50 estimate (bounded
 #: so week-long campaigns cannot grow driver memory; a full list is
 #: decimated, so the kept samples still span the whole run)
@@ -86,19 +82,6 @@ class IpcMetrics:
             "ipc.barrier_wait_per_frame_s",
             "driver wall seconds blocked per shard reply",
             bounds=BARRIER_BOUNDS,
-        )
-        self._shm_frames = r.counter(
-            "ipc.shm_control_frames",
-            "control round trips carried by the shm slot plane",
-        )
-        self._shm_control = r.counter(
-            "ipc.shm_control_bytes",
-            "control-slot bytes on the shm plane, both directions",
-        )
-        self._doorbell = r.histogram(
-            "ipc.doorbell_wait_s",
-            "worker wall seconds polling the request doorbell per frame",
-            bounds=DOORBELL_BOUNDS,
         )
         #: per-tick barrier round trips (epoch-amortized): every
         #: ``_round_trip_stride``-th sample, at most ``_ROUND_TRIP_CAP``
@@ -184,15 +167,6 @@ class IpcMetrics:
         self._sent.value += sent
         self._received.value += received
 
-    def record_shm_frame(self, sent: int, received: int) -> None:
-        """Account one control round trip carried by the shm slots."""
-        self._shm_frames.value += 1
-        self._shm_control.value += sent + received
-
-    def record_doorbell_wait(self, seconds: float) -> None:
-        """One worker-side doorbell poll wait (from the reply slot)."""
-        self._doorbell.observe(seconds)
-
     def record_barrier_wait(
         self, shard: int, seconds: float, ticks: int = 1
     ) -> None:
@@ -226,22 +200,25 @@ class IpcMetrics:
 
     @property
     def pipe_control_frames(self) -> int:
-        """Control round trips that used a pickled pipe frame.
-
-        Zero at steady state under the shm control plane — the CI gate
-        in ``benchmarks/bench_parallel.py`` enforces it.
+        """Control round trips with the shards: every one is a pickled
+        pipe frame. ``benchmarks/bench_parallel.py`` bounds it at a
+        quarter of one frame per shard per tick (epoch batching).
         """
         return self._frames.value
 
+    # The two control-slot figures below read zero: every control frame
+    # rides the pipe. perfbench (``perfbench/workloads.py``) still reads
+    # them, so they stay until its next change.
+
     @property
     def shm_control_frames(self) -> int:
-        """Control round trips carried entirely by the shm slot plane."""
-        return self._shm_frames.value
+        """Always 0 (no control frame rides shared memory)."""
+        return 0
 
     @property
     def shm_control_bytes(self) -> int:
-        """Control-slot bytes on the shm plane, both directions."""
-        return self._shm_control.value
+        """Always 0 (no control frame rides shared memory)."""
+        return 0
 
     @property
     def round_trip_p50(self) -> float:
@@ -294,9 +271,7 @@ class IpcMetrics:
         """
         if ticks <= 0:
             return 0.0
-        return (
-            self.control_bytes + self.shm_control_bytes + self.shm_bytes
-        ) / ticks
+        return (self.control_bytes + self.shm_bytes) / ticks
 
     @property
     def barrier_wait_total_s(self) -> float:
@@ -314,8 +289,6 @@ class IpcMetrics:
             f" segment {self.shm_segment_bytes} B)",
             f"barrier wait        {self.barrier_wait_total_s:.3f}s over"
             f" {self.workers} shard(s)",
-            f"shm control         {self.shm_control_frames} frame(s)"
-            f" ({self.shm_control_bytes} B slots)",
             f"barrier p50/tick    {self.round_trip_p50 * 1e6:.0f}us"
             f" (frame p50/p90/p99"
             f" {self.frame_wait_quantile(0.5) * 1e6:.0f}/"

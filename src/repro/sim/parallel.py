@@ -17,8 +17,12 @@ indices), so control frames stay small. The driver stamps each
 shm-carrying frame with the bank index; banks rotate so a worker never
 overwrites a row the driver has not consumed.
 
-Driver/worker control frames (logical tuples; ``ops`` are queued
-attacker ``exec``/``reap`` operations, ``oids`` are observer ids of
+Every driver/worker control frame is a pickled tuple on the shard's
+``Pipe``, strict request/reply; the worker blocks in ``recv_bytes``
+between barriers, and a dispatch that raises replies
+``("error", traceback)``, on which the driver tears the engine down
+and raises. The frames (``ops`` are queued attacker
+``exec``/``reap`` operations, ``oids`` are observer ids of
 shard-resident attack monitors to sample)::
 
     ("begin", bank, want_row, ops)         -> ("ok", changed)
@@ -40,16 +44,8 @@ shard-resident attack monitors to sample)::
     ("crash",)                             -> no reply; worker exits (test hook)
     ("close",)                             -> worker exits
 
-Steady-state frames — ``plan``, ``epoch`` without observer ids, and
-op-less ``begin`` — ride fixed-layout shared-memory slots with a
-doorbell sequence counter in the same segment (:mod:`repro.sim.shm`):
-zero pickling, zero syscalls per barrier. Everything else rides the
-``Pipe`` slow path as pickled tuples, as do worker errors and
-tracer-drain replies (the request stays on the slots; the reply's
-status slot says the payload is on the pipe).
-The supervisor's frame log records the *logical* tuples, so
-replay-after-respawn reproduces slot-carried frames over the pipe
-verbatim.
+The supervisor's frame log records the frames it sent, so
+replay-after-respawn re-sends them to the new worker verbatim.
 
 Every tick crosses the shard boundary inside an ``epoch`` frame, which
 cuts steady-state round trips up to ``EPOCH_TICKS``×. A coalescing
@@ -179,24 +175,6 @@ _DEFAULT_BARRIER_TIMEOUT_S = 600.0
 #: recovery traffic (replaying them would recurse), plus the test hooks
 _UNLOGGED_FRAMES = frozenset({"crash", "close", "checkpoint", "replay", "hang"})
 
-#: doorbell busy-poll: spin this many iterations before backing off to
-#: short sleeps — a barrier turnaround at steady state lands within the
-#: spin window, so the hot path never syscalls
-_DOORBELL_SPINS = 400
-
-#: first backoff sleep once the spin window is exhausted; each further
-#: nap doubles it up to the cap, so a waiter whose counterpart is busy
-#: (an epoch of compute, an idle stretch between barriers) stops waking
-#: — and, on an oversubscribed box, stops *preempting* — the process it
-#: is waiting on. Fast replies still land in the spin window; the cap
-#: bounds the added latency of a slow one to a single sleep interval.
-_DOORBELL_SLEEP_S = 50e-6
-_DOORBELL_SLEEP_MAX_S = 2e-3
-
-#: liveness/timeout checks every this many backoff sleeps (worst-case
-#: detection granularity: this many cap-length naps)
-_DOORBELL_CHECK_EVERY = 50
-
 
 class _ShardFailure(Exception):
     """Internal: one shard died or hung mid-protocol (driver side)."""
@@ -248,10 +226,9 @@ class ShardSpec:
     racks: Tuple[int, ...]
     fault_schedule: Optional[FaultSchedule]
     fault_seed: int
-    #: the engine's shared-memory segment to attach to
+    #: the engine's shared-memory segment to attach to (its geometry is
+    #: ``config.servers`` wall slots plus the observer slots per bank)
     segment_name: str
-    #: per-shard host counts, in shard order (segment geometry)
-    host_counts: Tuple[int, ...]
     observer_capacity: int
     #: the cloud's full launch/terminate history (workers filter by host)
     launch_log: Tuple[tuple, ...]
@@ -359,7 +336,7 @@ class _ShardRuntime:
         if self.fleet.injector is not None:
             self.fleet.injector.tracer = self.tracer
         self.plane = ShmPlane.attach(
-            spec.segment_name, spec.host_counts, spec.observer_capacity
+            spec.segment_name, spec.config.servers, spec.observer_capacity
         )
         #: test hook (("hang", s) frame): stall the next reply this long
         self._hang_s = 0.0
@@ -651,13 +628,6 @@ def _shard_worker_main(
             runtime = _ShardRuntime.from_snapshot(spec, restore_from)
         else:
             runtime = _ShardRuntime(spec)
-        # the doorbell baseline MUST be read before "ready" goes out:
-        # the driver may post its first slot frame the instant it sees
-        # the handshake, and a later baseline read would swallow that
-        # frame's sequence bump. For a respawn the ordering also skips
-        # the stale in-flight frame — the supervisor resends it over the
-        # pipe after replay.
-        base_seq = runtime.plane.req_seq(spec.shard_index)
     except Exception:
         try:
             conn.send_bytes(_dumps(("error", traceback.format_exc())))
@@ -665,93 +635,45 @@ def _shard_worker_main(
             return
     conn.send_bytes(_dumps(("ready",)))
     try:
-        _serve(runtime, conn, spec.shard_index, base_seq)
+        _serve(runtime, conn)
     finally:
         runtime.plane.close()
 
 
-def _serve(runtime: _ShardRuntime, conn, idx: int, base_seq: int) -> None:
-    """The worker command loop: slot frames plus the pipe slow path.
+def _serve(runtime: _ShardRuntime, conn) -> None:
+    """The worker command loop: receive a frame, dispatch it, reply.
 
-    Busy-polls the request doorbell with a spin-then-sleep backoff,
-    checking the pipe for slow-path frames on a coarser cadence (the
-    driver never has both transports in flight for one shard — the
-    protocol is strict request/reply — so ordering cannot race). The
-    doorbell baseline was read before the ready handshake: a respawned
-    worker never re-serves the in-flight slot frame, because the
-    supervisor resends it over the pipe after replay.
+    Blocks in ``recv_bytes`` between barriers; a closed or broken pipe
+    (the driver is gone) ends the loop like a ``close`` frame.
     """
-    plane = runtime.plane
-    last_seq = base_seq
     while True:
-        # -- wait for the next request on the slots or the pipe ------
-        w0 = time.perf_counter()
-        from_pipe = None
-        spins = 0
-        sleep_s = _DOORBELL_SLEEP_S
-        while from_pipe is None:
-            if plane.req_seq(idx) != last_seq:
-                last_seq = plane.req_seq(idx)
-                from_pipe = False
-                break
-            if spins % 64 == 0 or spins > _DOORBELL_SPINS:
-                try:
-                    if conn.poll(0):
-                        from_pipe = True
-                        break
-                except (EOFError, OSError):
-                    return
-            spins += 1
-            if spins > _DOORBELL_SPINS:
-                time.sleep(sleep_s)
-                sleep_s = min(sleep_s * 2.0, _DOORBELL_SLEEP_MAX_S)
-        wait_s = time.perf_counter() - w0
-        if from_pipe:
-            try:
-                blob = conn.recv_bytes()
-            except (EOFError, OSError):
-                return
-            msg = pickle.loads(blob)
-            if msg[0] == "close":
-                return
-            if msg[0] == "crash":  # test hook: die without a word
-                os._exit(1)
-            if msg[0] == "hang":  # test hook: stall the next reply
-                runtime._hang_s = float(msg[1])
-                conn.send_bytes(_dumps(("ok", None)))
-                continue
-        else:
-            msg = plane.read_request(idx)
+        try:
+            msg = pickle.loads(conn.recv_bytes())
+        except (EOFError, OSError):
+            return
+        if msg[0] == "close":
+            return
+        if msg[0] == "crash":  # test hook: die without a word
+            os._exit(1)
+        if msg[0] == "hang":  # test hook: stall the next reply
+            runtime._hang_s = float(msg[1])
+            conn.send_bytes(_dumps(("ok", None)))
+            continue
         try:
             result = runtime.dispatch(msg)
-            error = None
         except Exception:
-            error = traceback.format_exc()
-        drained: tuple = ()
-        if error is None and runtime.tracer is not None:
-            drained = runtime.tracer.drain()
+            reply = ("error", traceback.format_exc())
+        else:
+            if runtime.tracer is not None:
+                reply = ("ok", result, runtime.tracer.drain())
+            else:
+                reply = ("ok", result)
         if runtime._hang_s > 0.0:
-            # stall before replying: the reply-slot generation counter
-            # (the supervisor's heartbeat) and any pipe reply go silent
+            # stall before replying: the pipe, the supervisor's
+            # heartbeat, goes silent
             time.sleep(runtime._hang_s)
             runtime._hang_s = 0.0
-        if from_pipe:
-            if error is not None:
-                conn.send_bytes(_dumps(("error", error)))
-            elif runtime.tracer is not None:
-                conn.send_bytes(_dumps(("ok", result, drained)))
-            else:
-                conn.send_bytes(_dumps(("ok", result)))
-        elif error is not None:
-            # slow-path reply: full pickled traceback on the pipe, the
-            # status slot tells the driver to read it there
-            conn.send_bytes(_dumps(("error", error)))
-            plane.write_status(idx, last_seq, ShmPlane.ERROR, wait_s)
-        elif drained:
-            conn.send_bytes(_dumps(("ok", result, drained)))
-            plane.write_status(idx, last_seq, ShmPlane.PAYLOAD_PIPE, wait_s)
-        else:
-            plane.write_reply(idx, last_seq, msg[0], result, wait_s)
+        conn.send_bytes(_dumps(reply))
 
 
 class ParallelFleetEngine:
@@ -805,11 +727,11 @@ class ParallelFleetEngine:
         self._closed = False
         self.procs: list = []
         self.conns: list = []
-        #: the one shared-memory segment: control slots and telemetry
+        #: the one shared-memory segment: the telemetry banks
         self.plane: Optional[ShmPlane] = None
-        #: always None: the control slots live in ``plane``. Kept only for
-        #: the benchmark's segment-leak check, which reads it; it goes at
-        #: the next benchmark change, like ``run(control_plane=...)``
+        #: always None: the engine has one segment, ``plane``. Kept only
+        #: for the benchmark's segment-leak check, which reads it; it goes
+        #: at the next benchmark change, like ``run(control_plane=...)``
         self.cplane = None
 
         cfg = sim.resilience
@@ -908,14 +830,11 @@ class ParallelFleetEngine:
             )
             self.faults.tracer = self._tracer
 
-        #: driver-side doorbell sequence per shard
-        self._cp_seq: List[int] = [0] * n
         launch_log = tuple(sim.cloud.launch_log)
         # every resource is acquired inside the guard: a failure anywhere
         # in start-up (segment creation included) unlinks what exists
         try:
-            host_counts = tuple(len(hosts) for hosts in self.shard_hosts)
-            self.plane = ShmPlane.create(host_counts, self.observer_capacity)
+            self.plane = ShmPlane.create(self.total_servers, self.observer_capacity)
             self.ipc = IpcMetrics(
                 workers=n,
                 shm_segment_bytes=self.plane.segment_bytes,
@@ -929,7 +848,6 @@ class ParallelFleetEngine:
                     fault_schedule=shard_schedules[i],
                     fault_seed=fault_seed,
                     segment_name=self.plane.name,
-                    host_counts=host_counts,
                     observer_capacity=self.observer_capacity,
                     launch_log=launch_log,
                     shard_index=i,
@@ -1228,28 +1146,16 @@ class ParallelFleetEngine:
             self.res_metrics.record_replay(
                 len(frames), ticks, time.monotonic() - w0
             )
-        # the in-flight frame is resent over the pipe regardless of the
-        # transport it originally used: the respawned worker baselines
-        # its doorbell at attach, so the stale slot frame is never
-        # served twice, and _collect switches to the pipe on failure
         self.conns[idx].send_bytes(_dumps(msg))
 
-    def _post(self, idx: int, msg: tuple) -> Tuple[bool, int]:
-        """Ship one control frame; returns ``(on_slots, bytes)``.
+    def _post(self, idx: int, msg: tuple) -> int:
+        """Ship one pickled control frame; returns its size in bytes.
 
-        Slot-encodable frames ride the control plane; everything else
-        goes pickled over the pipe. The frame log records the *logical*
-        tuple regardless of which transport carried it, so
-        replay-after-respawn reproduces slot frames over the pipe
-        verbatim.
+        With supervision on, the frame log records it first, so a
+        respawned worker can replay it.
         """
         if self._supervise and msg[0] not in _UNLOGGED_FRAMES:
             self._frame_log[idx].append(msg)
-        posted = self.plane.post(idx, msg)
-        if posted is not None:
-            seq, nbytes = posted
-            self._cp_seq[idx] = seq
-            return (True, nbytes)
         blob = _dumps(msg)
         try:
             self.conns[idx].send_bytes(blob)
@@ -1258,82 +1164,37 @@ class ParallelFleetEngine:
                 idx, msg, _ShardFailure("died", f"pipe write failed: {exc}", exc)
             )
             # _handle_failure either raised or respawned + resent msg
-        return (False, len(blob))
+        return len(blob)
 
-    def _await_shm_reply(self, idx: int) -> None:
-        """Busy-poll the reply generation counter, bounded by liveness.
-
-        The counter doubles as the heartbeat: a worker that served the
-        frame has bumped it to the doorbell value; one that died or
-        wedged has not, and the spin loop degrades to short sleeps with
-        periodic ``is_alive``/timeout checks — the same died/hung
-        classification as the pipe slow path.
-        """
-        plane = self.plane
-        want = self._cp_seq[idx]
-        proc = self.procs[idx]
-        deadline = time.monotonic() + self._barrier_timeout_s
-        spins = 0
-        naps = 0
-        sleep_s = _DOORBELL_SLEEP_S
-        while plane.rsp_seq(idx) != want:
-            spins += 1
-            if spins <= _DOORBELL_SPINS:
-                continue
-            time.sleep(sleep_s)
-            sleep_s = min(sleep_s * 2.0, _DOORBELL_SLEEP_MAX_S)
-            naps += 1
-            if naps % _DOORBELL_CHECK_EVERY == 0:
-                if not proc.is_alive() and plane.rsp_seq(idx) != want:
-                    raise _ShardFailure("died", f"exitcode {proc.exitcode}")
-                if time.monotonic() > deadline:
-                    raise _ShardFailure(
-                        "hung",
-                        f"no reply within barrier_timeout_s="
-                        f"{self._barrier_timeout_s:.1f}",
-                    )
-
-    def _collect(
-        self, idx: int, sent: Tuple[bool, int], msg: Optional[tuple] = None
-    ):
-        on_slots, nbytes = sent
+    def _collect(self, idx: int, sent: int, msg: tuple):
+        """Receive shard ``idx``'s reply to ``msg`` (``sent`` bytes)."""
         # epoch frames amortize their round trip over the batched ticks
-        ticks = len(msg[1]) if msg is not None and msg[0] == "epoch" else 1
+        ticks = len(msg[1]) if msg[0] == "epoch" else 1
         while True:
             t0 = time.perf_counter()
             try:
-                if on_slots:
-                    self._await_shm_reply(idx)
-                    reply = None
-                    received = 0
-                else:
-                    reply, received = self._receive(idx)
+                reply, received = self._receive(idx)
             except _ShardFailure as failure:
+                # respawned and resent: collect from the new worker
                 self._handle_failure(idx, msg, failure)
-                # respawned and resent over the pipe: collect there
-                on_slots = False
                 continue
             break
         self._last_reply_wall[idx] = time.monotonic()
         self.ipc.record_barrier_wait(
             idx, time.perf_counter() - t0, ticks=ticks
         )
-        if on_slots:
-            self.ipc.record_doorbell_wait(self.plane.reply_wait_s(idx))
-            status = self.plane.reply_status(idx)
-            if status == ShmPlane.OK:
-                result, received = self.plane.read_reply(idx, msg[0])
-                self.ipc.record_shm_frame(nbytes, received)
-                return result
-            # PAYLOAD_PIPE (tracer drain) or ERROR: the request used the
-            # slots but the reply is a full pickled frame on the pipe
-            reply, received = self._receive(idx)
-            self.ipc.record_shm_frame(nbytes, 0)
-            self.ipc.control_bytes_received += received
-        else:
-            self.ipc.record_frame(nbytes, received)
+        self.ipc.record_frame(sent, received)
         if reply[0] == "error":
-            raise SimulationError(f"shard worker {idx} failed:\n{reply[1]}")
+            # the other shards' replies to this exchange stay unread and
+            # this shard stopped mid-frame: tear down rather than let a
+            # later frame read a stale reply
+            try:
+                self.close()
+            finally:
+                raise SimulationError(
+                    f"shard worker {idx} failed; workers torn down, shared"
+                    f" memory unlinked:\n{reply[1]}"
+                )
         if len(reply) == 3 and reply[2] and self._tracer is not None:
             # piggybacked worker trace flush: merge into the driver tracer
             self._tracer.ingest(reply[2])

@@ -1,22 +1,23 @@
-"""Control slots of the shared-memory segment: slot protocol, epoch
-batching, recovery.
+"""The sharded engine's barrier transport: segment, epoch batching,
+recovery.
 
-Four contracts from ``docs/parallel.md``:
+Every control frame is a pickled tuple on the shard pipe; the
+shared-memory segment carries only the telemetry banks. Four contracts
+from ``docs/parallel.md``:
 
-1. **Slot protocol** — the three steady-state frame shapes round-trip
-   through the request/reply slots exactly (NaN hint encoding, bare
-   commit/step fusing into one-tick epochs), and everything else refuses
-   the slots (``post`` returns ``None``) so it ships pickled instead.
-2. **Golden equivalence** — the sharded engine (shm slots, batched
-   epochs) is bit-identical to the serial driver, the oracle, chaos and
-   coalescing included; ``"shm"`` is the only accepted transport.
-3. **Epoch batching** — steady state under shm posts *zero* pickled
-   control frames, and batched epochs cut the barrier round-trip count
-   well below one-per-tick.
+1. **Segment** — a worker that attaches by name sees the driver's bank
+   writes and the driver sees the worker's; creation validates its
+   geometry and names the segment for the stale sweep.
+2. **Golden equivalence** — the sharded engine (batched epochs) is
+   bit-identical to the serial driver, the oracle, chaos and coalescing
+   included; ``"shm"`` is the only accepted ``control_plane`` value.
+3. **Epoch batching** — batched epochs cut the barrier round-trip count
+   well below one frame per shard per tick.
 4. **Recovery** — a worker killed under batched epochs is respawned and
    replayed (epoch frames included) bit-identically, a resume from a
-   checkpoint matches the uninterrupted run, and an engine whose start-up
-   fails leaks no shared-memory segment.
+   checkpoint matches the uninterrupted run, a worker's dispatch error
+   surfaces with its traceback, and an engine whose start-up fails leaks
+   no shared-memory segment.
 """
 
 import errno
@@ -81,115 +82,39 @@ def chaos_schedule():
 
 
 # ---------------------------------------------------------------------------
-# slot protocol
+# segment
 
 
 class TestSlotProtocol:
-    def make(self, host_counts=(3, 2)):
-        return ShmPlane.create(host_counts, 0)
+    """The segment's bank slots: attach, validation, naming."""
 
-    def test_plan_round_trip(self):
-        plane = self.make()
-        try:
-            posted = plane.post(1, ("plan", 2.5))
-            assert posted is not None
-            seq, nbytes = posted
-            assert seq == 1 and nbytes > 0
-            assert plane.req_seq(1) == 1
-            assert plane.req_seq(0) == 0  # other shard untouched
-            assert plane.read_request(1) == ("plan", 2.5)
-            result = ((7, 8), (9,), (0.5, 0.25), True, 123.0)
-            plane.write_reply(1, seq, "plan", result, wait_s=1e-4)
-            assert plane.rsp_seq(1) == seq
-            assert plane.reply_status(1) == ShmPlane.OK
-            assert plane.reply_wait_s(1) == pytest.approx(1e-4)
-            decoded, received = plane.read_reply(1, "plan")
-            assert decoded == result
-            assert received > 0
-        finally:
-            plane.unlink()
-
-    def test_epoch_round_trip_restores_none_hints(self):
-        plane = self.make()
-        try:
-            ticks = ((None, 1.0, 2, True), (3.5, 1.0, 3, False))
-            seq, _ = plane.post(0, ("epoch", ticks, ()))
-            assert plane.read_request(0) == ("epoch", ticks, ())
-            plane.write_reply(0, seq, "epoch", True, wait_s=0.0)
-            changed, received = plane.read_reply(0, "epoch")
-            assert changed is True
-            assert received == 4 * 8
-        finally:
-            plane.unlink()
-
-    def test_begin_round_trip(self):
-        plane = self.make()
-        try:
-            seq, _ = plane.post(1, ("begin", 1, True, ()))
-            assert plane.read_request(1) == ("begin", 1, True, ())
-            plane.write_reply(1, seq, "begin", False, wait_s=0.0)
-            changed, _ = plane.read_reply(1, "begin")
-            assert changed is False
-        finally:
-            plane.unlink()
-
-    def test_slow_path_refusals_leave_doorbell_alone(self):
-        plane = self.make()
-        try:
-            too_long = tuple(
-                (None, 1.0, 0, False) for _ in range(EPOCH_TICKS + 1)
-            )
-            assert plane.post(0, ("epoch", too_long, ())) is None  # oversized
-            assert plane.post(0, ("begin", 0, False, (("op",),))) is None
-            one = ((None, 1.0, 0, False),)
-            assert plane.post(0, ("epoch", one, (5,))) is None  # observers
-            assert plane.post(0, ("state",)) is None
-            assert plane.post(0, ("checkpoint", 1, "/tmp")) is None
-            # a refused frame must not ring the doorbell: the pipe carries
-            # it, and a phantom seq bump would wedge the worker poll loop
-            assert plane.req_seq(0) == 0
-        finally:
-            plane.unlink()
-
-    def test_non_ok_status_rides_the_slots(self):
-        plane = self.make()
-        try:
-            seq, _ = plane.post(0, ("plan", 1.0))
-            plane.write_status(0, seq, ShmPlane.PAYLOAD_PIPE, wait_s=0.5)
-            assert plane.rsp_seq(0) == seq
-            assert plane.reply_status(0) == ShmPlane.PAYLOAD_PIPE
-            assert plane.reply_wait_s(0) == pytest.approx(0.5)
-            plane.write_status(0, seq + 1, ShmPlane.ERROR, wait_s=0.0)
-            assert plane.reply_status(0) == ShmPlane.ERROR
-        finally:
-            plane.unlink()
+    def make(self, servers=5, observers=2):
+        return ShmPlane.create(servers, observers)
 
     def test_attach_shares_the_segment(self):
         owner = self.make()
         peer = None
         try:
             peer = ShmPlane.attach(
-                owner.name, owner.host_counts, owner.observer_capacity
+                owner.name, owner.total_servers, owner.observer_capacity
             )
-            seq, _ = owner.post(0, ("plan", 9.25))
-            assert peer.req_seq(0) == seq
-            assert peer.read_request(0) == ("plan", 9.25)
-            peer.write_reply(
-                0, seq, "plan", ((), (), (1.0, 2.0, 3.0), True, 42.0),
-                wait_s=0.0,
-            )
-            decoded, _ = owner.read_reply(0, "plan")
-            assert decoded == ((), (), (1.0, 2.0, 3.0), True, 42.0)
+            owner.write_wall(3, 4, 9.25)
+            owner.write_wall(3, 0, None)  # crashed host: a trace gap
+            owner.write_observer(EPOCH_TICKS, 1, 42.0)
+            assert peer.read_wall(3, 4) == 9.25
+            assert peer.read_wall(3, 0) is None
+            assert peer.read_observer(EPOCH_TICKS, 1) == 42.0
+            assert peer.read_observer(EPOCH_TICKS, 0) is None  # untouched
         finally:
             if peer is not None:
                 peer.close()
             owner.unlink()
 
     def test_create_validation(self):
-        with pytest.raises(SimulationError, match="host"):
-            ShmPlane.create((), 4)
-        with pytest.raises(SimulationError, match="host"):
-            ShmPlane.create((2, 0), 4)
+        with pytest.raises(SimulationError, match="server"):
+            ShmPlane.create(0, 4)
+        with pytest.raises(SimulationError, match="server"):
+            ShmPlane.create(-2, 4)
 
     def test_segment_named_for_stale_sweep(self):
         if not os.path.isdir("/dev/shm"):
@@ -203,7 +128,7 @@ class TestSlotProtocol:
         stale = f"{shm.SEGMENT_PREFIX}-{pid}-c0ffee00"
         with open(os.path.join("/dev/shm", stale), "wb") as fh:
             fh.write(b"\0" * 64)
-        plane = ShmPlane.create((2,), 4)
+        plane = ShmPlane.create(2, 4)
         try:
             assert shm._segment_owner_pid(plane.name) == os.getpid()
             assert not os.path.exists(os.path.join("/dev/shm", stale))
@@ -215,7 +140,7 @@ class TestBankFlip:
     def test_epoch_banks_do_not_overwrite_each_other(self):
         # batched epochs need EPOCH_TICKS + 1 banks: every tick of an
         # epoch lands in its own bank, folded only after the one reply
-        plane = ShmPlane.create((2,), 1)
+        plane = ShmPlane.create(2, 1)
         try:
             for bank in range(plane.banks):
                 plane.write_wall(bank, 0, 100.0 + bank)
@@ -232,7 +157,7 @@ class TestBankFlip:
             plane.unlink()
 
     def test_bank_out_of_range_rejected(self):
-        plane = ShmPlane.create((2,), 0)
+        plane = ShmPlane.create(2, 0)
         try:
             plane.write_wall(EPOCH_TICKS, 0, 1.0)
             with pytest.raises(SimulationError, match="bank"):
@@ -309,32 +234,15 @@ class TestShmGoldenTrace:
 
 
 class TestEpochBatching:
-    def test_steady_state_posts_zero_pipe_frames(self):
-        sim = build(servers=4, rack_size=2)
-        try:
-            sim.run(120.0, parallel=2)
-            ipc = sim.metrics.ipc
-            # begin + every barrier of the run rode the slots
-            assert ipc.pipe_control_frames == 0
-            assert ipc.shm_control_frames > 0
-            assert ipc.shm_control_bytes > 0
-            # ...and the rare-path verbs still use the pipe
-            sim.server_wall_watts(0)
-            assert ipc.pipe_control_frames > 0
-        finally:
-            sim.close()
-
     def test_epochs_batch_barrier_round_trips(self):
         sim = build(servers=4, rack_size=2)
         try:
             sim.run(120.0, parallel=2)
-            ipc = sim.metrics.ipc
-            trips = ipc.shm_control_frames + ipc.pipe_control_frames
+            trips = sim.metrics.ipc.pipe_control_frames
             # unbatched, every shard takes one frame per tick; 8-tick
             # epochs need ~one barrier per 8 ticks instead
             unbatched = sim.metrics.ticks * len(sim._parallel.conns)
-            assert trips * 4 <= unbatched
-            assert ipc.shm_control_frames > 0
+            assert 0 < trips * 4 <= unbatched
         finally:
             sim.close()
 
@@ -361,7 +269,8 @@ class TestEpochBatching:
             assert ipc.round_trip_p50 > 0.0
             assert ipc.barrier_wait_skew >= 1.0
             rendered = sim.metrics.render()
-            assert "shm control" in rendered
+            assert "control frames" in rendered
+            assert "shm control" not in rendered
             assert "barrier p50/tick" in rendered
         finally:
             sim.close()
@@ -371,41 +280,51 @@ class TestEpochBatching:
 # recovery under batched epochs
 
 
+def _run_snapshot(seconds, **kwargs):
+    """Snapshot of one uninterrupted sharded run (the golden side)."""
+    sim = build(**kwargs)
+    try:
+        sim.run(seconds, parallel=2, coalesce=True)
+        return snapshot(sim)
+    finally:
+        sim.close()
+
+
 @pytest.mark.chaos
 class TestKillMidEpoch:
     def test_respawn_and_replay_bit_identical(self):
-        golden = build(interval=30.0, servers=4, rack_size=2)
-        golden.run(600, parallel=2, coalesce=True)
-        golden_snap = snapshot(golden)
-        golden.close()
+        golden_snap = _run_snapshot(600, interval=30.0, servers=4, rack_size=2)
         sim = build(interval=30.0, servers=4, rack_size=2)
-        sim.enable_resilience(max_restarts=2)
-        sim.run(300, parallel=2, coalesce=True)
-        assert sim.metrics.ipc.shm_control_frames > 0  # epochs in the log
-        sim._parallel.debug_crash_worker(1)
-        sim.run(300, parallel=2, coalesce=True)
-        sim_snap = snapshot(sim)
-        sim.close()
+        try:
+            sim.enable_resilience(max_restarts=2)
+            sim.run(300, parallel=2, coalesce=True)
+            assert sim.metrics.ipc.pipe_control_frames > 0  # epochs in the log
+            sim._parallel.debug_crash_worker(1)
+            sim.run(300, parallel=2, coalesce=True)
+            sim_snap = snapshot(sim)
+        finally:
+            sim.close()
         assert golden_snap == sim_snap
         metrics = sim._parallel.res_metrics
         assert metrics.restarts == 1
-        # the replay walked the logical frame log (epoch frames included)
-        # back through the pipe into the respawned worker
+        # the replay walked the frame log (epoch frames included) back
+        # through the pipe into the respawned worker
         assert metrics.replayed_frames > 0
         assert metrics.replayed_ticks > 0
 
     def test_kill_with_chaos_schedule_bit_identical(self):
-        golden = build(interval=30.0, schedule=chaos_schedule())
-        golden.run(900, parallel=2, coalesce=True)
-        golden_snap = snapshot(golden)
-        golden.close()
+        golden_snap = _run_snapshot(
+            900, interval=30.0, schedule=chaos_schedule()
+        )
         sim = build(interval=30.0, schedule=chaos_schedule())
-        sim.enable_resilience(max_restarts=2)
-        sim.run(450, parallel=2, coalesce=True)
-        sim._parallel.debug_crash_worker(0)
-        sim.run(450, parallel=2, coalesce=True)
-        sim_snap = snapshot(sim)
-        sim.close()
+        try:
+            sim.enable_resilience(max_restarts=2)
+            sim.run(450, parallel=2, coalesce=True)
+            sim._parallel.debug_crash_worker(0)
+            sim.run(450, parallel=2, coalesce=True)
+            sim_snap = snapshot(sim)
+        finally:
+            sim.close()
         assert golden_snap == sim_snap
         assert sim._parallel.res_metrics.restarts == 1
 
@@ -433,14 +352,52 @@ class TestManifestPinsControlPlane:
         assert golden_snap == res_snap
 
 
+def _own_segments():
+    """This process's ``clkt-<pid>-*`` segments in ``/dev/shm``."""
+    if not os.path.isdir("/dev/shm"):
+        pytest.skip("no /dev/shm on this platform")
+    prefix = f"{shm.SEGMENT_PREFIX}-{os.getpid()}-"
+    return {n for n in os.listdir("/dev/shm") if n.startswith(prefix)}
+
+
+def _exploding_workload(*args):
+    """A picklable workload factory that raises inside the shard worker."""
+    raise RuntimeError("workload factory exploded")
+
+
+class TestWorkerError:
+    def test_dispatch_error_names_shard_and_carries_traceback(self):
+        before = _own_segments()
+        sim = build(servers=4, rack_size=2)
+        procs = []
+        try:
+            instance = sim.cloud.launch_instance("attacker")
+            sim.run(10.0, parallel=2)
+            engine = sim._parallel
+            procs = list(engine.procs)
+            shard = engine._shard_of_host[instance.host_index]
+            sim.exec_in_instance(instance, "boom", _exploding_workload)
+            # the queued exec applies at the owning shard's next barrier
+            with pytest.raises(SimulationError) as info:
+                sim.run(10.0)
+            text = str(info.value)
+            assert f"shard worker {shard} failed" in text
+            assert "Traceback (most recent call last)" in text
+            assert "_exploding_workload" in text
+            assert "RuntimeError: workload factory exploded" in text
+            # the other shard's reply to that barrier was never read: a
+            # later run must refuse, not consume it as its own reply
+            with pytest.raises(SimulationError, match="closed"):
+                sim.run(10.0)
+        finally:
+            sim.close()
+        assert _own_segments() == before
+        assert procs and not any(proc.is_alive() for proc in procs)
+
+
 class TestStartupFailure:
     def test_control_plane_failure_leaks_no_segment(self, monkeypatch):
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no /dev/shm on this platform")
-        prefix = f"{shm.SEGMENT_PREFIX}-{os.getpid()}-"
-
-        def segments():
-            return {n for n in os.listdir("/dev/shm") if n.startswith(prefix)}
+        segments = _own_segments
 
         def no_space(*args, **kwargs):
             raise OSError(errno.ENOSPC, "No space left on device")

@@ -476,7 +476,7 @@ class TestStaleSegmentSweep:
                     pass
 
     def test_segment_names_carry_owner_pid(self):
-        plane = shm.ShmPlane.create((2,), 2)
+        plane = shm.ShmPlane.create(2, 2)
         try:
             assert shm._segment_owner_pid(plane.name) == os.getpid()
         finally:

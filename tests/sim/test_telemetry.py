@@ -14,16 +14,16 @@ from repro.sim.shm import EPOCH_TICKS, ShmPlane
 
 
 def make_plane(servers=10, observers=4):
-    return ShmPlane.create((servers,), observers)
+    return ShmPlane.create(servers, observers)
 
 
 class TestGeometry:
     def test_segment_sizing(self):
         plane = make_plane(servers=10, observers=4)
         try:
-            # one shard's request and reply blocks, then the banks
-            control = (4 + 4 * EPOCH_TICKS) + (8 + 3 * 10)
-            assert plane.segment_bytes == (control + plane.banks * (10 + 4)) * 8
+            # the banks are the whole segment
+            assert plane.banks == EPOCH_TICKS + 1
+            assert plane.segment_bytes == plane.banks * (10 + 4) * 8
             assert plane.row_bytes == 10 * 8
             # the OS may round the mapping up, never down
             assert plane._shm.size >= plane.segment_bytes
@@ -32,9 +32,9 @@ class TestGeometry:
 
     def test_rejects_degenerate_shapes(self):
         with pytest.raises(SimulationError, match="server slot"):
-            ShmPlane.create((0,), 4)
+            ShmPlane.create(0, 4)
         with pytest.raises(SimulationError, match="observer capacity"):
-            ShmPlane.create((4,), -1)
+            ShmPlane.create(4, -1)
 
     def test_slot_range_checks(self):
         plane = make_plane(servers=3, observers=2)
@@ -91,7 +91,7 @@ class TestEncoding:
         plane = make_plane(servers=3, observers=1)
         try:
             plane.write_wall(1, 2, 77.0)
-            other = ShmPlane.attach(plane.name, (3,), 1)
+            other = ShmPlane.attach(plane.name, 3, 1)
             try:
                 assert other.read_wall(1, 2) == 77.0
                 other.write_observer(0, 0, 5.5)
@@ -116,7 +116,7 @@ class TestLifecycle:
     def test_attached_unlink_does_not_destroy(self):
         plane = make_plane(servers=2, observers=1)
         try:
-            other = ShmPlane.attach(plane.name, (2,), 1)
+            other = ShmPlane.attach(plane.name, 2, 1)
             other.unlink()  # non-owner: close only
             assert plane.read_wall(0, 0) is None  # still mapped and alive
         finally:
