@@ -3,17 +3,19 @@
 Runs the Figure 2 substrate — the datacenter fleet at 1 s base ticks —
 serially and under :mod:`repro.sim.parallel` at 8 servers / 1 rack and
 64 servers / 8 racks, and records wall time, tick counts, speedup, and
-the IPC profile (control-frame bytes, shared-memory payload bytes,
-per-shard barrier waits) in ``benchmarks/out/BENCH_parallel.json`` so
-the perf trend is tracked per commit. Correctness rides along: the
+the IPC profile (pickled pipe bytes, per-shard barrier waits) in
+``benchmarks/out/BENCH_parallel.json`` so the perf trend is tracked per
+commit. Correctness rides along: the
 parallel trace must be bit-identical to the serial one (the same
 golden-trace contract as ``tests/sim/test_parallel.py``, enforced here
 on the benchmark fleet).
 
-The shared-memory segment's telemetry banks replaced pickled per-step sample rows
-on the shard pipes; the benchmark reconstructs what the pickled-row
-protocol would have shipped per tick (from the actual final-row values)
-and asserts the measured IPC payload beats it at fleet scale.
+The shard pipes are the only IPC channel: each epoch reply carries its
+sampled rows as bare float lists in the shard's host order. The
+benchmark reconstructs what the old pickled ``(index, watts)`` row
+protocol, one reply per tick, would have shipped per tick (from the
+actual final-row values) and asserts the measured pipe bytes beat it at
+fleet scale.
 
 Speedup expectations are hardware-dependent: ≥ 2× at 64 servers needs a
 multi-core runner (each of the 8 shards gets a core); on a single-core
@@ -176,7 +178,7 @@ def _run(servers: int, rack_size: int, parallel: int):
 def _pickled_row_baseline_bytes(last_row, rack_size, workers):
     """Per-tick bytes the old pickled-row reply protocol would ship.
 
-    The pre-plane protocol answered every step barrier with a pickled
+    The old per-tick protocol answered every step barrier with a pickled
     ``("ok", (changed, [(global_index, watts), ...]))`` reply per shard,
     rows partitioned by rack ownership. Rebuild those replies from the
     run's actual final sampled row so the estimate uses real float
@@ -215,10 +217,11 @@ def test_parallel_speedup(results_dir):
             last_row, rack_size, workers
         )
         if servers >= 64:
-            # the headline claim: the shm plane beats pickled rows at scale
+            # the headline claim: batched bare-float rows beat per-tick
+            # (index, watts) replies at scale
             assert measured_per_tick < baseline_per_tick, (
-                f"shm plane shipped {measured_per_tick:.0f} B/tick vs"
-                f" {baseline_per_tick} B/tick for pickled rows"
+                f"the pipes shipped {measured_per_tick:.0f} B/tick vs"
+                f" {baseline_per_tick} B/tick for pickled (index, watts) rows"
             )
         configs.append(
             {
@@ -234,9 +237,6 @@ def test_parallel_speedup(results_dir):
                     "control_frames": ipc.control_frames,
                     "control_bytes_sent": ipc.control_bytes_sent,
                     "control_bytes_received": ipc.control_bytes_received,
-                    "shm_row_bytes": ipc.shm_row_bytes,
-                    "shm_observer_bytes": ipc.shm_observer_bytes,
-                    "shm_segment_bytes": ipc.shm_segment_bytes,
                     "bytes_per_tick": round(measured_per_tick, 1),
                     "pickled_row_baseline_bytes_per_tick": baseline_per_tick,
                     "barrier_wait_s": {
@@ -342,7 +342,7 @@ def test_control_plane_round_trip(results_dir):
 
     write_result(
         results_dir,
-        "control_plane_shm",
+        "control_plane",
         f"control plane at {CONTROL_SERVERS} shards"
         f" x {VIRTUAL_S:.0f}s\n\n"
         f"wall:            {stats['wall_s']:.2f}s\n"

@@ -177,10 +177,10 @@ class ShardMonitorHandle:
         return self.engine.observer_degradation(self.observer_id)
 
     def release(self) -> None:
-        """Tear down the worker-side monitor and free its observer slot.
+        """Tear down the worker-side monitor.
 
-        The slot returns to the engine's free list for the next campaign;
-        the handle is dead afterwards (sampling it raises in the worker).
+        The handle is dead afterwards: the engine no longer knows its
+        observer id, so sampling it raises.
         """
         self.engine.release_observer(self.observer_id)
 

@@ -390,10 +390,9 @@ class SynergisticAttack(_StrategyBase):
         In parallel mode the shard-resident monitors are *armed* around
         each monitoring tick: the final commit of the tick samples them
         worker-side at exactly the instant a serial strategy would call
-        ``monitor.sample()``, and the readings come back through the
-        shared-memory plane's observer slots. Burst windows run disarmed
-        (serial code does not sample during a burst); the post-burst
-        re-prime goes through an explicit sample frame that flushes the
+        ``monitor.sample()``, and the readings come back in the epoch
+        reply. Burst windows run disarmed (serial code does not sample
+        during a burst); the post-burst re-prime goes through an explicit sample frame that flushes the
         queued reap first, preserving the serial reap-then-sample order.
         """
         self._check_mode()
@@ -501,11 +500,9 @@ class SynergisticAttack(_StrategyBase):
         """Retire this campaign's monitors and reclaim their resources.
 
         In parallel mode every shard-resident monitor is torn down and
-        its telemetry-plane observer slot returns to the engine's free
-        list, so rotating campaigns (new strategy per epoch over fresh
-        instances) recycle a bounded slot pool instead of exhausting the
-        ``max(16, 2*S)`` observer capacity. Serial monitors are simply
-        dropped. The strategy cannot sample after this; call it once the
+        the engine forgets its observer id, so rotating campaigns (new
+        strategy per epoch over fresh instances) keep only live monitors
+        in the workers. Serial monitors are simply dropped. The strategy cannot sample after this; call it once the
         campaign (and any degradation reporting) is finished.
         """
         for monitor in self.monitors.values():

@@ -609,10 +609,10 @@ class DatacenterSimulation:
         uninterrupted run. See ``docs/resilience.md``.
 
         ``control_plane`` is kept only for the benchmark harness, which
-        passes ``"shm"``, the one accepted value; any other raises. Every
-        parallel barrier frame rides the shard pipes, and the
-        shared-memory segment carries only the telemetry banks
-        (``docs/parallel.md``).
+        passes ``"shm"``, the one accepted value; any other raises. The
+        shard pipes are the one IPC channel: every barrier frame rides
+        them, and the replies carry the sampled rows and observer
+        readings (``docs/parallel.md``).
         """
         if seconds <= 0:
             raise SimulationError(f"run needs positive duration: {seconds}")
@@ -771,7 +771,7 @@ class DatacenterSimulation:
         from ``injector`` displaces the *recorded* stamp only, clamped to
         ``floor`` (the previous stamp). Advances the sample counters: the
         caller records one row per stamp — the serial loop from the
-        fleet, the sharded driver from the shared-memory banks.
+        fleet, the sharded driver from the shards' reply rows.
         """
         stamps = []
         while self.next_sample_time <= now + 1e-9:

@@ -39,11 +39,11 @@ class IpcMetrics:
     """IPC accounting for one rack-sharded parallel run.
 
     Maintained by the parallel driver (``repro.sim.parallel``): control
-    frames are the pickled command/reply tuples on the shard pipes, and
-    shared-memory bytes are the float64 slots the telemetry plane carried
-    instead of pickled rows. ``barrier_wait_s`` is the driver's cumulative
-    wall time blocked waiting for each shard's reply — the lock-step
-    straggler profile.
+    frames are the pickled command/reply tuples on the shard pipes, the
+    only IPC channel, so their bytes include every sampled row and
+    observer reading the replies carry. ``barrier_wait_s`` is the
+    driver's cumulative wall time blocked waiting for each shard's
+    reply — the lock-step straggler profile.
     """
 
     def __init__(
@@ -51,9 +51,6 @@ class IpcMetrics:
         control_bytes_sent: int = 0,
         control_bytes_received: int = 0,
         control_frames: int = 0,
-        shm_row_bytes: int = 0,
-        shm_observer_bytes: int = 0,
-        shm_segment_bytes: int = 0,
         workers: int = 0,
         registry: Optional[MetricRegistry] = None,
     ):
@@ -67,15 +64,6 @@ class IpcMetrics:
         )
         self._frames = r.counter(
             "ipc.control_frames", "command frames sent (one per shard per barrier)"
-        )
-        self._row_bytes = r.counter(
-            "ipc.shm_row_bytes", "float64 sample-row bytes on the shm plane"
-        )
-        self._observer_bytes = r.counter(
-            "ipc.shm_observer_bytes", "float64 observer bytes on the shm plane"
-        )
-        self._segment = r.gauge(
-            "ipc.shm_segment_bytes", "allocated shared-memory segment size"
         )
         self._workers = r.gauge("ipc.workers", "shard worker count")
         self._frame_wait = r.histogram(
@@ -93,9 +81,6 @@ class IpcMetrics:
         self._sent.value += control_bytes_sent
         self._received.value += control_bytes_received
         self._frames.value += control_frames
-        self._row_bytes.value += shm_row_bytes
-        self._observer_bytes.value += shm_observer_bytes
-        self._segment.value = shm_segment_bytes
         self._workers.value = workers
 
     # attribute facade: reads and ``+=`` hit the registry instruments
@@ -123,30 +108,6 @@ class IpcMetrics:
     @control_frames.setter
     def control_frames(self, value: int) -> None:
         self._frames.value = value
-
-    @property
-    def shm_row_bytes(self) -> int:
-        return self._row_bytes.value
-
-    @shm_row_bytes.setter
-    def shm_row_bytes(self, value: int) -> None:
-        self._row_bytes.value = value
-
-    @property
-    def shm_observer_bytes(self) -> int:
-        return self._observer_bytes.value
-
-    @shm_observer_bytes.setter
-    def shm_observer_bytes(self, value: int) -> None:
-        self._observer_bytes.value = value
-
-    @property
-    def shm_segment_bytes(self) -> int:
-        return self._segment.value
-
-    @shm_segment_bytes.setter
-    def shm_segment_bytes(self, value: int) -> None:
-        self._segment.value = value
 
     @property
     def workers(self) -> int:
@@ -206,18 +167,23 @@ class IpcMetrics:
         """
         return self._frames.value
 
-    # The two control-slot figures below read zero: every control frame
-    # rides the pipe. perfbench (``perfbench/workloads.py``) still reads
+    # The three shared-memory figures below read zero: the pipes are the
+    # only IPC channel. perfbench (``perfbench/workloads.py``) still reads
     # them, so they stay until its next change.
 
     @property
     def shm_control_frames(self) -> int:
-        """Always 0 (no control frame rides shared memory)."""
+        """Always 0 (no frame rides shared memory)."""
         return 0
 
     @property
     def shm_control_bytes(self) -> int:
-        """Always 0 (no control frame rides shared memory)."""
+        """Always 0 (no frame rides shared memory)."""
+        return 0
+
+    @property
+    def shm_bytes(self) -> int:
+        """Always 0 (no telemetry rides shared memory)."""
         return 0
 
     @property
@@ -258,20 +224,15 @@ class IpcMetrics:
         """Total pickled bytes over the pipes, both directions."""
         return self.control_bytes_sent + self.control_bytes_received
 
-    @property
-    def shm_bytes(self) -> int:
-        """Total payload bytes carried by the shared-memory plane."""
-        return self.shm_row_bytes + self.shm_observer_bytes
-
     def bytes_per_tick(self, ticks: int) -> float:
-        """Mean IPC payload bytes (pipes + plane) per executed tick.
+        """Mean pickled pipe bytes, both directions, per executed tick.
 
         ``ticks <= 0`` (a run that never executed — e.g. metrics queried
         before the first barrier) reports 0.0 rather than dividing.
         """
         if ticks <= 0:
             return 0.0
-        return (self.control_bytes + self.shm_bytes) / ticks
+        return self.control_bytes / ticks
 
     @property
     def barrier_wait_total_s(self) -> float:
@@ -284,9 +245,6 @@ class IpcMetrics:
             f"control frames      {self.control_frames}"
             f" ({self.control_bytes_sent} B out,"
             f" {self.control_bytes_received} B in)",
-            f"shm payload bytes   {self.shm_bytes}"
-            f" (rows {self.shm_row_bytes}, observers {self.shm_observer_bytes};"
-            f" segment {self.shm_segment_bytes} B)",
             f"barrier wait        {self.barrier_wait_total_s:.3f}s over"
             f" {self.workers} shard(s)",
             f"barrier p50/tick    {self.round_trip_p50 * 1e6:.0f}us"

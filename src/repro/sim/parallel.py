@@ -10,34 +10,31 @@ sampled aggregate trace. This module runs each rack group's kernels and
 tenant drivers in its own ``multiprocessing`` spawn worker and lock-steps
 the shards at exactly the barriers the serial driver already honors.
 
-Bulk telemetry — per-sample wall-power rows and attacker-monitor
-readings — travels through the banks of the engine's one
-:class:`repro.sim.shm.ShmPlane` segment (float64 slots written at global
-indices), so control frames stay small. The driver stamps each
-shm-carrying frame with the bank index; banks rotate so a worker never
-overwrites a row the driver has not consumed.
+Every driver/worker frame is a pickled tuple on the shard's ``Pipe``,
+strict request/reply; the worker blocks in ``recv_bytes`` between
+barriers, and a dispatch that raises replies ``("error", traceback)``,
+on which the driver tears the engine down and raises. Telemetry rides
+the same replies: each sampled row comes back as the shard's
+``FleetSlice.row()`` list in its host order (``None`` = crashed machine,
+a trace gap; ``0.0`` = dark), and each observer reading as the
+monitor's value (``None`` = no sample). Pickle round-trips floats
+exactly, which keeps the sharded traces bit-identical to serial. The
+frames (``ops`` are queued attacker ``exec``/``reap`` operations,
+``oids`` are observer ids of shard-resident attack monitors to
+sample)::
 
-Every driver/worker control frame is a pickled tuple on the shard's
-``Pipe``, strict request/reply; the worker blocks in ``recv_bytes``
-between barriers, and a dispatch that raises replies
-``("error", traceback)``, on which the driver tears the engine down
-and raises. The frames (``ops`` are queued attacker
-``exec``/``reap`` operations, ``oids`` are observer ids of
-shard-resident attack monitors to sample)::
-
-    ("begin", bank, want_row, ops)         -> ("ok", changed)
+    ("begin", want_row, ops)               -> ("ok", (changed, row|None))
     ("plan", hint)                         -> ("ok", (dark+, dark-, demands,
                                                       safe, horizon))
-    ("epoch", ((hint|None, step, bank,     -> ("ok", changed)   # batched ticks:
-               want_row), ...), oids)            plan(hint)+commit per entry,
-                                                 then sample oids
-    ("watts", bank)                        -> ("ok", None)
+    ("epoch", ((hint|None, step,           -> ("ok", (changed, rows,  # batched
+               want_row), ...), oids)                 readings))  # ticks
+    ("watts",)                             -> ("ok", watts)
     ("state",)                             -> ("ok", {"breakers":..., "stats":...})
     ("meters", ops)                        -> ("ok", {iid: (cpu_ns, cpu_ns0)})
-    ("monitor", oid, slot, iid, factory)   -> ("ok", available)
+    ("monitor", oid, iid, factory)         -> ("ok", available)
     ("degradation", oid)                   -> ("ok", {...})
-    ("sample", bank, oids, ops)            -> ("ok", None)
-    ("release", oid)                       -> ("ok", None)  # free the slot
+    ("sample", oids, ops)                  -> ("ok", readings)
+    ("release", oid)                       -> ("ok", None)
     ("checkpoint", seq, dir)               -> ("ok", (bytes, wall_s))
     ("replay", frames)                     -> ("ok", count)  # respawn catch-up
     ("hang", seconds)                      -> ("ok", None)   # test hook: stall
@@ -45,7 +42,8 @@ shard-resident attack monitors to sample)::
     ("close",)                             -> worker exits
 
 The supervisor's frame log records the frames it sent, so
-replay-after-respawn re-sends them to the new worker verbatim.
+replay-after-respawn re-sends them to the new worker verbatim (and
+discards the replayed replies).
 
 Every tick crosses the shard boundary inside an ``epoch`` frame, which
 cuts steady-state round trips up to ``EPOCH_TICKS``×. A coalescing
@@ -60,9 +58,7 @@ entry, bit-identical to ``k`` separate barriers. Without coalescing
 every tick is ``min(dt, remaining)`` and carries its own hint. An epoch
 ends at ``EPOCH_TICKS`` ticks, at a checkpoint boundary, or at the
 run's last tick, whose frame lists the armed observers the workers
-sample after its commit. The segment carries ``EPOCH_TICKS + 1`` banks
-so every row-carrying or observing tick of an epoch lands in its own
-bank.
+sample after its commit.
 
 With tracing enabled (``DatacenterSimulation.enable_tracing`` before the
 first parallel run), every ``("ok", ...)`` reply grows a third element:
@@ -75,18 +71,16 @@ extra frames (see ``repro.obs`` and ``docs/observability.md``).
 ``plan`` replies carry the shard's *dark-set delta* (indices newly dark /
 newly lit since the last plan) and its demand fingerprints as bare floats
 in host order — the driver knows each shard's host list, so no indices
-cross the barrier. Row payloads never do either: ``want_row`` makes the
-worker write its hosts' sampled watts into the stamped bank (``NaN`` =
-crashed machine = trace gap), and the driver folds the row out of the
-plane in global host order, so float sums stay bit-identical to serial.
+cross the barrier. Rows carry none either: the driver places each
+shard's values at that shard's global host indices and folds the row in
+global host order, so float sums stay bit-identical to serial.
 
 Attack support: instances launched before the first parallel run are
 replayed inside the owning shard from the cloud's launch log (the cloud
 is then frozen), attacker monitors live *in the shard* next to the host
-whose RAPL they read (``("monitor", ...)`` registers one), and the driver
-pulls their readings through observer slots of the plane — piggybacked on
-the final epoch of a run when armed, or via an explicit ``("sample")``
-frame. Strategy event horizons stay driver-side, wrapped in
+whose RAPL they read (``("monitor", ...)`` registers one), and their
+readings ride the replies — piggybacked on the final epoch of a run when
+armed, or in the reply to an explicit ``("sample")`` frame. Strategy event horizons stay driver-side, wrapped in
 :class:`repro.sim.fastforward.DriverHorizon` so the driver can fold them
 into the merged coalescing horizon.
 
@@ -135,7 +129,6 @@ import os
 import pickle
 import time
 import traceback
-from bisect import insort
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -157,9 +150,11 @@ from repro.sim.resilience import (
     shard_snapshot_path,
 )
 from repro.sim.rng import DeterministicRNG
-from repro.sim.shm import EPOCH_TICKS, ShmPlane
 
 _EPS = 1e-9
+
+#: ticks batched per epoch frame
+EPOCH_TICKS = 8
 
 #: seconds to wait for a spawn worker to finish building its shard
 _STARTUP_TIMEOUT_S = 120.0
@@ -226,10 +221,6 @@ class ShardSpec:
     racks: Tuple[int, ...]
     fault_schedule: Optional[FaultSchedule]
     fault_seed: int
-    #: the engine's shared-memory segment to attach to (its geometry is
-    #: ``config.servers`` wall slots plus the observer slots per bank)
-    segment_name: str
-    observer_capacity: int
     #: the cloud's full launch/terminate history (workers filter by host)
     launch_log: Tuple[tuple, ...]
     #: this worker's position in the shard list (names its trace track)
@@ -258,7 +249,7 @@ class _ShardRuntime:
 
     The slice runs the same per-tick code as the serial driver over
     this shard's racks; the runtime adds what only the barrier protocol
-    needs — dark-set deltas, telemetry banks, shard-resident attack
+    needs — dark-set deltas, reply rows, shard-resident attack
     observers, spans, checkpoints and replay. All indices in messages
     are fleet-global.
     """
@@ -311,14 +302,14 @@ class _ShardRuntime:
             fleet.install_faults(spec.fault_schedule, spec.fault_seed)
         #: observer id -> slice position of a host holding a fidelity refcount
         self._observer_hosts: Dict[str, int] = {}
-        #: observer id -> (plane slot, shard-resident monitor)
-        self.monitors: Dict[str, tuple] = {}
+        #: observer id -> shard-resident monitor
+        self.monitors: Dict[str, object] = {}
         self._last_dark: set = set()
         self._sent_dark: frozenset = frozenset()
         self._attach(tracer_counters=None)
 
     def _attach(self, tracer_counters) -> None:
-        """Per-process wiring: tracer, shared-memory segment, test hooks."""
+        """Per-process wiring: tracer, test hooks."""
         spec = self.spec
         self.tracer: Optional[SpanTracer] = None
         if spec.trace:
@@ -335,9 +326,6 @@ class _ShardRuntime:
                 self.tracer.restore_counters(*tracer_counters)
         if self.fleet.injector is not None:
             self.fleet.injector.tracer = self.tracer
-        self.plane = ShmPlane.attach(
-            spec.segment_name, spec.config.servers, spec.observer_capacity
-        )
         #: test hook (("hang", s) frame): stall the next reply this long
         self._hang_s = 0.0
 
@@ -351,10 +339,9 @@ class _ShardRuntime:
         population, host engine and fault injector, and by monitors and
         instances, come back as the same objects, and the slice clock
         stays the clock those kernels tick against. Excluded on purpose:
-        the shared-memory segment (re-attached by name), the tracer
-        (rebuilt around the restored clock; only its ``(seq, dropped)``
-        counters persist so replayed events renumber identically), and
-        the injector's tracer ref (stripped by
+        the tracer (rebuilt around the restored clock; only its ``(seq,
+        dropped)`` counters persist so replayed events renumber
+        identically), and the injector's tracer ref (stripped by
         ``FaultInjector.__getstate__``).
         """
         w0 = time.perf_counter()
@@ -429,13 +416,11 @@ class _ShardRuntime:
             else:  # ("reap", iid)
                 self.instances[op[1]].container.reap_finished()
 
-    def begin(self, bank: int, want_row: bool, ops: tuple):
-        """Run-start barrier: apply ops and due faults, write the t=0 row."""
+    def begin(self, want_row: bool, ops: tuple) -> tuple:
+        """Run-start barrier: apply ops and due faults; ``(changed, row)``."""
         self.apply_ops(ops)
         changed = self.fleet.advance_faults()
-        if want_row:
-            self.write_row(bank)
-        return changed
+        return changed, self.fleet.row() if want_row else None
 
     def plan(self, step_hint: float, coalesce: bool = True):
         """The slice's plan step, plus the dark-set delta for the driver."""
@@ -461,39 +446,39 @@ class _ShardRuntime:
             )
         return result
 
-    def epoch(self, ticks: tuple, oids: tuple) -> bool:
+    def epoch(self, ticks: tuple, oids: tuple) -> tuple:
         """Execute a batched run of ticks in one barrier.
 
-        Each entry is ``(hint, step, bank, want_row)``: a ``hint`` runs
-        the plan half first (non-coalescing — the driver already folded
-        this tick's fingerprint from the epoch-head plan exchange), a
+        Each entry is ``(hint, step, want_row)``: a ``hint`` runs the
+        plan half first (non-coalescing — the driver already folded this
+        tick's fingerprint from the epoch-head plan exchange), a
         ``None`` hint is a commit-only tick whose plan ran at the epoch
         head. Per-tick state evolution — tenant stepping, kernel ticks,
-        breaker observation, fault replay, row writes into per-tick
-        banks, ``shard.plan``/``shard.step`` spans — is exactly ``len
-        (ticks)`` separate barriers' worth; only the synchronization is
-        batched. ``oids`` name the monitors to sample into the last
-        tick's bank after its commit body: the same virtual instant a
-        serial strategy calls ``monitor.sample()`` right after ``run()``
-        returns.
+        breaker observation, fault replay, ``shard.plan``/``shard.step``
+        spans — is exactly ``len(ticks)`` separate barriers' worth; only
+        the synchronization is batched. Returns ``(changed, rows,
+        readings)``: one row per ``want_row`` tick, taken right after
+        its commit, and the readings of the ``oids`` monitors sampled
+        after the last tick: the same virtual instant a serial strategy
+        calls ``monitor.sample()`` right after ``run()`` returns.
         """
         changed_any = False
-        for hint, step, bank, want_row in ticks:
+        rows = []
+        for hint, step, want_row in ticks:
             if hint is not None:
                 self.plan(hint, coalesce=False)
-            if self.commit(step, bank, want_row):
+            if self.commit(step):
                 changed_any = True
-        self.sample_observers(bank, oids, ())
-        return changed_any
+            if want_row:
+                rows.append(self.fleet.row())
+        return changed_any, rows, self.sample_observers(oids, ())
 
-    def commit(self, step: float, bank: int, want_row: bool) -> bool:
-        """The slice's commit step, then the row write."""
+    def commit(self, step: float) -> bool:
+        """The slice's commit step."""
         tracer = self.tracer
         if tracer is not None:
             step_t0, step_w0 = self.clock.now, time.perf_counter()
         changed = self.fleet.commit(step, self._last_dark)
-        if want_row:
-            self.write_row(bank)
         if tracer is not None:
             tracer.add_span(
                 "shard.step",
@@ -505,15 +490,10 @@ class _ShardRuntime:
             )
         return changed
 
-    def write_row(self, bank: int) -> None:
-        """Write this shard's per-host trace values into the bank."""
-        for i, watts in zip(self.fleet.labels, self.fleet.row()):
-            self.plane.write_wall(bank, i, watts)
-
-    def watts(self, bank: int) -> None:
+    def watts(self) -> list:
+        """Current wall watts per host, in slice order."""
         fleet = self.fleet
-        for i, kernel in zip(fleet.labels, fleet.kernels):
-            self.plane.write_wall(bank, i, fleet.cache.watts(kernel))
+        return [fleet.cache.watts(kernel) for kernel in fleet.kernels]
 
     def meters(self, ops: tuple) -> dict:
         """cpuacct billing meters for this shard's live instances."""
@@ -523,7 +503,7 @@ class _ShardRuntime:
             for iid, instance in self.instances.items()
         }
 
-    def attach_monitor(self, oid: str, slot: int, iid: str, factory) -> bool:
+    def attach_monitor(self, oid: str, iid: str, factory) -> bool:
         """Build a shard-resident monitor; keep it only when available."""
         if iid not in self.instances:
             raise SimulationError(f"instance not on this shard: {iid}")
@@ -542,16 +522,15 @@ class _ShardRuntime:
             return False
         if local is not None:
             self._observer_hosts[oid] = local
-        self.monitors[oid] = (slot, monitor)
+        self.monitors[oid] = monitor
         return True
 
     def degradation(self, oid: str) -> dict:
-        slot, monitor = self.monitors[oid]
-        summary = getattr(monitor, "degradation", None)
+        summary = getattr(self.monitors[oid], "degradation", None)
         return summary() if summary is not None else {}
 
     def release(self, oid: str) -> None:
-        """Drop a shard-resident monitor; its plane slot is now free."""
+        """Drop a shard-resident monitor."""
         if oid not in self.monitors:
             raise SimulationError(f"unknown observer: {oid}")
         del self.monitors[oid]
@@ -560,12 +539,11 @@ class _ShardRuntime:
             # last observer out demotes the host back to columns
             self.fleet.host_engine.observer_release(local)
 
-    def sample_observers(self, bank: int, oids: tuple, ops: tuple) -> None:
-        """Explicit observer sampling (flushes queued ops first)."""
+    def sample_observers(self, oids: tuple, ops: tuple) -> tuple:
+        """Observer readings in ``oids`` order (flushes queued ops first)."""
         self.apply_ops(ops)
-        for oid in oids:
-            slot, monitor = self.monitors[oid]
-            self.plane.write_observer(bank, slot, monitor.sample(self.clock.now))
+        now = self.clock.now
+        return tuple(self.monitors[oid].sample(now) for oid in oids)
 
     def state(self) -> dict:
         fleet = self.fleet
@@ -591,19 +569,19 @@ class _ShardRuntime:
         if cmd == "epoch":
             return self.epoch(msg[1], msg[2])
         if cmd == "begin":
-            return self.begin(msg[1], msg[2], msg[3])
+            return self.begin(msg[1], msg[2])
         if cmd == "watts":
-            return self.watts(msg[1])
+            return self.watts()
         if cmd == "state":
             return self.state()
         if cmd == "meters":
             return self.meters(msg[1])
         if cmd == "monitor":
-            return self.attach_monitor(msg[1], msg[2], msg[3], msg[4])
+            return self.attach_monitor(msg[1], msg[2], msg[3])
         if cmd == "degradation":
             return self.degradation(msg[1])
         if cmd == "sample":
-            return self.sample_observers(msg[1], msg[2], msg[3])
+            return self.sample_observers(msg[1], msg[2])
         if cmd == "release":
             return self.release(msg[1])
         if cmd == "checkpoint":
@@ -634,10 +612,7 @@ def _shard_worker_main(
         finally:
             return
     conn.send_bytes(_dumps(("ready",)))
-    try:
-        _serve(runtime, conn)
-    finally:
-        runtime.plane.close()
+    _serve(runtime, conn)
 
 
 def _serve(runtime: _ShardRuntime, conn) -> None:
@@ -684,9 +659,9 @@ class ParallelFleetEngine:
     launched before that point are replayed into the owning shards and
     the cloud is frozen. The driver keeps the traces, metrics, sampling
     grid, stability tracker, jitter injector, and attack-strategy state;
-    everything per-host moves to the workers, and bulk telemetry rides
-    the shared-memory segment. Results are bit-identical to the serial
-    path on equal seeds — the golden-trace tests in
+    everything per-host moves to the workers, and their rows and
+    readings ride the pipe replies. Results are bit-identical to the
+    serial path on equal seeds — the golden-trace tests in
     ``tests/sim/test_parallel.py`` and ``tests/attack`` enforce it
     sample-for-sample.
     """
@@ -727,11 +702,11 @@ class ParallelFleetEngine:
         self._closed = False
         self.procs: list = []
         self.conns: list = []
-        #: the one shared-memory segment: the telemetry banks
-        self.plane: Optional[ShmPlane] = None
-        #: always None: the engine has one segment, ``plane``. Kept only
-        #: for the benchmark's segment-leak check, which reads it; it goes
-        #: at the next benchmark change, like ``run(control_plane=...)``
+        #: always None: the engine has no shared-memory segment. Kept
+        #: only for the benchmark's segment-leak check, which reads both;
+        #: they go at the next benchmark change, like
+        #: ``run(control_plane=...)``
+        self.plane = None
         self.cplane = None
 
         cfg = sim.resilience
@@ -772,20 +747,14 @@ class ParallelFleetEngine:
         #: the sim's span tracer, if tracing was enabled pre-fork
         self._tracer = sim.tracer
 
-        self.observer_capacity = max(16, 2 * self.total_servers)
-        #: observer id -> (shard index, plane slot)
-        self._observer_slots: Dict[str, Tuple[int, int]] = {}
-        self._next_slot = 0
-        #: plane slots returned by released observers, lowest-first so
-        #: slot assignment stays deterministic under churn
-        self._free_slots: List[int] = []
-        #: monotonic counter making observer ids unique across slot
-        #: reuse (a stale handle can never alias a recycled slot)
-        self._observer_epoch = 0
+        #: live observer id -> owning shard index
+        self._observer_shard: Dict[str, int] = {}
+        #: observer ids are ``obs-<n>`` from this monotonic counter, so
+        #: no id ever repeats and a stale handle cannot alias a new one
+        self._next_observer = 0
         self._armed: Tuple[str, ...] = ()
         self._observed: Dict[str, Optional[float]] = {}
         self._observed_at: Optional[float] = None
-        self._bank = 0
 
         if manifest is not None and manifest["workers"] != n:
             raise SimulationError(
@@ -831,15 +800,10 @@ class ParallelFleetEngine:
             self.faults.tracer = self._tracer
 
         launch_log = tuple(sim.cloud.launch_log)
-        # every resource is acquired inside the guard: a failure anywhere
-        # in start-up (segment creation included) unlinks what exists
+        # every worker is started inside the guard: a failure anywhere in
+        # start-up tears down the workers that exist
         try:
-            self.plane = ShmPlane.create(self.total_servers, self.observer_capacity)
-            self.ipc = IpcMetrics(
-                workers=n,
-                shm_segment_bytes=self.plane.segment_bytes,
-                registry=sim.metrics.registry,
-            )
+            self.ipc = IpcMetrics(workers=n, registry=sim.metrics.registry)
             sim.metrics.ipc = self.ipc
             self._specs = [
                 ShardSpec(
@@ -847,8 +811,6 @@ class ParallelFleetEngine:
                     racks=groups[i],
                     fault_schedule=shard_schedules[i],
                     fault_seed=fault_seed,
-                    segment_name=self.plane.name,
-                    observer_capacity=self.observer_capacity,
                     launch_log=launch_log,
                     shard_index=i,
                     trace=self._tracer is not None,
@@ -935,13 +897,10 @@ class ParallelFleetEngine:
         sim._sample_origin = sample_origin
         sim._sample_count = sample_count
         sim.sample_interval_s = interval
-        self._bank = manifest["bank"]
         self._shard_dark = [set(dark) for dark in manifest["shard_dark"]]
         observers = manifest["observers"]
-        self._observer_slots = dict(observers["slots"])
-        self._next_slot = observers["next_slot"]
-        self._free_slots = list(observers["free_slots"])
-        self._observer_epoch = observers["epoch"]
+        self._observer_shard = dict(observers["owners"])
+        self._next_observer = observers["next_id"]
         self._armed = tuple(observers["armed"])
         self._observed = dict(observers["observed"])
         self._observed_at = observers["observed_at"]
@@ -1028,7 +987,7 @@ class ParallelFleetEngine:
                 f"shard worker {idx} {what}; last reply"
                 f" {age:.1f}s ago, cumulative barrier wait {waits:.1f}s"
                 f" (ipc.barrier_wait_s{{shard={idx}}}){budget};"
-                " workers torn down, shared memory unlinked"
+                " workers torn down"
             ) from failure.cause
 
     def _receive(
@@ -1192,8 +1151,8 @@ class ParallelFleetEngine:
                 self.close()
             finally:
                 raise SimulationError(
-                    f"shard worker {idx} failed; workers torn down, shared"
-                    f" memory unlinked:\n{reply[1]}"
+                    f"shard worker {idx} failed; workers torn down:"
+                    f"\n{reply[1]}"
                 )
         if len(reply) == 3 and reply[2] and self._tracer is not None:
             # piggybacked worker trace flush: merge into the driver tracer
@@ -1250,17 +1209,6 @@ class ParallelFleetEngine:
             )
         return out
 
-    def _next_bank(self) -> int:
-        """Rotate the bank cursor before a frame that carries shm data.
-
-        The segment has ``EPOCH_TICKS + 1`` banks, so every row-carrying
-        tick of a batched epoch lands in its own bank and none is
-        overwritten before the driver folds it after the single epoch
-        reply.
-        """
-        self._bank = (self._bank + 1) % self.plane.banks
-        return self._bank
-
     def _take_ops_for(self, shard: int) -> tuple:
         """Pop this shard's queued ops, preserving their queue order."""
         keep, out = [], []
@@ -1294,19 +1242,15 @@ class ParallelFleetEngine:
         return dark, tuple(demands), safe, horizon
 
     def _shard_oids(self, idx: int, oids: tuple) -> tuple:
-        return tuple(
-            oid for oid in oids if self._observer_slots[oid][0] == idx
-        )
+        return tuple(oid for oid in oids if self._observer_shard[oid] == idx)
 
-    def _read_observers(self, bank: int, oids: tuple) -> None:
-        """Cache the piggybacked observer readings for this instant."""
-        values = {}
-        for oid in oids:
-            _, slot = self._observer_slots[oid]
-            values[oid] = self.plane.read_observer(bank, slot)
-        self.ipc.shm_observer_bytes += 8 * len(oids)
-        self._observed = values
-        self._observed_at = self.clock.now
+    def _global_row(self, parts) -> list:
+        """One row in global host order from each shard's slice-order values."""
+        row = [None] * self.total_servers
+        for hosts, values in zip(self.shard_hosts, parts):
+            for i, watts in zip(hosts, values):
+                row[i] = watts
+        return row
 
     # -- tick bodies -----------------------------------------------------
 
@@ -1330,34 +1274,34 @@ class ParallelFleetEngine:
             >= self._ckpt_origin + (self._ckpt_seq + 1) * every
         )
 
-    def _plan_tick(self, step: float, floor: float, observe: bool) -> tuple:
+    def _plan_tick(self, step: float, floor: float) -> tuple:
         """Driver-side effects of one batched tick, in serial order.
 
         Advances the clock, replays driver-visible fault events at the
-        new instant, stamps the due samples with the serial sampler's
-        own stamper, and rotates the bank for a row-carrying or
-        ``observe`` tick — threading the jitter ``floor`` across the
-        epoch because the trace rows themselves are folded only after
-        the single epoch reply.
+        new instant, and stamps the due samples with the serial sampler's
+        own stamper — threading the jitter ``floor`` across the epoch
+        because the trace rows themselves are folded only after the
+        single epoch reply.
         """
         self.clock.advance(step)
         now = self.clock.now
         changed = self.faults is not None and self.faults.advance(now)
         stamps = self.sim._stamps_due(now, floor, self.faults)
-        bank = self._next_bank() if (stamps or observe) else self._bank
         if stamps:
             floor = stamps[-1]
-        return bank, stamps, floor, changed
+        return stamps, floor, changed
 
-    def _fold_rows(self, folds: list) -> None:
-        """Fold ``(bank, stamps)`` plane rows into the traces, in order."""
-        sim = self.sim
-        plane = self.plane
-        for bank, stamps in folds:
-            row = [plane.read_wall(bank, i) for i in range(self.total_servers)]
-            self.ipc.shm_row_bytes += plane.row_bytes
+    def _fold_rows(self, stamped: list, shard_rows) -> None:
+        """Fold the replies' rows into the traces, in tick order.
+
+        ``stamped`` holds the stamps of each row-carrying tick;
+        ``shard_rows`` holds each shard's rows, one per such tick.
+        """
+        record = self.sim._record_row
+        for k, stamps in enumerate(stamped):
+            row = self._global_row([rows[k] for rows in shard_rows])
             for t in stamps:
-                sim._record_row(t, row)
+                record(t, row)
 
     def _epoch(self, remaining: float, dt: float, coalesce: bool) -> float:
         """Plan up to ``EPOCH_TICKS`` ticks and ship them as one epoch.
@@ -1368,10 +1312,10 @@ class ParallelFleetEngine:
         serial planning loop locally, each interior tick carrying the
         plan hint the worker re-executes in-shard. Without it every tick
         is ``min(dt, remaining)`` and carries its own hint. Either way a
-        sample-cadence row lands in its tick's bank, a checkpoint
-        boundary ends the epoch, and the run's final tick samples the
-        armed observers — so the per-tick state evolution is identical
-        to ``len(frames)`` separate barriers.
+        sample-cadence tick asks for its row, a checkpoint boundary ends
+        the epoch, and the run's final tick samples the armed observers
+        — so the per-tick state evolution is identical to
+        ``len(frames)`` separate barriers.
         """
         sim = self.sim
         engine = sim.fastforward
@@ -1383,7 +1327,7 @@ class ParallelFleetEngine:
             dark, demands, safe, shard_horizon = self._merge_plans(plans)
             fp = (demands, frozenset(dark))
         frames: list = []
-        folds: list = []
+        stamped: list = []
         spans: list = []
         floor = sim._trace_floor()
         while True:
@@ -1413,14 +1357,12 @@ class ParallelFleetEngine:
             final = remaining <= _EPS
             oids = self._armed if final else ()
             t0 = self.clock.now
-            bank, stamps, floor, changed = self._plan_tick(
-                step, floor, bool(oids)
-            )
+            stamps, floor, changed = self._plan_tick(step, floor)
             if changed:
                 engine.stability.reset()
-            frames.append((hint, step, bank, bool(stamps)))
+            frames.append((hint, step, bool(stamps)))
             if stamps:
-                folds.append((bank, stamps))
+                stamped.append(stamps)
             spans.append((t0, self.clock.now, step))
             if (
                 final
@@ -1439,11 +1381,16 @@ class ParallelFleetEngine:
                 for i in range(len(self.conns))
             ]
         )
-        if any(replies):
+        if any(reply[0] for reply in replies):
             engine.stability.reset()
-        self._fold_rows(folds)
+        self._fold_rows(stamped, [rows for _, rows, _ in replies])
         if oids:
-            self._read_observers(bank, oids)
+            # cache the piggybacked readings for this instant
+            values = {}
+            for idx, (_, _, readings) in enumerate(replies):
+                values.update(zip(self._shard_oids(idx, oids), readings))
+            self._observed = values
+            self._observed_at = self.clock.now
         wall = (time.perf_counter() - epoch_w0) / len(frames)
         for t0, t1, step in spans:
             sim.metrics.record_tick(step, dt)
@@ -1521,13 +1468,10 @@ class ParallelFleetEngine:
                 sim._sample_count,
                 sim.sample_interval_s,
             ),
-            "bank": self._bank,
             "shard_dark": [set(dark) for dark in self._shard_dark],
             "observers": {
-                "slots": dict(self._observer_slots),
-                "next_slot": self._next_slot,
-                "free_slots": list(self._free_slots),
-                "epoch": self._observer_epoch,
+                "owners": dict(self._observer_shard),
+                "next_id": self._next_observer,
                 "armed": tuple(self._armed),
                 "observed": dict(self._observed),
                 "observed_at": self._observed_at,
@@ -1587,21 +1531,20 @@ class ParallelFleetEngine:
             if not skip_begin:
                 now = self.clock.now
                 want_row = sim.next_sample_time <= now + _EPS
-                bank = self._next_bank() if want_row else self._bank
                 replies = self._exchange(
                     [
-                        ("begin", bank, want_row, self._take_ops_for(i))
+                        ("begin", want_row, self._take_ops_for(i))
                         for i in range(n)
                     ]
                 )
-                changed = any(replies)
+                changed = any(reply[0] for reply in replies)
                 if self.faults is not None and self.faults.advance(now):
                     changed = True
                 if changed:
                     engine.stability.reset()
                 stamps = sim._stamps_due(now, sim._trace_floor(), self.faults)
                 if stamps:
-                    self._fold_rows([(bank, stamps)])
+                    self._fold_rows([stamps], [[row] for _, row in replies])
             remaining = seconds
             ops = sim._ops
             while remaining > _EPS:
@@ -1648,22 +1591,10 @@ class ParallelFleetEngine:
         Returns the observer id, or ``None`` when the monitor reports
         its channel unavailable (mirroring the serial availability
         check, which the worker performs on its own kernel state).
-
-        Plane slots freed by :meth:`release_observer` are reused
-        (lowest slot first) before fresh ones are carved, so long-lived
-        campaigns that rotate monitors never exhaust the fixed
-        ``max(16, 2*S)`` observer capacity.
         """
         host = self._instance_host.get(instance_id)
         if host is None:
             raise SimulationError(f"unknown instance: {instance_id}")
-        reused = bool(self._free_slots)
-        if not reused and self._next_slot >= self.observer_capacity:
-            raise SimulationError(
-                f"observer capacity exhausted ({self.observer_capacity});"
-                " release observers of terminated instances to reclaim"
-                " their slots"
-            )
         try:
             _dumps(factory)
         except Exception as exc:
@@ -1672,43 +1603,31 @@ class ParallelFleetEngine:
                 f" picklable (module-level callables): {exc}"
             ) from exc
         shard = self._shard_of_host[host]
-        slot = self._free_slots.pop(0) if reused else self._next_slot
-        oid = f"obs-{slot}-{self._observer_epoch}"
-        available = self._request(
-            shard, ("monitor", oid, slot, instance_id, factory)
-        )
-        if not available:
-            if reused:
-                insort(self._free_slots, slot)
+        oid = f"obs-{self._next_observer}"
+        self._next_observer += 1
+        if not self._request(shard, ("monitor", oid, instance_id, factory)):
             return None
-        self._observer_epoch += 1
-        if not reused:
-            self._next_slot += 1
-        self._observer_slots[oid] = (shard, slot)
+        self._observer_shard[oid] = shard
         return oid
 
     def release_observer(self, oid: str) -> None:
-        """Tear down a shard-resident monitor and reclaim its plane slot.
+        """Tear down a shard-resident monitor.
 
-        The observer id becomes invalid immediately; its slot goes on
-        the free list and the owning worker drops its monitor object.
-        Call this when the monitored instance's campaign retires it —
-        rotating campaigns then recycle a bounded slot pool instead of
-        exhausting the observer capacity.
+        The observer id becomes invalid immediately and the owning
+        worker drops its monitor object. Call this when the monitored
+        instance's campaign retires it.
         """
-        info = self._observer_slots.pop(oid, None)
-        if info is None:
+        shard = self._observer_shard.pop(oid, None)
+        if shard is None:
             raise SimulationError(f"unknown observer: {oid}")
-        shard, slot = info
         self._request(shard, ("release", oid))
         if oid in self._armed:
             self._armed = tuple(o for o in self._armed if o != oid)
         self._observed.pop(oid, None)
-        insort(self._free_slots, slot)
 
     def arm_observation(self, oids) -> None:
         """Sample these observers after the final tick of the next run."""
-        unknown = [oid for oid in oids if oid not in self._observer_slots]
+        unknown = [oid for oid in oids if oid not in self._observer_shard]
         if unknown:
             raise SimulationError(f"unknown observers: {unknown}")
         self._armed = tuple(oids)
@@ -1726,8 +1645,8 @@ class ParallelFleetEngine:
         that shard's queued ops first — the serial reap-then-sample
         ordering around attack bursts.
         """
-        info = self._observer_slots.get(oid)
-        if info is None:
+        shard = self._observer_shard.get(oid)
+        if shard is None:
             raise SimulationError(f"unknown observer: {oid}")
         if self._observed_at == now and oid in self._observed:
             return self._observed[oid]
@@ -1736,13 +1655,9 @@ class ParallelFleetEngine:
                 f"observers sample at the current virtual time only:"
                 f" asked {now}, now {self.clock.now}"
             )
-        shard, slot = info
-        bank = self._next_bank()
-        self._request(
-            shard, ("sample", bank, (oid,), self._take_ops_for(shard))
+        (value,) = self._request(
+            shard, ("sample", (oid,), self._take_ops_for(shard))
         )
-        value = self.plane.read_observer(bank, slot)
-        self.ipc.shm_observer_bytes += 8
         if self._observed_at != now:
             self._observed = {}
             self._observed_at = now
@@ -1751,10 +1666,10 @@ class ParallelFleetEngine:
 
     def observer_degradation(self, oid: str) -> dict:
         """A shard-resident monitor's degradation summary."""
-        info = self._observer_slots.get(oid)
-        if info is None:
+        shard = self._observer_shard.get(oid)
+        if shard is None:
             raise SimulationError(f"unknown observer: {oid}")
-        return self._request(info[0], ("degradation", oid))
+        return self._request(shard, ("degradation", oid))
 
     def billing_meters(self) -> Dict[str, Tuple[int, int]]:
         """cpuacct meters of every live instance, merged across shards.
@@ -1788,13 +1703,9 @@ class ParallelFleetEngine:
 
     def server_watts(self) -> Dict[int, float]:
         """Current wall watts per global server index (one round trip)."""
-        bank = self._next_bank()
-        self._broadcast(("watts", bank))
-        self.ipc.shm_row_bytes += self.plane.row_bytes
-        return {
-            i: self.plane.read_wall(bank, i)
-            for i in range(self.total_servers)
-        }
+        return dict(
+            enumerate(self._global_row(self._broadcast(("watts",))))
+        )
 
     def breaker_states(self) -> List[BreakerSnapshot]:
         """Rack breaker snapshots in global rack order (one round trip)."""
@@ -1857,28 +1768,23 @@ class ParallelFleetEngine:
         """Shut the workers down; the engine is unusable afterwards.
 
         Never hangs on a dead or wedged worker: close frames are
-        best-effort, joins are bounded, survivors are terminated then
-        killed, and the shared-memory segment is unlinked in a
-        ``finally`` so no run — clean or crashed — leaks it.
+        best-effort, joins are bounded, and survivors are terminated
+        then killed.
         """
         if self._closed:
             return
         self._closed = True
-        try:
-            for conn in self.conns:
-                try:
-                    conn.send_bytes(_dumps(("close",)))
-                except (BrokenPipeError, OSError):
-                    pass
-            for proc in self.procs:
-                proc.join(timeout=10)
-                if proc.is_alive():  # pragma: no cover - defensive
-                    proc.terminate()
-                    proc.join(timeout=5)
-                    if proc.is_alive():
-                        proc.kill()
-            for conn in self.conns:
-                conn.close()
-        finally:
-            if self.plane is not None:
-                self.plane.unlink()
+        for conn in self.conns:
+            try:
+                conn.send_bytes(_dumps(("close",)))
+            except (BrokenPipeError, OSError):
+                pass
+        for proc in self.procs:
+            proc.join(timeout=10)
+            if proc.is_alive():  # pragma: no cover - defensive
+                proc.terminate()
+                proc.join(timeout=5)
+                if proc.is_alive():
+                    proc.kill()
+        for conn in self.conns:
+            conn.close()

@@ -43,15 +43,19 @@ from repro.errors import SimulationError
 #: holds one record of row deltas per host per barrier, and the engine
 #: carries per-row spawn-ordinal cursors and a set of dirty hosts; 7: the
 #: engine's op log and task mirror are fleet-wide columns — per-row slot
-#: stacks, a dirty-host mask, no per-host slot lists or row cursors)
-SNAPSHOT_VERSION = 7
+#: stacks, a dirty-host mask, no per-host slot lists or row cursors;
+#: 8: the shard's ``monitors`` map observer ids to bare monitors, with no
+#: shared-memory slot)
+SNAPSHOT_VERSION = 8
 
 #: version stamp embedded in the driver-side manifest
 #: (4: the manifest pins the whole ``FleetConfig`` the fleet was built
 #: from, and resume refuses any simulation built differently; 5: the
 #: driver's jitter state is a target-less ``FaultInjector``; 6: the
-#: pickled power traces hold their samples as ``array('d')``)
-MANIFEST_VERSION = 6
+#: pickled power traces hold their samples as ``array('d')``; 7: no
+#: telemetry bank cursor, and the observer block is ``{owners, next_id,
+#: armed, observed, observed_at}``)
+MANIFEST_VERSION = 7
 
 
 @dataclass(frozen=True)

@@ -159,6 +159,45 @@ class TestArmedRuns:
             par_sim.close()
 
 
+    def test_many_monitors_attach_and_read_like_serial(self):
+        # more monitors than the old fixed observer capacity, max(16,
+        # 2 * servers), and none released: every one attaches, and both
+        # piggybacked and explicit readings match serial monitors
+        per_instance = 5
+        serial_sim, serial_inst = build_campaign(0)
+        monitors = [
+            RaplPowerMonitor(inst)
+            for inst in serial_inst
+            for _ in range(per_instance)
+        ]
+        assert len(monitors) > max(16, 2 * len(serial_inst))
+        par_sim, par_inst = build_campaign(2)
+        try:
+            engine = par_sim._parallel
+            oids = [
+                engine.attach_monitor(inst.instance_id, RaplPowerMonitor)
+                for inst in par_inst
+                for _ in range(per_instance)
+            ]
+            assert None not in oids
+            assert len(set(oids)) == len(oids)
+            for armed in (True, False, True):
+                serial_sim.run(10.0, dt=1.0)
+                expected = [m.sample(serial_sim.now) for m in monitors]
+                if armed:
+                    engine.arm_observation(oids)
+                par_sim.run(10.0, dt=1.0)
+                engine.disarm_observation()
+                # piggybacked on the run's last epoch, or one explicit
+                # sample frame per observer
+                assert (engine._observed_at == par_sim.now) == armed
+                got = [engine.observer_sample(oid, par_sim.now) for oid in oids]
+                assert got == expected
+            assert None not in expected
+        finally:
+            par_sim.close()
+
+
 class TestParallelPlumbing:
     def test_ipc_metrics_populated(self):
         sim, instances = build_campaign(2)
@@ -167,8 +206,9 @@ class TestParallelPlumbing:
             ipc = sim.metrics.ipc
             assert ipc is not None
             assert ipc.control_frames > 0
-            assert ipc.shm_row_bytes > 0
-            assert ipc.shm_observer_bytes > 0
+            # the replies carry the sampled rows and observer readings
+            assert ipc.control_bytes_received > 0
+            assert ipc.shm_bytes == 0
             assert ipc.workers == 2
             assert ipc.barrier_wait_total_s >= 0.0
             assert "parallel IPC profile" in sim.metrics.render()

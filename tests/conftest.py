@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.kernel.kernel import Machine
 from repro.runtime.engine import ContainerEngine
 from repro.runtime.workload import constant
+
+
+@pytest.fixture
+def dev_shm():
+    """A callable listing ``/dev/shm``, to check a run leaves nothing there."""
+    if not os.path.isdir("/dev/shm"):
+        pytest.skip("no /dev/shm on this platform")
+    return lambda: set(os.listdir("/dev/shm"))
 
 
 @pytest.fixture

@@ -1,35 +1,30 @@
-"""The sharded engine's barrier transport: segment, epoch batching,
-recovery.
+"""The sharded engine's barrier transport: epoch batching, recovery.
 
-Every control frame is a pickled tuple on the shard pipe; the
-shared-memory segment carries only the telemetry banks. Four contracts
-from ``docs/parallel.md``:
+Every frame is a pickled tuple on the shard pipe, and the replies carry
+the sampled rows and observer readings. Three contracts from
+``docs/parallel.md``:
 
-1. **Segment** — a worker that attaches by name sees the driver's bank
-   writes and the driver sees the worker's; creation validates its
-   geometry and names the segment for the stale sweep.
-2. **Golden equivalence** — the sharded engine (batched epochs) is
+1. **Golden equivalence** — the sharded engine (batched epochs) is
    bit-identical to the serial driver, the oracle, chaos and coalescing
    included; ``"shm"`` is the only accepted ``control_plane`` value.
-3. **Epoch batching** — batched epochs cut the barrier round-trip count
+2. **Epoch batching** — batched epochs cut the barrier round-trip count
    well below one frame per shard per tick.
-4. **Recovery** — a worker killed under batched epochs is respawned and
+3. **Recovery** — a worker killed under batched epochs is respawned and
    replayed (epoch frames included) bit-identically, a resume from a
    checkpoint matches the uninterrupted run, a worker's dispatch error
-   surfaces with its traceback, and an engine whose start-up fails leaks
-   no shared-memory segment.
+   surfaces with its traceback, and an engine whose start-up fails
+   leaves no worker running; none of them leaves anything under
+   ``/dev/shm``.
 """
 
 import errno
-import os
+import multiprocessing
 
 import pytest
 
 from repro.datacenter.simulation import DatacenterSimulation
 from repro.errors import SimulationError
-from repro.sim import shm
 from repro.sim.faults import FaultEvent, FaultKind, FaultSchedule
-from repro.sim.shm import EPOCH_TICKS, ShmPlane
 
 SEED = 7
 
@@ -79,105 +74,6 @@ def chaos_schedule():
         ],
         seed=13,
     )
-
-
-# ---------------------------------------------------------------------------
-# segment
-
-
-class TestSlotProtocol:
-    """The segment's bank slots: attach, validation, naming."""
-
-    def make(self, servers=5, observers=2):
-        return ShmPlane.create(servers, observers)
-
-    def test_attach_shares_the_segment(self):
-        owner = self.make()
-        peer = None
-        try:
-            peer = ShmPlane.attach(
-                owner.name, owner.total_servers, owner.observer_capacity
-            )
-            owner.write_wall(3, 4, 9.25)
-            owner.write_wall(3, 0, None)  # crashed host: a trace gap
-            owner.write_observer(EPOCH_TICKS, 1, 42.0)
-            assert peer.read_wall(3, 4) == 9.25
-            assert peer.read_wall(3, 0) is None
-            assert peer.read_observer(EPOCH_TICKS, 1) == 42.0
-            assert peer.read_observer(EPOCH_TICKS, 0) is None  # untouched
-        finally:
-            if peer is not None:
-                peer.close()
-            owner.unlink()
-
-    def test_create_validation(self):
-        with pytest.raises(SimulationError, match="server"):
-            ShmPlane.create(0, 4)
-        with pytest.raises(SimulationError, match="server"):
-            ShmPlane.create(-2, 4)
-
-    def test_segment_named_for_stale_sweep(self):
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no /dev/shm on this platform")
-        # a dead driver's segment is reclaimed by the sweep that every
-        # segment creation runs
-        pid = os.fork()
-        if pid == 0:
-            os._exit(0)
-        os.waitpid(pid, 0)
-        stale = f"{shm.SEGMENT_PREFIX}-{pid}-c0ffee00"
-        with open(os.path.join("/dev/shm", stale), "wb") as fh:
-            fh.write(b"\0" * 64)
-        plane = ShmPlane.create(2, 4)
-        try:
-            assert shm._segment_owner_pid(plane.name) == os.getpid()
-            assert not os.path.exists(os.path.join("/dev/shm", stale))
-        finally:
-            plane.unlink()
-
-
-class TestBankFlip:
-    def test_epoch_banks_do_not_overwrite_each_other(self):
-        # batched epochs need EPOCH_TICKS + 1 banks: every tick of an
-        # epoch lands in its own bank, folded only after the one reply
-        plane = ShmPlane.create(2, 1)
-        try:
-            for bank in range(plane.banks):
-                plane.write_wall(bank, 0, 100.0 + bank)
-                plane.write_wall(bank, 1, None if bank == 2 else 200.0 + bank)
-                plane.write_observer(bank, 0, 300.0 + bank)
-            for bank in range(plane.banks):
-                assert plane.read_wall(bank, 0) == 100.0 + bank
-                if bank == 2:
-                    assert plane.read_wall(bank, 1) is None
-                else:
-                    assert plane.read_wall(bank, 1) == 200.0 + bank
-                assert plane.read_observer(bank, 0) == 300.0 + bank
-        finally:
-            plane.unlink()
-
-    def test_bank_out_of_range_rejected(self):
-        plane = ShmPlane.create(2, 0)
-        try:
-            plane.write_wall(EPOCH_TICKS, 0, 1.0)
-            with pytest.raises(SimulationError, match="bank"):
-                plane.write_wall(EPOCH_TICKS + 1, 0, 1.0)
-        finally:
-            plane.unlink()
-
-    def test_engine_sizes_banks_for_epochs(self):
-        sim = build(servers=4, rack_size=2)
-        try:
-            sim.run(10.0, parallel=2)
-            engine = sim._parallel
-            assert engine.plane.banks == EPOCH_TICKS + 1
-            # one segment per engine: every shard attaches to it
-            assert engine.cplane is None
-            assert {spec.segment_name for spec in engine._specs} == {
-                engine.plane.name
-            }
-        finally:
-            sim.close()
 
 
 # ---------------------------------------------------------------------------
@@ -352,22 +248,14 @@ class TestManifestPinsControlPlane:
         assert golden_snap == res_snap
 
 
-def _own_segments():
-    """This process's ``clkt-<pid>-*`` segments in ``/dev/shm``."""
-    if not os.path.isdir("/dev/shm"):
-        pytest.skip("no /dev/shm on this platform")
-    prefix = f"{shm.SEGMENT_PREFIX}-{os.getpid()}-"
-    return {n for n in os.listdir("/dev/shm") if n.startswith(prefix)}
-
-
 def _exploding_workload(*args):
     """A picklable workload factory that raises inside the shard worker."""
     raise RuntimeError("workload factory exploded")
 
 
 class TestWorkerError:
-    def test_dispatch_error_names_shard_and_carries_traceback(self):
-        before = _own_segments()
+    def test_dispatch_error_names_shard_and_carries_traceback(self, dev_shm):
+        before = dev_shm()
         sim = build(servers=4, rack_size=2)
         procs = []
         try:
@@ -391,25 +279,25 @@ class TestWorkerError:
                 sim.run(10.0)
         finally:
             sim.close()
-        assert _own_segments() == before
+        assert dev_shm() == before
         assert procs and not any(proc.is_alive() for proc in procs)
 
 
 class TestStartupFailure:
-    def test_control_plane_failure_leaks_no_segment(self, monkeypatch):
-        segments = _own_segments
-
+    def test_control_plane_failure_leaks_no_segment(self, monkeypatch, dev_shm):
         def no_space(*args, **kwargs):
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        # fail right after the segment exists
-        monkeypatch.setattr("repro.sim.parallel.IpcMetrics", no_space)
-        before = segments()
+        # fail after every worker has been spawned
+        monkeypatch.setattr(
+            "repro.sim.parallel.ParallelFleetEngine._wait_ready", no_space
+        )
+        before = dev_shm()
         sim = build(servers=4, rack_size=2)
         with pytest.raises(OSError) as info:
             sim.run(10.0, parallel=2)
         assert info.value.errno == errno.ENOSPC
-        # the segment was created first; the failed start-up must have
-        # unlinked it
-        assert segments() == before
+        # the failed start-up must have stopped the workers it spawned
+        assert not multiprocessing.active_children()
+        assert dev_shm() == before
         assert sim._parallel is None

@@ -46,7 +46,7 @@ class TestSimMetrics:
 class TestIpcMetrics:
     def test_bytes_per_tick_zero_ticks_reports_zero(self):
         # metrics queried before the first barrier must not divide by 0
-        ipc = IpcMetrics(control_bytes_sent=100, shm_row_bytes=50)
+        ipc = IpcMetrics(control_bytes_sent=100, control_bytes_received=50)
         assert ipc.bytes_per_tick(0) == 0.0
         assert ipc.bytes_per_tick(-3) == 0.0
         assert ipc.bytes_per_tick(10) == pytest.approx(15.0)
@@ -57,8 +57,10 @@ class TestIpcMetrics:
         ipc.record_frame(5, 5)
         assert ipc.control_frames == 2
         assert ipc.control_bytes == 40
-        ipc.shm_observer_bytes += 8
-        assert ipc.shm_bytes == 8
+        # the pipes are the only channel: the shared-memory figures kept
+        # for the benchmark read zero
+        assert ipc.shm_bytes == 0
+        assert ipc.shm_control_frames == ipc.shm_control_bytes == 0
 
     def test_barrier_wait_per_shard(self):
         ipc = IpcMetrics()

@@ -5,13 +5,11 @@ tolerance: float-for-float equality is the contract (`docs/parallel.md`).
 """
 
 import multiprocessing
-import os
 
 import pytest
 
 from repro.datacenter.simulation import DatacenterSimulation
 from repro.errors import CloudError, SimulationError
-from repro.sim import shm
 from repro.sim.fastforward import DriverHorizon
 from repro.sim.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.sim.parallel import ParallelFleetEngine, _ShardFailure
@@ -203,14 +201,6 @@ class TestDriverKernelState:
 
     @pytest.mark.parametrize("attr", ("rapl_read_hook", "tick_listeners"))
     def test_hooked_kernel_refused_before_any_segment(self, attr):
-        prefix = f"{shm.SEGMENT_PREFIX}-{os.getpid()}-"
-
-        def segments():
-            if not os.path.isdir("/dev/shm"):
-                return set()
-            return {n for n in os.listdir("/dev/shm") if n.startswith(prefix)}
-
-        before = segments()
         sim = build(servers=2, rack_size=2)
         kernel = sim.fleet.kernels[1]
         if attr == "rapl_read_hook":
@@ -219,8 +209,9 @@ class TestDriverKernelState:
             kernel.tick_listeners.append(lambda result: None)
         with pytest.raises(SimulationError, match=f"host 1 has kernel.{attr}"):
             sim.run(5.0, parallel=1)
+        # refused before any shard worker was spawned
         assert sim._parallel is None
-        assert segments() == before
+        assert not multiprocessing.active_children()
 
 
 class _DeadProcess:

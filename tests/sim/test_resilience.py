@@ -21,7 +21,6 @@ import pytest
 
 from repro.datacenter.simulation import DatacenterSimulation
 from repro.errors import SimulationError
-from repro.sim import shm
 from repro.sim.resilience import (
     SNAPSHOT_VERSION,
     ResilienceConfig,
@@ -159,12 +158,17 @@ class TestSnapshotFiles:
 
     def test_version_6_snapshot_refused(self, tmp_path):
         # version 6 pickled the columnar host engine's op log as per-host
-        # arrays, beside per-host slot lists and per-row cursors
+        # arrays, beside per-host slot lists and per-row cursors; version
+        # 7 mapped each shard monitor to a (shared-memory slot, monitor)
+        # pair
         path = shard_snapshot_path(str(tmp_path), 0, 1)
-        atomic_write(path, pickle.dumps({"version": 6}))
-        with pytest.raises(SimulationError, match="has version 6") as info:
-            read_snapshot(path)
-        assert path in str(info.value)
+        for version in (6, 7):
+            atomic_write(path, pickle.dumps({"version": version}))
+            with pytest.raises(
+                SimulationError, match=f"has version {version}"
+            ) as info:
+                read_snapshot(path)
+            assert path in str(info.value)
 
     def test_stale_manifest_version_rejected(self, tmp_path):
         # version 2 manifests pinned a control-plane configuration that
@@ -185,12 +189,19 @@ class TestSnapshotFiles:
         assert path in str(info.value)
 
     def test_version_5_manifest_refused(self, tmp_path):
-        # version 5 pickled the power traces' samples as lists of floats
+        # version 5 pickled the power traces' samples as lists of floats;
+        # version 6 carried a telemetry bank cursor and an observer slot
+        # table
         path = manifest_path(str(tmp_path))
-        atomic_write(path, pickle.dumps({"version": 5, "faults": None}))
-        with pytest.raises(SimulationError, match="version 5") as info:
-            load_manifest(str(tmp_path))
-        assert path in str(info.value)
+        for version in (5, 6):
+            atomic_write(
+                path, pickle.dumps({"version": version, "faults": None})
+            )
+            with pytest.raises(
+                SimulationError, match=f"version {version}"
+            ) as info:
+                load_manifest(str(tmp_path))
+            assert path in str(info.value)
 
     def test_manifest_naming_a_deleted_class_refused(self, tmp_path, monkeypatch):
         from repro.sim import parallel
@@ -445,42 +456,6 @@ def fleet_checkpoint(tmp_path_factory):
     part.run(300, parallel=2, coalesce=True)
     part.close()
     return directory
-
-
-class TestStaleSegmentSweep:
-    def test_dead_pid_segment_swept_live_kept(self, tmp_path, monkeypatch):
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no /dev/shm on this platform")
-        # a pid that provably does not exist: fork-and-reap one
-        pid = os.fork()
-        if pid == 0:
-            os._exit(0)
-        os.waitpid(pid, 0)
-        dead = f"{shm.SEGMENT_PREFIX}-{pid}-deadbeef"
-        live = f"{shm.SEGMENT_PREFIX}-{os.getpid()}-cafecafe"
-        other = "unrelated-segment"
-        for name in (dead, live, other):
-            with open(os.path.join("/dev/shm", name), "wb") as fh:
-                fh.write(b"\0" * 8)
-        try:
-            removed = shm.sweep_stale_segments()
-            assert dead in removed
-            assert not os.path.exists(os.path.join("/dev/shm", dead))
-            assert os.path.exists(os.path.join("/dev/shm", live))
-            assert os.path.exists(os.path.join("/dev/shm", other))
-        finally:
-            for name in (live, other):
-                try:
-                    os.unlink(os.path.join("/dev/shm", name))
-                except FileNotFoundError:
-                    pass
-
-    def test_segment_names_carry_owner_pid(self):
-        plane = shm.ShmPlane.create(2, 2)
-        try:
-            assert shm._segment_owner_pid(plane.name) == os.getpid()
-        finally:
-            plane.unlink()
 
 
 class TestPopulationPickle:
