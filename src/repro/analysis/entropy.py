@@ -56,5 +56,10 @@ def quantize(values: Sequence[float], bins: int = 64) -> List[int]:
     hi = max(values)
     if hi == lo:
         return [0 for _ in values]
-    width = (hi - lo) / bins
+    span = hi - lo
+    width = span / bins
+    if width == 0.0:
+        # A subnormal span underflows when split into bins; scale the
+        # offset by the span first instead.
+        return [min(bins - 1, int((v - lo) / span * bins)) for v in values]
     return [min(bins - 1, int((v - lo) / width)) for v in values]

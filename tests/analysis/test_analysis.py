@@ -38,6 +38,9 @@ class TestEntropy:
         assert buckets[0] == 0
         assert buckets[-1] == 3
 
+    def test_quantize_subnormal_span(self):
+        assert quantize([0.0, 5e-324]) == [0, 63]
+
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50))
     def test_quantize_in_bounds(self, values):
         assert all(0 <= b < 64 for b in quantize(values))
