@@ -41,7 +41,9 @@ bounds: at most a quarter of the unbatched control-frame count
 (``ticks x shards``; epoch batching folds up to 8 ticks into one round
 trip), and an epoch-amortized per-tick barrier round-trip p50 of at
 most ``BENCH_CONTROL_MAX_P50_US`` microseconds. The trace must match
-the serial driver's bit for bit.
+the serial driver's bit for bit, and the straggler skew (max/median of
+the workers' busy seconds, ``ipc.shard_busy_s``) of these balanced
+shards must stay below 2.
 
 Environment knobs (used by the CI perf-smoke job):
 
@@ -302,6 +304,9 @@ def _run_control_plane(parallel: int):
             "round_trip_p50_us": round(ipc.round_trip_p50 * 1e6, 2),
             "barrier_wait_total_s": round(ipc.barrier_wait_total_s, 4),
             "barrier_wait_skew": round(ipc.barrier_wait_skew, 3),
+            "shard_busy_s": {
+                str(k): round(v, 4) for k, v in sorted(ipc.shard_busy_s.items())
+            },
         }
     sim.close()
     return trace, stats
@@ -312,8 +317,10 @@ def test_control_plane_round_trip(results_dir):
 
     Same fleet, same seed, serial and sharded: the traces must be
     bit-identical, epoch batching must cut the control frames to at
-    most a quarter of one per shard per tick, and the epoch-amortized
-    per-tick round-trip p50 must stay under the absolute gate.
+    most a quarter of one per shard per tick, the epoch-amortized
+    per-tick round-trip p50 must stay under the absolute gate, and the
+    straggler skew of these one-server shards, balanced by
+    construction, must stay below 2.
     """
     max_p50_us = float(os.environ.get("BENCH_CONTROL_MAX_P50_US", "") or 10.0)
     serial_trace, _ = _run_control_plane(0)
@@ -330,6 +337,10 @@ def test_control_plane_round_trip(results_dir):
             f"p50 {stats['round_trip_p50_us']:.2f}us/tick over the"
             f" {max_p50_us}us gate"
         )
+    assert stats["barrier_wait_skew"] < 2.0, (
+        f"skew {stats['barrier_wait_skew']:.2f}x on balanced shards"
+        f" (busy seconds {stats['shard_busy_s']})"
+    )
 
     section = {
         "servers": CONTROL_SERVERS,
@@ -351,8 +362,10 @@ def test_control_plane_round_trip(results_dir):
         f" unbatched {unbatched})\n"
         f"p50 round trip:  {stats['round_trip_p50_us']:.2f}us/tick"
         f" (gate <= {max_p50_us}us)\n"
-        f"barrier wait:    {stats['barrier_wait_total_s']:.3f}s"
-        f" (skew {stats['barrier_wait_skew']:.2f}x)",
+        f"barrier wait:    {stats['barrier_wait_total_s']:.3f}s\n"
+        f"shard busy:      "
+        + " ".join(f"{v:.3f}s" for v in stats["shard_busy_s"].values())
+        + f" (skew {stats['barrier_wait_skew']:.2f}x)",
     )
     print(
         f"\ncontrol-plane p50: {stats['round_trip_p50_us']:.2f}us/tick"

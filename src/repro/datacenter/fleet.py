@@ -3,9 +3,10 @@
 A :class:`FleetSlice` owns a run of consecutive racks of one fleet — all
 of them for the serial :class:`~repro.datacenter.simulation.
 DatacenterSimulation`, one shard's for a :mod:`repro.sim.parallel`
-worker — together with those hosts' breakers, wall-power memo, benign
-tenants (columnar :class:`TenantPopulation` or per-object drivers),
-columnar host engine and fault injector. One loop iteration is::
+worker — together with those hosts' breakers, per-tick host-watts
+vector, benign tenants (columnar :class:`TenantPopulation` or
+per-object drivers), columnar host engine and fault injector. One loop
+iteration is::
 
     dark = fleet.dark()
     plan = fleet.plan(now, hint, dark, coalesce)   # tenants step here
@@ -30,7 +31,7 @@ import numpy as np
 from repro.datacenter.breaker import CircuitBreaker
 from repro.datacenter.population import TenantPopulation, container_name_for
 from repro.datacenter.tenants import DiurnalProfile, DiurnalTenantDriver
-from repro.datacenter.topology import Rack, ServerPowerConfig, WallPowerCache
+from repro.datacenter.topology import Rack, ServerPowerConfig, wall_power_watts
 from repro.errors import SimulationError
 from repro.runtime import cloud as cloud_mod
 from repro.runtime.cloud import ProviderProfile
@@ -107,6 +108,17 @@ class FleetConfig:
         ]
 
 
+@dataclass(frozen=True)
+class BreakerSnapshot:
+    """One rack breaker's state, under its fleet-global rack index."""
+
+    rack_index: int
+    name: str
+    tripped: bool
+    tripped_at: float
+    trip_count: int
+
+
 class FleetSlice:
     """The hosts of some consecutive racks and everything they own.
 
@@ -147,9 +159,6 @@ class FleetSlice:
         self._identity = self.labels == tuple(range(len(self.labels)))
         self._rack_members = members
 
-        #: per-tick wall-power memo of the hot hosts (cold hosts answer
-        #: from the host engine's wall column)
-        self.cache = WallPowerCache(config.power_config)
         #: each host's cell in the (racks x rack_size) matrix the rack
         #: totals fold over; a short rack's spare cells stay 0.0
         self._rack_cells = np.array(
@@ -170,7 +179,6 @@ class FleetSlice:
                     / config.rack_size,
                 ),
                 power_config=config.power_config,
-                power_cache=self.cache,
             )
             for r, m in zip(self.rack_indices, members)
         ]
@@ -223,7 +231,6 @@ class FleetSlice:
             for local, engine in enumerate(engines):
                 engine.host_engine = self.host_engine
                 engine.host_index = local
-            self.cache.host_engine = self.host_engine
             self.host_engine.adopt_all()
 
     def install_faults(self, schedule: FaultSchedule, seed: int) -> FaultInjector:
@@ -261,23 +268,27 @@ class FleetSlice:
     def host_watts(self) -> np.ndarray:
         """Per-host wall watts in slice order (crashed hosts included).
 
-        Built once per tick and shared by the breaker feed, the knee
-        guard and the trace row: cold hosts read the host engine's wall
-        column, hot hosts the per-tick :class:`WallPowerCache`. Wall
-        power changes only when a host ticks, and every tick advances
-        the clock, so the clock reading keys the memo. Read-only.
+        Built once per tick and shared by every wall-power read — the
+        breaker feed, the knee guard, the trace row, the simulation's
+        ``server_wall_watts`` and a shard's ``watts`` reply: cold hosts
+        read the host engine's wall column, hot hosts compute
+        :func:`wall_power_watts` from their kernel. Wall power changes
+        only when a host ticks, and every tick advances the clock, so
+        the clock reading keys the vector. Read-only.
         """
         now = self.clock.now
         if self._watts_at != now:
             he = self.host_engine
-            cache_watts = self.cache.watts
+            power = self.config.power_config
             kernels = self.kernels
             if he is None:
-                watts = np.array([cache_watts(k) for k in kernels], dtype=np.float64)
+                watts = np.array(
+                    [wall_power_watts(k, power) for k in kernels], dtype=np.float64
+                )
             else:
                 watts = he.walls()
                 for i in np.flatnonzero(~he.cold).tolist():
-                    watts[i] = cache_watts(kernels[i])
+                    watts[i] = wall_power_watts(kernels[i], power)
             self._watts, self._watts_at = watts, now
         return self._watts
 
@@ -300,6 +311,19 @@ class FleetSlice:
         for j in range(1, self.config.rack_size):
             totals = totals + cells[:, j]
         return totals.tolist()
+
+    def breaker_states(self) -> List[BreakerSnapshot]:
+        """Each rack breaker's state, in rack order."""
+        return [
+            BreakerSnapshot(
+                rack_index=r,
+                name=rack.breaker.name,
+                tripped=rack.breaker.tripped,
+                tripped_at=rack.breaker.tripped_at,
+                trip_count=rack.breaker.trip_count,
+            )
+            for r, rack in zip(self.rack_indices, self.racks)
+        ]
 
     def _crashed(self):
         """Slice positions of crashed servers."""

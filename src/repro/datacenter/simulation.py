@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, List, Optional
 
-from repro.datacenter.fleet import FleetConfig, FleetSlice
+from repro.datacenter.fleet import BreakerSnapshot, FleetConfig, FleetSlice
 from repro.datacenter.population import TenantPopulation
 from repro.datacenter.tenants import DiurnalProfile
-from repro.datacenter.topology import Rack, ServerPowerConfig, WallPowerCache
+from repro.datacenter.topology import Rack, ServerPowerConfig
 from repro.errors import SimulationError
 from repro.obs.tracer import SpanTracer
 from repro.runtime.cloud import ContainerCloud, PROVIDER_PROFILES, ProviderProfile
@@ -245,7 +245,6 @@ class DatacenterSimulation:
         self.fleet = FleetSlice(
             self.config, self.cloud.clock, self.cloud.rng, hosts=self.cloud.hosts
         )
-        self.power_cache: WallPowerCache = self.fleet.cache
         self.racks: List[Rack] = self.fleet.racks
         #: columnar mode: the whole demand plane as numpy columns, with
         #: ``tenants`` as per-object views; ``None`` with object drivers
@@ -470,7 +469,6 @@ class DatacenterSimulation:
         checkpoint_every: float = 300.0,
         barrier_timeout_s: float = 600.0,
         max_restarts: int = 2,
-        supervise: bool = True,
     ):
         """Turn on the self-healing machinery for the parallel engine.
 
@@ -479,9 +477,9 @@ class DatacenterSimulation:
         serializes its recoverable state into versioned snapshots every
         ``checkpoint_every`` sim-seconds and the driver writes a matching
         manifest; ``run(resume=True)`` restarts from the latest one.
-        With ``supervise`` on, a worker that dies or misses the
-        ``barrier_timeout_s`` reply deadline is killed and respawned from
-        the latest snapshot (up to ``max_restarts`` times per shard) and
+        A worker that dies or misses the ``barrier_timeout_s`` reply
+        deadline is killed and respawned from the latest snapshot (up to
+        ``max_restarts`` times per shard; 0 aborts the run instead) and
         replayed forward bit-identically. See ``docs/resilience.md``.
         """
         from repro.sim.resilience import ResilienceConfig
@@ -497,7 +495,6 @@ class DatacenterSimulation:
             checkpoint_every=checkpoint_every,
             barrier_timeout_s=barrier_timeout_s,
             max_restarts=max_restarts,
-            supervise=supervise,
         )
         return self.resilience
 
@@ -533,18 +530,19 @@ class DatacenterSimulation:
             return self._parallel.clock.now
         return self.cloud.clock.now
 
+    def _host_watts(self) -> List[float]:
+        """Wall watts per server, in global order."""
+        if self._parallel is not None:
+            return self._parallel.server_watts()
+        return self.fleet.host_watts().tolist()
+
     def server_wall_watts(self, index: int) -> float:
         """Ground-truth wall power of one server."""
-        if self._parallel is not None:
-            return self._parallel.server_watts()[index]
-        return self.power_cache.watts(self.cloud.hosts[index].kernel)
+        return self._host_watts()[index]
 
     def aggregate_wall_watts(self) -> float:
         """Ground-truth wall power of the whole fleet."""
-        if self._parallel is not None:
-            watts = self._parallel.server_watts()
-            return sum(watts[i] for i in range(len(self.cloud.hosts)))
-        return sum(self.server_wall_watts(i) for i in range(len(self.cloud.hosts)))
+        return sum(self._host_watts())
 
     def set_sample_interval(self, interval_s: float) -> None:
         """Change the sampling cadence, re-anchored at the current time.
@@ -866,11 +864,15 @@ class DatacenterSimulation:
 
     # ------------------------------------------------------------------
 
+    def _breaker_states(self) -> List[BreakerSnapshot]:
+        """Every rack breaker's state, in rack order."""
+        if self._parallel is not None:
+            return self._parallel.breaker_states()
+        return self.fleet.breaker_states()
+
     def any_breaker_tripped(self) -> bool:
         """Whether any rack breaker has opened."""
-        if self._parallel is not None:
-            return any(b.tripped for b in self._parallel.breaker_states())
-        return any(rack.breaker.tripped for rack in self.racks)
+        return any(b.tripped for b in self._breaker_states())
 
     def fault_report(self) -> Dict[str, int]:
         """Injected-fault and degradation counters (empty without faults)."""
@@ -887,16 +889,10 @@ class DatacenterSimulation:
 
     def trip_log(self) -> List[str]:
         """Human-readable breaker events."""
-        if self._parallel is not None:
-            return [
-                f"{b.name} tripped at t={b.tripped_at:.0f}s"
-                for b in self._parallel.breaker_states()
-                if b.tripped
-            ]
         return [
-            f"{rack.breaker.name} tripped at t={rack.breaker.tripped_at:.0f}s"
-            for rack in self.racks
-            if rack.breaker.tripped
+            f"{b.name} tripped at t={b.tripped_at:.0f}s"
+            for b in self._breaker_states()
+            if b.tripped
         ]
 
     def close(self) -> None:

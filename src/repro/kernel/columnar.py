@@ -325,9 +325,6 @@ class ColumnarHostEngine:
     def is_cold(self, i: int) -> bool:
         return bool(self.cold[i])
 
-    def index_of(self, kernel: Kernel) -> Optional[int]:
-        return self._kernel_index.get(id(kernel))
-
     def cold_count(self) -> int:
         return int(self.cold.sum())
 

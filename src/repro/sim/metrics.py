@@ -18,6 +18,7 @@ into the same registry.
 
 from __future__ import annotations
 
+import statistics
 import time
 from typing import Dict, List, Optional
 
@@ -43,7 +44,9 @@ class IpcMetrics:
     only IPC channel, so their bytes include every sampled row and
     observer reading the replies carry. ``barrier_wait_s`` is the
     driver's cumulative wall time blocked waiting for each shard's
-    reply — the lock-step straggler profile.
+    reply, collected in shard order, so shard 0 absorbs most of every
+    barrier's compute. ``shard_busy_s`` is each worker's own wall time
+    inside its dispatches — the lock-step straggler profile.
     """
 
     def __init__(
@@ -78,6 +81,8 @@ class IpcMetrics:
         self._round_trip_seen = 0
         #: shard index -> per-shard cumulative-wait counter
         self._barrier: Dict[int, object] = {}
+        #: shard index -> per-shard cumulative worker-busy counter
+        self._busy: Dict[int, object] = {}
         self._sent.value += control_bytes_sent
         self._received.value += control_bytes_received
         self._frames.value += control_frames
@@ -121,6 +126,22 @@ class IpcMetrics:
     def barrier_wait_s(self) -> Dict[int, float]:
         """Shard index -> cumulative driver wall seconds blocked in recv."""
         return {shard: c.value for shard, c in self._barrier.items()}
+
+    @property
+    def shard_busy_s(self) -> Dict[int, float]:
+        """Shard index -> cumulative worker wall seconds inside dispatch."""
+        return {shard: c.value for shard, c in self._busy.items()}
+
+    def record_busy(self, shard: int, seconds: float) -> None:
+        """Charge one reply's worker-side dispatch wall time to its shard."""
+        counter = self._busy.get(shard)
+        if counter is None:
+            counter = self._busy[shard] = self.registry.counter(
+                "ipc.shard_busy_s",
+                "cumulative worker wall seconds inside dispatch",
+                shard=shard,
+            )
+        counter.value += seconds
 
     def record_frame(self, sent: int, received: int) -> None:
         """Account one control round trip's pickled byte counts."""
@@ -205,19 +226,18 @@ class IpcMetrics:
 
     @property
     def barrier_wait_skew(self) -> float:
-        """Max/median of per-shard cumulative barrier waits.
+        """Max/median of the per-shard busy seconds (``shard_busy_s``).
 
         The lock-step straggler factor: 1.0 means perfectly balanced
         shards; large values quantify the work-stealing opportunity the
-        ROADMAP names (one slow shard stalls every barrier).
+        ROADMAP names (one slow shard stalls every barrier). The median
+        of an even shard count is the mean of the two middle values.
         """
-        waits = sorted(self.barrier_wait_s.values())
-        if not waits:
+        busy = self.shard_busy_s.values()
+        if not busy:
             return 0.0
-        median = waits[len(waits) // 2]
-        if median <= 0:
-            return 0.0
-        return waits[-1] / median
+        middle = statistics.median(busy)
+        return max(busy) / middle if middle > 0 else 0.0
 
     @property
     def control_bytes(self) -> int:

@@ -12,38 +12,43 @@ the shards at exactly the barriers the serial driver already honors.
 
 Every driver/worker frame is a pickled tuple on the shard's ``Pipe``,
 strict request/reply; the worker blocks in ``recv_bytes`` between
-barriers, and a dispatch that raises replies ``("error", traceback)``,
-on which the driver tears the engine down and raises. Telemetry rides
-the same replies: each sampled row comes back as the shard's
-``FleetSlice.row()`` list in its host order (``None`` = crashed machine,
-a trace gap; ``0.0`` = dark), and each observer reading as the
-monitor's value (``None`` = no sample). Pickle round-trips floats
-exactly, which keeps the sharded traces bit-identical to serial. The
-frames (``ops`` are queued attacker ``exec``/``reap`` operations,
-``oids`` are observer ids of shard-resident attack monitors to
-sample)::
+barriers, and the driver waits on each reply, in shard order, over the
+pipe and the worker's process sentinel, so a worker that exits surfaces
+at once and one that stays silent past the barrier timeout is hung. A
+dispatch that raises replies ``("error", traceback)``, on which the
+driver tears the engine down and raises. Every other reply is
+``("ok", result, busy_s, spans)``: ``busy_s`` is the worker's own wall
+time inside the dispatch (summed per shard into ``ipc.shard_busy_s``,
+the straggler profile), and ``spans`` is the drained worker span-tracer
+buffer (``None`` without tracing). Telemetry rides the results: each
+sampled row comes back as the shard's ``FleetSlice.row()`` list in its
+host order (``None`` = crashed machine, a trace gap; ``0.0`` = dark),
+and each observer reading as the monitor's value (``None`` = no
+sample). Pickle round-trips floats exactly, which keeps the sharded
+traces bit-identical to serial. The frames and their results (``ops``
+are queued attacker ``exec``/``reap`` operations, ``oids`` are observer
+ids of shard-resident attack monitors to sample)::
 
-    ("begin", want_row, ops)               -> ("ok", (changed, row|None))
-    ("plan", hint)                         -> ("ok", (dark+, dark-, demands,
-                                                      safe, horizon))
-    ("epoch", ((hint|None, step,           -> ("ok", (changed, rows,  # batched
-               want_row), ...), oids)                 readings))  # ticks
-    ("watts",)                             -> ("ok", watts)
-    ("state",)                             -> ("ok", {"breakers":..., "stats":...})
-    ("meters", ops)                        -> ("ok", {iid: (cpu_ns, cpu_ns0)})
-    ("monitor", oid, iid, factory)         -> ("ok", available)
-    ("degradation", oid)                   -> ("ok", {...})
-    ("sample", oids, ops)                  -> ("ok", readings)
-    ("release", oid)                       -> ("ok", None)
-    ("checkpoint", seq, dir)               -> ("ok", (bytes, wall_s))
-    ("replay", frames)                     -> ("ok", count)  # respawn catch-up
-    ("hang", seconds)                      -> ("ok", None)   # test hook: stall
+    ("begin", want_row, ops)               -> (changed, row|None)
+    ("plan", hint)                         -> (dark, demands, safe, horizon)
+    ("epoch", ((hint|None, step,           -> (changed, rows, readings)
+               want_row), ...), oids)         # batched ticks
+    ("watts",)                             -> watts
+    ("state",)                             -> {"breakers":..., "stats":...}
+    ("meters", ops)                        -> {iid: (cpu_ns, cpu_ns0)}
+    ("monitor", oid, iid, factory)         -> available
+    ("degradation", oid)                   -> {...}
+    ("sample", oids, ops)                  -> readings
+    ("release", oid)                       -> None
+    ("checkpoint", seq, dir)               -> (bytes, wall_s)
+    ("replay", frames)                     -> count  # respawn catch-up
+    ("hang", seconds)                      -> None   # test hook: stall
     ("crash",)                             -> no reply; worker exits (test hook)
     ("close",)                             -> worker exits
 
-The supervisor's frame log records the frames it sent, so
-replay-after-respawn re-sends them to the new worker verbatim (and
-discards the replayed replies).
+With a restart budget (``max_restarts > 0``) the supervisor's frame log
+records the frames it sent, so replay-after-respawn re-sends them to the
+new worker verbatim (and discards the replayed replies).
 
 Every tick crosses the shard boundary inside an ``epoch`` frame, which
 cuts steady-state round trips up to ``EPOCH_TICKS``×. A coalescing
@@ -61,19 +66,18 @@ run's last tick, whose frame lists the armed observers the workers
 sample after its commit.
 
 With tracing enabled (``DatacenterSimulation.enable_tracing`` before the
-first parallel run), every ``("ok", ...)`` reply grows a third element:
-the worker's drained span-tracer ring buffer. Workers record
-``shard.plan``/``shard.step`` spans and fault markers against the
-lock-stepped virtual clock; the driver ingests each flush into its own
-tracer, so the merged timeline is globally clock-aligned without any
-extra frames (see ``repro.obs`` and ``docs/observability.md``).
+first parallel run), workers record ``shard.plan``/``shard.step`` spans
+and fault markers against the lock-stepped virtual clock, and the
+driver ingests each reply's ``spans`` into its own tracer, so the merged
+timeline is globally clock-aligned without any extra frames (see
+``repro.obs`` and ``docs/observability.md``).
 
-``plan`` replies carry the shard's *dark-set delta* (indices newly dark /
-newly lit since the last plan) and its demand fingerprints as bare floats
-in host order — the driver knows each shard's host list, so no indices
-cross the barrier. Rows carry none either: the driver places each
-shard's values at that shard's global host indices and folds the row in
-global host order, so float sums stay bit-identical to serial.
+``plan`` replies carry the shard's dark labels, sorted, and its demand
+fingerprints as bare floats in host order — the driver knows each
+shard's host list, so no indices cross the barrier. Rows carry none
+either: the driver places each shard's values at that shard's global
+host indices and folds the row in global host order, so float sums stay
+bit-identical to serial.
 
 Attack support: instances launched before the first parallel run are
 replayed inside the owning shard from the cloud's launch log (the cloud
@@ -125,6 +129,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
 import time
@@ -132,7 +137,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.datacenter.fleet import FleetConfig, FleetSlice
+from repro.datacenter.fleet import BreakerSnapshot, FleetConfig, FleetSlice
 from repro.errors import SimulationError
 from repro.obs.tracer import SpanTracer
 from repro.sim.clock import VirtualClock
@@ -158,9 +163,6 @@ EPOCH_TICKS = 8
 
 #: seconds to wait for a spawn worker to finish building its shard
 _STARTUP_TIMEOUT_S = 120.0
-
-#: poll granularity while waiting on a shard reply (liveness checks)
-_POLL_S = 0.1
 
 #: barrier reply timeout when no ResilienceConfig overrides it — long
 #: enough for any honest coalesced step, short enough to ever return
@@ -233,25 +235,13 @@ class ShardSpec:
     spill_dir: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class BreakerSnapshot:
-    """Driver-side view of one worker-held rack breaker."""
-
-    rack_index: int
-    name: str
-    tripped: bool
-    tripped_at: float
-    trip_count: int
-
-
 class _ShardRuntime:
     """Worker-side state: one :class:`FleetSlice` plus the protocol parts.
 
     The slice runs the same per-tick code as the serial driver over
     this shard's racks; the runtime adds what only the barrier protocol
-    needs — dark-set deltas, reply rows, shard-resident attack
-    observers, spans, checkpoints and replay. All indices in messages
-    are fleet-global.
+    needs — reply rows, shard-resident attack observers, spans,
+    checkpoints and replay. All indices in messages are fleet-global.
     """
 
     def __init__(self, spec: ShardSpec):
@@ -305,7 +295,6 @@ class _ShardRuntime:
         #: observer id -> shard-resident monitor
         self.monitors: Dict[str, object] = {}
         self._last_dark: set = set()
-        self._sent_dark: frozenset = frozenset()
         self._attach(tracer_counters=None)
 
     def _attach(self, tracer_counters) -> None:
@@ -326,39 +315,44 @@ class _ShardRuntime:
                 self.tracer.restore_counters(*tracer_counters)
         if self.fleet.injector is not None:
             self.fleet.injector.tracer = self.tracer
-        #: test hook (("hang", s) frame): stall the next reply this long
+        #: test hook (("hang", s) frame): stall the next frame's reply this long
         self._hang_s = 0.0
 
     # -- checkpoint / restore -------------------------------------------
 
+    def __getstate__(self) -> dict:
+        """Everything but the per-process wiring.
+
+        Dropped on purpose: the spec (its launch log must not ride every
+        snapshot; :meth:`from_snapshot` re-attaches the one it is
+        given), the tracer (rebuilt around the restored clock; only its
+        ``(seq, dropped)`` counters persist, so replayed events renumber
+        identically) and the hang hook. The injector's tracer ref is
+        stripped by ``FaultInjector.__getstate__``.
+        """
+        state = dict(self.__dict__)
+        del state["spec"], state["_hang_s"]
+        tracer = state.pop("tracer")
+        state["tracer_counters"] = None if tracer is None else tracer.counters()
+        return state
+
     def checkpoint(self, seq: int, directory: str) -> Tuple[int, float]:
         """Serialize this shard's recoverable state; returns (bytes, wall_s).
 
-        Everything lands in ONE pickle so shared identity survives the
+        The runtime lands in ONE pickle, so shared identity survives the
         round trip: the kernels referenced by the slice's hosts, racks,
         population, host engine and fault injector, and by monitors and
         instances, come back as the same objects, and the slice clock
-        stays the clock those kernels tick against. Excluded on purpose:
-        the tracer (rebuilt around the restored clock; only its ``(seq,
-        dropped)`` counters persist so replayed events renumber
-        identically), and the injector's tracer ref (stripped by
-        ``FaultInjector.__getstate__``).
+        stays the clock those kernels tick against.
         """
         w0 = time.perf_counter()
-        payload = {
-            "version": SNAPSHOT_VERSION,
-            "shard_index": self.spec.shard_index,
-            "state": {
-                "fleet": self.fleet,
-                "instances": self.instances,
-                "monitors": self.monitors,
-                "observer_hosts": self._observer_hosts,
-                "last_dark": self._last_dark,
-                "sent_dark": self._sent_dark,
-                "tracer": None if self.tracer is None else self.tracer.counters(),
-            },
-        }
-        blob = _dumps(payload)
+        blob = _dumps(
+            {
+                "version": SNAPSHOT_VERSION,
+                "shard_index": self.spec.shard_index,
+                "runtime": self,
+            }
+        )
         atomic_write(
             shard_snapshot_path(directory, self.spec.shard_index, seq), blob
         )
@@ -373,20 +367,10 @@ class _ShardRuntime:
                 f"snapshot {path} belongs to shard {payload['shard_index']},"
                 f" not {spec.shard_index}"
             )
-        self = cls.__new__(cls)
-        self.spec = spec
-        state = payload["state"]
-        self.fleet = state["fleet"]
-        self.clock = self.fleet.clock
-        # memo entries are keyed on id(kernel); fresh process, fresh ids
-        self.fleet.cache.reset()
-        self.instances = state["instances"]
-        self.monitors = state["monitors"]
-        self._observer_hosts = state["observer_hosts"]
-        self._last_dark = state["last_dark"]
-        self._sent_dark = state["sent_dark"]
-        self._attach(tracer_counters=state["tracer"])
-        return self
+        runtime = payload["runtime"]
+        runtime.spec = spec
+        runtime._attach(runtime.__dict__.pop("tracer_counters"))
+        return runtime
 
     def replay(self, frames: tuple) -> int:
         """Re-execute logged control frames after a restore.
@@ -423,7 +407,7 @@ class _ShardRuntime:
         return changed, self.fleet.row() if want_row else None
 
     def plan(self, step_hint: float, coalesce: bool = True):
-        """The slice's plan step, plus the dark-set delta for the driver."""
+        """The slice's plan step, plus the sorted dark labels for the driver."""
         tracer = self.tracer
         if tracer is not None:
             plan_w0 = time.perf_counter()
@@ -435,11 +419,7 @@ class _ShardRuntime:
         result = None
         if plan is not None:
             demands, horizon = plan
-            frozen = frozenset(dark)
-            added = tuple(sorted(frozen - self._sent_dark))
-            removed = tuple(sorted(self._sent_dark - frozen))
-            self._sent_dark = frozen
-            result = (added, removed, demands, fleet.breakers_safe(), horizon)
+            result = (tuple(sorted(dark)), demands, fleet.breakers_safe(), horizon)
         if tracer is not None:
             tracer.add_span(
                 "shard.plan", now, now, time.perf_counter() - plan_w0
@@ -492,8 +472,7 @@ class _ShardRuntime:
 
     def watts(self) -> list:
         """Current wall watts per host, in slice order."""
-        fleet = self.fleet
-        return [fleet.cache.watts(kernel) for kernel in fleet.kernels]
+        return self.fleet.host_watts().tolist()
 
     def meters(self, ops: tuple) -> dict:
         """cpuacct billing meters for this shard's live instances."""
@@ -546,21 +525,14 @@ class _ShardRuntime:
         return tuple(self.monitors[oid].sample(now) for oid in oids)
 
     def state(self) -> dict:
-        fleet = self.fleet
-        breakers = tuple(
-            (
-                r,
-                rack.breaker.name,
-                rack.breaker.tripped,
-                rack.breaker.tripped_at,
-                rack.breaker.trip_count,
-            )
-            for r, rack in zip(fleet.rack_indices, fleet.racks)
-        )
-        injector = fleet.injector
+        injector = self.fleet.injector
         stats = injector.stats.as_dict() if injector is not None else {}
         tracer = self.tracer.health() if self.tracer is not None else None
-        return {"breakers": breakers, "stats": stats, "tracer": tracer}
+        return {
+            "breakers": self.fleet.breaker_states(),
+            "stats": stats,
+            "tracer": tracer,
+        }
 
     def dispatch(self, msg: tuple):
         cmd = msg[0]
@@ -588,6 +560,10 @@ class _ShardRuntime:
             return self.checkpoint(msg[1], msg[2])
         if cmd == "replay":
             return self.replay(msg[1])
+        if cmd == "hang":
+            # test hook: stall the next frame's reply this long
+            self._hang_s = float(msg[1])
+            return None
         raise SimulationError(f"unknown shard command: {cmd!r}")
 
 
@@ -630,24 +606,25 @@ def _serve(runtime: _ShardRuntime, conn) -> None:
             return
         if msg[0] == "crash":  # test hook: die without a word
             os._exit(1)
-        if msg[0] == "hang":  # test hook: stall the next reply
-            runtime._hang_s = float(msg[1])
-            conn.send_bytes(_dumps(("ok", None)))
-            continue
+        # a ("hang", s) frame stalls the reply after its own
+        stall_s, runtime._hang_s = runtime._hang_s, 0.0
+        w0 = time.perf_counter()
         try:
             result = runtime.dispatch(msg)
         except Exception:
             reply = ("error", traceback.format_exc())
         else:
-            if runtime.tracer is not None:
-                reply = ("ok", result, runtime.tracer.drain())
-            else:
-                reply = ("ok", result)
-        if runtime._hang_s > 0.0:
+            tracer = runtime.tracer
+            reply = (
+                "ok",
+                result,
+                time.perf_counter() - w0,
+                None if tracer is None else tracer.drain(),
+            )
+        if stall_s > 0.0:
             # stall before replying: the pipe, the supervisor's
             # heartbeat, goes silent
-            time.sleep(runtime._hang_s)
-            runtime._hang_s = 0.0
+            time.sleep(stall_s)
         conn.send_bytes(_dumps(reply))
 
 
@@ -711,10 +688,10 @@ class ParallelFleetEngine:
 
         cfg = sim.resilience
         self._resilience = cfg
-        self._supervise = cfg is not None and cfg.supervise
         self._barrier_timeout_s = (
             cfg.barrier_timeout_s if cfg is not None else _DEFAULT_BARRIER_TIMEOUT_S
         )
+        #: per-shard respawn budget; 0 never respawns and logs no frames
         self._max_restarts = cfg.max_restarts if cfg is not None else 0
         self.res_metrics: Optional[ResilienceMetrics] = (
             ResilienceMetrics(sim.metrics.registry) if cfg is not None else None
@@ -735,7 +712,6 @@ class ParallelFleetEngine:
         for idx, hosts in enumerate(self.shard_hosts):
             for i in hosts:
                 self._shard_of_host[i] = idx
-        self._shard_dark: List[set] = [set() for _ in range(n)]
 
         #: instance id -> owning host index (from the full launch log,
         #: so ops can still be routed after driver-side dict deletions)
@@ -835,17 +811,8 @@ class ParallelFleetEngine:
                     " method, which this platform does not provide; run with"
                     " parallel=0"
                 ) from exc
-            for idx, spec in enumerate(self._specs):
-                parent, child = self._ctx.Pipe()
-                proc = self._ctx.Process(
-                    target=_shard_worker_main,
-                    args=(spec, child, self._restore_paths[idx]),
-                    daemon=True,
-                )
-                proc.start()
-                child.close()
-                self.procs.append(proc)
-                self.conns.append(parent)
+            for idx in range(n):
+                self._start_worker(idx)
             for idx in range(n):
                 try:
                     self._wait_ready(idx)
@@ -862,6 +829,44 @@ class ParallelFleetEngine:
             "parallel shard workers own the fleet; launch instances"
             " before the first parallel run"
         )
+
+    def _start_worker(self, idx: int) -> None:
+        """Spawn shard ``idx``'s worker on a fresh pipe.
+
+        It builds the shard from seeds, or restores it from the shard's
+        latest snapshot when there is one.
+        """
+        parent, child = self._ctx.Pipe()
+        proc = self._ctx.Process(
+            target=_shard_worker_main,
+            args=(self._specs[idx], child, self._restore_paths[idx]),
+            daemon=True,
+        )
+        proc.start()
+        child.close()
+        # appends at startup, replaces on respawn
+        self.procs[idx : idx + 1] = [proc]
+        self.conns[idx : idx + 1] = [parent]
+
+    def _stop_worker(self, idx: int, grace: float) -> None:
+        """Stop shard ``idx``'s worker and close its pipe end.
+
+        Joins for ``grace`` seconds, then terminates, then kills; every
+        wait is bounded, so a dead or wedged worker never hangs the
+        driver.
+        """
+        proc = self.procs[idx]
+        proc.join(timeout=grace)
+        if proc.is_alive():
+            proc.terminate()
+            proc.join(timeout=5)
+            if proc.is_alive():  # pragma: no cover - defensive
+                proc.kill()
+                proc.join(timeout=5)
+        try:
+            self.conns[idx].close()
+        except OSError:  # pragma: no cover - already broken
+            pass
 
     def _wait_ready(self, idx: int) -> None:
         """Block until shard ``idx`` reports ready (bounded, liveness-aware)."""
@@ -897,7 +902,6 @@ class ParallelFleetEngine:
         sim._sample_origin = sample_origin
         sim._sample_count = sample_count
         sim.sample_interval_s = interval
-        self._shard_dark = [set(dark) for dark in manifest["shard_dark"]]
         observers = manifest["observers"]
         self._observer_shard = dict(observers["owners"])
         self._next_observer = observers["next_id"]
@@ -970,24 +974,15 @@ class ParallelFleetEngine:
             what = f"hung in a barrier ({failure.detail})"
         else:
             what = f"died mid-protocol ({failure.detail})"
-        if not self._supervise:
-            budget = (
-                "; supervision is off —"
-                " enable_resilience(supervise=True) respawns dead shards"
-            )
-        else:
-            budget = (
-                f"; restart budget exhausted ({self._restarts[idx]}"
-                f"/{self._max_restarts} respawns used)"
-            )
         try:
             self.close()
         finally:
             raise SimulationError(
                 f"shard worker {idx} {what}; last reply"
                 f" {age:.1f}s ago, cumulative barrier wait {waits:.1f}s"
-                f" (ipc.barrier_wait_s{{shard={idx}}}){budget};"
-                " workers torn down"
+                f" (ipc.barrier_wait_s{{shard={idx}}}); restart budget"
+                f" exhausted ({self._restarts[idx]}/{self._max_restarts}"
+                " respawns used); workers torn down"
             ) from failure.cause
 
     def _receive(
@@ -999,36 +994,34 @@ class ParallelFleetEngine:
     ) -> Tuple[tuple, int]:
         """Receive shard ``idx``'s next pipe frame, bounded and liveness-aware.
 
-        Defaults to a barrier reply (``barrier_timeout_s``). A worker
-        that exited, or whose pipe end hit EOF or broke — ``poll``
-        reports EOF as readable, so a dead worker surfaces in the read —
-        is ``died`` (formatted with its exit code); one silent past the
-        timeout is ``hung``.
+        Defaults to a barrier reply (``barrier_timeout_s``). A reply
+        already in the pipe is read at once; otherwise the driver waits
+        on the pipe and the worker's process sentinel together. A worker
+        that exited, or whose pipe end hit EOF or broke, is ``died``
+        (formatted with its exit code); one silent past the timeout is
+        ``hung``.
         """
         if timeout_s is None:
             timeout_s = self._barrier_timeout_s
             hung = f"no reply within barrier_timeout_s={timeout_s:.1f}"
         conn = self.conns[idx]
         proc = self.procs[idx]
-        deadline = time.monotonic() + timeout_s
         try:
-            while not conn.poll(_POLL_S):
-                if not proc.is_alive() and not conn.poll(0):
-                    raise _ShardFailure("died", died.format(proc.exitcode))
-                if time.monotonic() > deadline:
+            if not conn.poll(0):
+                if not multiprocessing.connection.wait(
+                    [conn, proc.sentinel], timeout_s
+                ):
                     raise _ShardFailure("hung", hung)
+                if not conn.poll(0):
+                    raise EOFError("the worker exited without replying")
             return _recv_frame(conn)
         except (EOFError, OSError) as exc:
-            proc.join(timeout=_POLL_S)  # let a closing worker report its code
+            proc.join(timeout=1.0)  # let an exiting worker report its code
             raise _ShardFailure("died", died.format(proc.exitcode), exc)
 
-    def _handle_failure(
-        self, idx: int, msg: Optional[tuple], failure: _ShardFailure
-    ) -> None:
+    def _handle_failure(self, idx: int, msg: tuple, failure: _ShardFailure) -> None:
         """Respawn shard ``idx`` (budget permitting) or abort the run."""
-        if not self._supervise or msg is None or msg[0] in ("crash", "close"):
-            self._fail_shard(idx, failure)
-        if self._restarts[idx] >= self._max_restarts:
+        if msg[0] in ("crash", "close") or self._restarts[idx] >= self._max_restarts:
             self._fail_shard(idx, failure)
         self._respawn_shard(idx, msg, failure)
 
@@ -1040,36 +1033,14 @@ class ParallelFleetEngine:
         The replacement restores from the latest snapshot (or rebuilds
         from seeds when checkpointing is off), replays the frames logged
         since, then receives the in-flight frame again — by the time the
-        caller's ``_collect`` retries, the shard is indistinguishable
+        caller's ``_exchange`` retries, the shard is indistinguishable
         from one that never died.
         """
         w0 = time.monotonic()
         self._restarts[idx] += 1
-        if self.res_metrics is not None:
-            self.res_metrics.record_restart()
-        old = self.procs[idx]
-        if old.is_alive():
-            old.terminate()
-            old.join(timeout=5)
-            if old.is_alive():  # pragma: no cover - defensive
-                old.kill()
-                old.join(timeout=5)
-        else:
-            old.join(timeout=5)
-        try:
-            self.conns[idx].close()
-        except OSError:  # pragma: no cover - already broken
-            pass
-        parent, child = self._ctx.Pipe()
-        proc = self._ctx.Process(
-            target=_shard_worker_main,
-            args=(self._specs[idx], child, self._restore_paths[idx]),
-            daemon=True,
-        )
-        proc.start()
-        child.close()
-        self.procs[idx] = proc
-        self.conns[idx] = parent
+        self.res_metrics.record_restart()
+        self._stop_worker(idx, grace=0.0)
+        self._start_worker(idx)
         frames = list(self._frame_log[idx])
         if frames and frames[-1] is msg:
             # the in-flight frame is resent separately below — replaying
@@ -1100,20 +1071,17 @@ class ParallelFleetEngine:
                     f" (original failure: {failure}):\n{reply[1]}"
                 ) from failure.cause
         self._last_reply_wall[idx] = time.monotonic()
-        if self.res_metrics is not None:
-            ticks = sum(len(f[1]) for f in frames if f[0] == "epoch")
-            self.res_metrics.record_replay(
-                len(frames), ticks, time.monotonic() - w0
-            )
+        ticks = sum(len(f[1]) for f in frames if f[0] == "epoch")
+        self.res_metrics.record_replay(len(frames), ticks, time.monotonic() - w0)
         self.conns[idx].send_bytes(_dumps(msg))
 
     def _post(self, idx: int, msg: tuple) -> int:
         """Ship one pickled control frame; returns its size in bytes.
 
-        With supervision on, the frame log records it first, so a
+        With a restart budget, the frame log records it first, so a
         respawned worker can replay it.
         """
-        if self._supervise and msg[0] not in _UNLOGGED_FRAMES:
+        if self._max_restarts and msg[0] not in _UNLOGGED_FRAMES:
             self._frame_log[idx].append(msg)
         blob = _dumps(msg)
         try:
@@ -1125,55 +1093,65 @@ class ParallelFleetEngine:
             # _handle_failure either raised or respawned + resent msg
         return len(blob)
 
-    def _collect(self, idx: int, sent: int, msg: tuple):
-        """Receive shard ``idx``'s reply to ``msg`` (``sent`` bytes)."""
-        # epoch frames amortize their round trip over the batched ticks
-        ticks = len(msg[1]) if msg[0] == "epoch" else 1
-        while True:
-            t0 = time.perf_counter()
-            try:
-                reply, received = self._receive(idx)
-            except _ShardFailure as failure:
-                # respawned and resent: collect from the new worker
-                self._handle_failure(idx, msg, failure)
-                continue
-            break
-        self._last_reply_wall[idx] = time.monotonic()
-        self.ipc.record_barrier_wait(
-            idx, time.perf_counter() - t0, ticks=ticks
-        )
-        self.ipc.record_frame(sent, received)
-        if reply[0] == "error":
-            # the other shards' replies to this exchange stay unread and
-            # this shard stopped mid-frame: tear down rather than let a
-            # later frame read a stale reply
-            try:
-                self.close()
-            finally:
-                raise SimulationError(
-                    f"shard worker {idx} failed; workers torn down:"
-                    f"\n{reply[1]}"
-                )
-        if len(reply) == 3 and reply[2] and self._tracer is not None:
-            # piggybacked worker trace flush: merge into the driver tracer
-            self._tracer.ingest(reply[2])
-        return reply[1]
+    def _exchange(self, msgs: List[tuple], shard: Optional[int] = None) -> list:
+        """Post frames, then collect their replies in shard order.
 
-    def _exchange(self, msgs: List[tuple]) -> list:
-        """Send one frame per shard, then collect every reply in order."""
+        ``msgs[i]`` goes to shard ``i``; with ``shard`` set, the single
+        frame ``msgs[0]`` goes to that shard alone. The one round-trip
+        path: liveness, respawn, barrier-wait and busy accounting, error
+        teardown, span ingestion and the ``barrier.<verb>`` span.
+        """
         if self._closed:
             raise SimulationError("parallel engine is closed")
         tracer = self._tracer
         trace_on = tracer is not None and tracer.enabled
         if trace_on:
             w0 = time.perf_counter()
-        sent = [self._post(idx, msg) for idx, msg in enumerate(msgs)]
-        out = [
-            self._collect(idx, n, msgs[idx]) for idx, n in enumerate(sent)
-        ]
+        shards = range(len(msgs)) if shard is None else (shard,)
+        sent = [self._post(idx, msg) for idx, msg in zip(shards, msgs)]
+        ipc = self.ipc
+        out = []
+        for idx, msg, nbytes in zip(shards, msgs, sent):
+            while True:
+                t0 = time.perf_counter()
+                try:
+                    reply, received = self._receive(idx)
+                    break
+                except _ShardFailure as failure:
+                    # respawned and resent: collect from the new worker
+                    self._handle_failure(idx, msg, failure)
+            self._last_reply_wall[idx] = time.monotonic()
+            # epoch frames amortize their round trip over the batched ticks
+            ipc.record_barrier_wait(
+                idx,
+                time.perf_counter() - t0,
+                ticks=len(msg[1]) if msg[0] == "epoch" else 1,
+            )
+            ipc.record_frame(nbytes, received)
+            if reply[0] == "error":
+                # the other shards' replies to this exchange stay unread
+                # and this shard stopped mid-frame: tear down rather than
+                # let a later frame read a stale reply
+                try:
+                    self.close()
+                finally:
+                    raise SimulationError(
+                        f"shard worker {idx} failed; workers torn down:"
+                        f"\n{reply[1]}"
+                    )
+            _, result, busy_s, spans = reply
+            ipc.record_busy(idx, busy_s)
+            if spans and tracer is not None:
+                # piggybacked worker trace flush: merge into the driver tracer
+                tracer.ingest(spans)
+            out.append(result)
         if trace_on:
             now = self.clock.now
-            attrs = {"track": "barrier", "shards": len(msgs)}
+            attrs = {"track": "barrier"}
+            if shard is None:
+                attrs["shards"] = len(msgs)
+            else:
+                attrs["shard"] = shard
             if msgs[0][0] == "epoch":
                 attrs["ticks"] = len(msgs[0][1])
             tracer.add_span(
@@ -1190,24 +1168,7 @@ class ParallelFleetEngine:
 
     def _request(self, idx: int, msg: tuple):
         """One round trip with a single shard."""
-        if self._closed:
-            raise SimulationError("parallel engine is closed")
-        tracer = self._tracer
-        trace_on = tracer is not None and tracer.enabled
-        if trace_on:
-            w0 = time.perf_counter()
-        out = self._collect(idx, self._post(idx, msg), msg)
-        if trace_on:
-            now = self.clock.now
-            tracer.add_span(
-                "barrier." + msg[0],
-                now,
-                now,
-                time.perf_counter() - w0,
-                track="barrier",
-                shard=idx,
-            )
-        return out
+        return self._exchange([msg], shard=idx)[0]
 
     def _take_ops_for(self, shard: int) -> tuple:
         """Pop this shard's queued ops, preserving their queue order."""
@@ -1223,23 +1184,15 @@ class ParallelFleetEngine:
     # -- run loop --------------------------------------------------------
 
     def _merge_plans(self, plans) -> tuple:
-        demands = [0.0] * self.total_servers
+        dark = set()
         safe = True
         horizon = math.inf
-        for idx, (added, removed, values, shard_safe, shard_horizon) in enumerate(
-            plans
-        ):
-            shard_dark = self._shard_dark[idx]
-            shard_dark.difference_update(removed)
-            shard_dark.update(added)
-            for i, value in zip(self.shard_hosts[idx], values):
-                demands[i] = value
+        for labels, _, shard_safe, shard_horizon in plans:
+            dark.update(labels)
             safe = safe and shard_safe
             horizon = min(horizon, shard_horizon)
-        dark = set()
-        for shard_dark in self._shard_dark:
-            dark.update(shard_dark)
-        return dark, tuple(demands), safe, horizon
+        demands = tuple(self._global_row([plan[1] for plan in plans]))
+        return dark, demands, safe, horizon
 
     def _shard_oids(self, idx: int, oids: tuple) -> tuple:
         return tuple(oid for oid in oids if self._observer_shard[oid] == idx)
@@ -1468,7 +1421,6 @@ class ParallelFleetEngine:
                 sim._sample_count,
                 sim.sample_interval_s,
             ),
-            "shard_dark": [set(dark) for dark in self._shard_dark],
             "observers": {
                 "owners": dict(self._observer_shard),
                 "next_id": self._next_observer,
@@ -1701,28 +1653,21 @@ class ParallelFleetEngine:
 
     # -- queries ---------------------------------------------------------
 
-    def server_watts(self) -> Dict[int, float]:
-        """Current wall watts per global server index (one round trip)."""
-        return dict(
-            enumerate(self._global_row(self._broadcast(("watts",))))
-        )
+    def server_watts(self) -> List[float]:
+        """Current wall watts per server, in global order (one round trip)."""
+        return self._global_row(self._broadcast(("watts",)))
 
     def breaker_states(self) -> List[BreakerSnapshot]:
-        """Rack breaker snapshots in global rack order (one round trip)."""
-        snapshots = []
-        for part in self._broadcast(("state",)):
-            for rack_index, name, tripped, tripped_at, trips in part["breakers"]:
-                snapshots.append(
-                    BreakerSnapshot(
-                        rack_index=rack_index,
-                        name=name,
-                        tripped=tripped,
-                        tripped_at=tripped_at,
-                        trip_count=trips,
-                    )
-                )
-        snapshots.sort(key=lambda snapshot: snapshot.rack_index)
-        return snapshots
+        """Rack breaker snapshots in global rack order (one round trip).
+
+        Shards hold consecutive rack groups in ascending order, so the
+        replies concatenate in global rack order.
+        """
+        return [
+            snapshot
+            for part in self._broadcast(("state",))
+            for snapshot in part["breakers"]
+        ]
 
     def fault_stats(self) -> Dict[str, int]:
         """Merged fault counters: every shard's plus the driver's own."""
@@ -1756,7 +1701,7 @@ class ParallelFleetEngine:
 
     @property
     def max_restarts(self) -> int:
-        """Respawn budget per shard (0 when supervision is off)."""
+        """Respawn budget per shard (0: a dead shard aborts the run)."""
         return self._max_restarts
 
     @property
@@ -1779,12 +1724,5 @@ class ParallelFleetEngine:
                 conn.send_bytes(_dumps(("close",)))
             except (BrokenPipeError, OSError):
                 pass
-        for proc in self.procs:
-            proc.join(timeout=10)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.terminate()
-                proc.join(timeout=5)
-                if proc.is_alive():
-                    proc.kill()
-        for conn in self.conns:
-            conn.close()
+        for idx in range(len(self.procs)):
+            self._stop_worker(idx, grace=10.0)

@@ -10,10 +10,11 @@ produces the same power traces and merged timelines as the golden run.
 This module holds the pieces shared by the driver and the workers:
 
 * :class:`ResilienceConfig` — the knobs (`checkpoint_dir`,
-  `checkpoint_every`, `barrier_timeout_s`, `max_restarts`, `supervise`),
-  enabled per-simulation via ``DatacenterSimulation.enable_resilience``.
+  `checkpoint_every`, `barrier_timeout_s`, `max_restarts`), enabled
+  per-simulation via ``DatacenterSimulation.enable_resilience``.
 * the on-disk snapshot format: one versioned pickle per shard per
-  checkpoint (``shard-SS-SEQSEQ.ckpt``) plus a driver ``manifest.ckpt``,
+  checkpoint (``shard-SS-SEQSEQ.ckpt``, the pickled shard runtime) plus
+  a driver ``manifest.ckpt``,
   each written atomically (tmp file + ``os.replace``) so a crash mid-write
   never corrupts the previous checkpoint.
 * :class:`ResilienceMetrics` — ``resilience.*`` counters on the
@@ -45,8 +46,9 @@ from repro.errors import SimulationError
 #: engine's op log and task mirror are fleet-wide columns — per-row slot
 #: stacks, a dirty-host mask, no per-host slot lists or row cursors;
 #: 8: the shard's ``monitors`` map observer ids to bare monitors, with no
-#: shared-memory slot)
-SNAPSHOT_VERSION = 8
+#: shared-memory slot; 9: the payload's ``runtime`` is the pickled shard
+#: runtime itself, without the dark-set delta cursor or a wall-power memo)
+SNAPSHOT_VERSION = 9
 
 #: version stamp embedded in the driver-side manifest
 #: (4: the manifest pins the whole ``FleetConfig`` the fleet was built
@@ -54,19 +56,19 @@ SNAPSHOT_VERSION = 8
 #: driver's jitter state is a target-less ``FaultInjector``; 6: the
 #: pickled power traces hold their samples as ``array('d')``; 7: no
 #: telemetry bank cursor, and the observer block is ``{owners, next_id,
-#: armed, observed, observed_at}``)
-MANIFEST_VERSION = 7
+#: armed, observed, observed_at}``; 8: no per-shard dark sets)
+MANIFEST_VERSION = 8
 
 
 @dataclass(frozen=True)
 class ResilienceConfig:
     """Knobs for checkpointing and shard supervision.
 
-    ``checkpoint_dir=None`` disables checkpointing (supervised respawn
-    then rebuilds dead shards from scratch and replays the full frame
-    log). ``supervise=False`` keeps the hang/death *detection* (the
-    barrier timeout raises a descriptive ``SimulationError``) but never
-    respawns.
+    ``checkpoint_dir=None`` disables checkpointing (respawn then
+    rebuilds dead shards from scratch and replays the full frame log).
+    ``max_restarts=0`` keeps the hang/death *detection* (the barrier
+    timeout raises a descriptive ``SimulationError``) but never
+    respawns, and keeps no frame log.
     """
 
     checkpoint_dir: Optional[str] = None
@@ -78,8 +80,6 @@ class ResilienceConfig:
     barrier_timeout_s: float = 600.0
     #: per-shard respawn budget; exceeding it aborts the run
     max_restarts: int = 2
-    #: respawn dead/hung shards (False: detect and abort only)
-    supervise: bool = True
 
     def __post_init__(self) -> None:
         if self.checkpoint_every <= 0:

@@ -10,7 +10,7 @@ the union of dark sets, the fault-change flag — tick for tick.
 import pytest
 
 from repro.datacenter.fleet import FleetConfig, FleetSlice
-from repro.datacenter.topology import ServerPowerConfig
+from repro.datacenter.topology import ServerPowerConfig, wall_power_watts
 from repro.runtime.cloud import PROVIDER_PROFILES
 from repro.sim.clock import VirtualClock
 from repro.sim.fastforward import FastForwardEngine
@@ -111,14 +111,34 @@ def test_split_slices_match_the_whole_fleet(population, hosts):
     assert saw_dark, "the fault schedule never darkened a host"
 
 
+def host_watts(fleet, local):
+    """One host's wall watts: the wall column when cold, else its kernel."""
+    he = fleet.host_engine
+    if he is not None and he.is_cold(local):
+        return he.wall_watts(local)
+    return wall_power_watts(fleet.kernels[local], fleet.config.power_config)
+
+
 def old_row(fleet):
     """The per-host trace row as the slice computed it one host at a time."""
     crashed = fleet.injector.crashed_now() if fleet.injector is not None else ()
     dark = fleet.dark()
     return [
         None if local in crashed
-        else (0.0 if g in dark else fleet.cache.watts(kernel))
-        for local, (g, kernel) in enumerate(zip(fleet.labels, fleet.kernels))
+        else (0.0 if g in dark else host_watts(fleet, local))
+        for local, g in enumerate(fleet.labels)
+    ]
+
+
+def old_rack_watts(fleet, crashed):
+    """Each rack's total as ``sum()`` over its non-crashed members."""
+    return [
+        sum(
+            host_watts(fleet, fleet.local(g))
+            for g in members
+            if fleet.local(g) not in crashed
+        )
+        for members in (fleet.config.rack_hosts(r) for r in fleet.rack_indices)
     ]
 
 
@@ -181,10 +201,12 @@ def test_vector_watts_and_fingerprints_match_per_host(hosts):
         if fleet.commit(step, dark):
             engine.stability.reset()
         crashed = fleet.injector.crashed_now()
-        ids = frozenset(id(fleet.kernels[i]) for i in crashed)
-        assert fleet.rack_watts(crashed) == [
-            rack.wall_power(ids) for rack in fleet.racks
-        ]
+        assert fleet.rack_watts(crashed) == old_rack_watts(fleet, crashed)
+        if he is None:
+            ids = frozenset(id(fleet.kernels[i]) for i in crashed)
+            assert fleet.rack_watts(crashed) == [
+                rack.wall_power(ids) for rack in fleet.racks
+            ]
         assert fleet.row() == old_row(fleet)
         if crashed:
             seen.add("crashed")

@@ -17,6 +17,7 @@ from repro.attack.monitor import CrestDetector
 from repro.attack.strategies import SynergisticAttack
 from repro.datacenter.simulation import DatacenterSimulation
 from repro.datacenter.tenants import DiurnalProfile
+from repro.datacenter.topology import wall_power_watts
 from repro.errors import SimulationError
 from repro.sim.faults import FaultEvent, FaultKind, FaultSchedule
 
@@ -343,41 +344,31 @@ class TestMaterializationLifecycle:
 
     def test_wall_cache_cold_routing_and_invalidation(self):
         col = build("columnar")
-        cache = col.power_cache
+        fleet = col.fleet
         he = col.host_engine
+        cfg = col.config.power_config
         col.run(60.0, dt=1.0)
         kernel = col.cloud.hosts[0].kernel
 
-        # cold: answered from the wall column, no memo entry, no tick
-        before = cache.cold_hits
-        cold_watts = cache.watts(kernel)
-        assert cache.cold_hits == before + 1
-        assert id(kernel) not in cache._entries
+        # cold: answered from the wall column, no tick
+        assert he.is_cold(0)
+        cold_watts = fleet.host_watts()[0]
         assert cold_watts == he.wall_watts(0)
 
-        # materialize: the replayed kernel computes the same number and
-        # the memo takes over, keyed on ticks_taken
+        # materialize: the replayed kernel computes the same number
         he.ensure_hot(0)
-        misses = cache.misses
-        hot_watts = cache.watts(kernel)
-        assert hot_watts == cold_watts
-        assert cache.misses == misses + 1
-        hits = cache.hits
-        assert cache.watts(kernel) == hot_watts
-        assert cache.hits == hits + 1
+        assert fleet.host_watts()[0] == cold_watts
+        assert cold_watts == wall_power_watts(kernel, cfg)
 
-        # a new tick invalidates the memo entry: the sampler's refresh
-        # re-keys it on the advanced tick count
-        tick_key = cache._entries[id(kernel)][0]
+        # a new tick: the vector reads the hot kernel's new tick
+        ticks = kernel.ticks_taken
         col.run(1.0, dt=1.0)
-        assert cache._entries[id(kernel)][0] > tick_key
-        assert cache._entries[id(kernel)][0] == kernel.ticks_taken
+        assert kernel.ticks_taken > ticks
+        assert fleet.host_watts()[0] == wall_power_watts(kernel, cfg)
 
         # demote: back to the cold column, bitwise consistent
         assert he.maybe_demote(0)
-        before = cache.cold_hits
-        assert cache.watts(kernel) == he.wall_watts(0)
-        assert cache.cold_hits == before + 1
+        assert fleet.host_watts()[0] == he.wall_watts(0)
 
     def test_dark_hosts_skip_column_ticks(self):
         schedule = FaultSchedule(

@@ -171,6 +171,26 @@ class TestEpochBatching:
         finally:
             sim.close()
 
+    def test_barrier_skew_measures_straggling(self):
+        # skew is max/median of the workers' own busy seconds: near 1.0
+        # on evenly split racks, above it when one shard holds twice the
+        # hosts of the other (collection order charges shard 0 with the
+        # whole barrier's wait, so waits cannot tell the two apart)
+        skews = {}
+        for name, servers, workers in (("balanced", 8, 4), ("split", 6, 2)):
+            sim = DatacenterSimulation(
+                servers=servers, rack_size=2, seed=1, tenants_per_host=2
+            )
+            try:
+                sim.run(300.0, dt=1.0, parallel=workers)
+                ipc = sim.metrics.ipc
+                assert sorted(ipc.shard_busy_s) == list(range(workers))
+                skews[name] = ipc.barrier_wait_skew
+            finally:
+                sim.close()
+        assert skews["balanced"] < 1.25, skews
+        assert skews["split"] > 1.2, skews
+
 
 # ---------------------------------------------------------------------------
 # recovery under batched epochs

@@ -160,9 +160,9 @@ class TestSnapshotFiles:
         # version 6 pickled the columnar host engine's op log as per-host
         # arrays, beside per-host slot lists and per-row cursors; version
         # 7 mapped each shard monitor to a (shared-memory slot, monitor)
-        # pair
+        # pair; version 8 spelled the runtime's state out field by field
         path = shard_snapshot_path(str(tmp_path), 0, 1)
-        for version in (6, 7):
+        for version in (6, 7, 8):
             atomic_write(path, pickle.dumps({"version": version}))
             with pytest.raises(
                 SimulationError, match=f"has version {version}"
@@ -191,9 +191,9 @@ class TestSnapshotFiles:
     def test_version_5_manifest_refused(self, tmp_path):
         # version 5 pickled the power traces' samples as lists of floats;
         # version 6 carried a telemetry bank cursor and an observer slot
-        # table
+        # table; version 7 carried per-shard dark sets
         path = manifest_path(str(tmp_path))
-        for version in (5, 6):
+        for version in (5, 6, 7):
             atomic_write(
                 path, pickle.dumps({"version": version, "faults": None})
             )
@@ -311,8 +311,10 @@ class TestSupervisedRecovery:
 
     def test_unsupervised_hang_is_descriptive(self):
         sim = build()
-        sim.enable_resilience(barrier_timeout_s=2.0, supervise=False)
+        sim.enable_resilience(barrier_timeout_s=2.0, max_restarts=0)
         sim.run(60, parallel=2)
+        # no respawn budget, so no frame log kept for a replay
+        assert sim._parallel._frame_log == [[], []]
         sim._parallel.debug_hang_worker(1, 8.0)
         with pytest.raises(SimulationError) as err:
             sim.run(60, parallel=2)
@@ -323,6 +325,7 @@ class TestSupervisedRecovery:
         assert "barrier_wait_s" in message
         # the engine tore itself down; nothing leaked
         assert sim._parallel._closed
+        assert sim._parallel._frame_log == [[], []]
 
     def test_exhausted_budget_is_descriptive(self):
         sim = build()
