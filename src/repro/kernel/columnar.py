@@ -4,11 +4,11 @@ PR 6 vectorized the *tenant* plane; this module vectorizes the *host*
 plane. Every rack used to tick per-object Python :class:`Kernel`\\ s, so
 rack counts capped at tens. The :class:`ColumnarHostEngine` splits a
 fleet into **hot** hosts (full per-object fidelity, ticked exactly as
-before) and **cold** hosts, whose externally observable per-tick outputs
-— scheduler demand aggregation, per-core activity, ``power.tick_energy``
-breakdowns, RAPL counter accumulation (with hardware-MSR wraparound) and
-thermal sensor state — are computed as vectorized column sweeps keyed by
-host index.
+before) and **cold** hosts, whose per-tick outputs that are read
+without materializing — scheduler demand folds, the demand fingerprint,
+and the wall watts that ``power.tick_energy`` implies — are computed as
+vectorized column sweeps keyed by host index. Temperatures and RAPL
+energy counters exist only on hot kernels: replay rebuilds them.
 
 Bit-identity contract
 ---------------------
@@ -24,13 +24,14 @@ it does not mirror:
   re-derives the rest: spawn ordinals (the population's ``_spawn_seq``
   less the logged spawns), kills as LIFO pops, and the container
   creation before a row's first spawn.
-* Everything the outside world can observe *while the host is cold* is
+* What is read *while the host is cold* — wall watts (breakers,
+  traces), fingerprints (plans) and demand folds (placement) — is
   mirrored in columns with the exact IEEE-754 operation order of the
   scalar reference (the stage order of :meth:`Kernel.tick`):
   sequential per-CPU demand folds in task order, the same ``int()``
-  truncations of the workload consume path, the same per-package energy
-  fold order, the same keyed RAPL/thermal noise draws by call index, and
-  the same float-modulo counter wraparound.
+  truncations of the workload consume path and the same per-package
+  energy fold order. Every reader of a temperature or an energy counter
+  first materializes the host.
 * When something needs per-object fidelity — an attached RAPL observer
   or monitor, a procfs read, a scheduled fault targeting the host,
   attack exec/placement — :meth:`ensure_hot` **materializes** the host
@@ -38,10 +39,10 @@ it does not mirror:
   the clock rewound (:meth:`VirtualClock.replay_window`). Nothing
   consumed the kernel's stateful RNG streams while it was cold, so the
   replay consumes exactly the draws the never-deferred run would have:
-  the interior state (loadavg, schedstat, memory/filesystem/random
-  subsystems, cpuacct, perf rates) comes out bit-identical *by
-  construction*, and the column/scalar handoff is bitwise
-  round-trippable in both directions.
+  the interior state (loadavg, schedstat, temperatures, RAPL counters,
+  memory/filesystem/random subsystems, cpuacct, perf rates) comes out
+  bit-identical *by construction*, and the column/scalar handoff is
+  bitwise round-trippable in both directions.
 * When the last observer releases (:meth:`observer_release`) and the
   host is eligible again, it is demoted back to columns by re-adopting
   the live kernel state.
@@ -79,10 +80,8 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import TaskState
-from repro.kernel.thermal import ThermalSubsystem
 from repro.obs.registry import MetricRegistry
 from repro.sim.clock import VirtualClock
-from repro.sim.rng import keyed_gauss_at, stream_key
 
 
 #: range of one row's worker delta in an op record (``int8``)
@@ -188,7 +187,7 @@ class ColumnarHostEngine:
         self._params = ref.config.power
         self._has_rapl = ref.config.has_rapl
         self._has_coretemp = ref.config.has_coretemp
-        C, P = self._C, self._P
+        C = self._C
 
         self.cold = np.zeros(n, dtype=bool)
         self._observers = np.zeros(n, dtype=np.int64)
@@ -198,15 +197,10 @@ class ColumnarHostEngine:
         self._wall = np.zeros(n, dtype=np.float64)
         self._cpu_demand = np.zeros((n, C), dtype=np.float64)
         self._scale = np.ones((n, C), dtype=np.float64)
-        self._temps = np.zeros((n, C), dtype=np.float64)
-        self._therm_calls = np.zeros(n, dtype=np.int64)
-        self._temp_keys = np.zeros((n, C), dtype=np.uint64)
-        self._rapl_core_uj = np.zeros((n, P), dtype=np.float64)
-        self._rapl_dram_uj = np.zeros((n, P), dtype=np.float64)
-        self._rapl_pkg_uj = np.zeros((n, P), dtype=np.float64)
-        self._rapl_calls = np.zeros(n, dtype=np.int64)
-        self._rapl_keys = np.zeros((n, P), dtype=np.uint64)
-        self._rapl_range = float(0)
+        #: the thermal and RAPL noise cursors less ``ticks_taken`` at
+        #: adoption (both advance once per kernel tick)
+        self._therm_base = np.zeros(n, dtype=np.int64)
+        self._rapl_base = np.zeros(n, dtype=np.int64)
         self._adopt_t = np.zeros(n, dtype=np.float64)
 
         # task-mirror slots, flat and append-only (dead slots are
@@ -460,20 +454,8 @@ class ColumnarHostEngine:
 
         self._ticks[i] = kernel.ticks_taken
         self._wall[i] = wall_power_watts(kernel, self.power_config)
-        seed = kernel.rng.seed
-        if self._has_coretemp:
-            for c, sensor in enumerate(kernel.thermal.sensors):
-                self._temps[i, c] = sensor.temp_c
-                self._temp_keys[i, c] = stream_key(seed, f"temp-noise-{c}")
-            self._therm_calls[i] = kernel.thermal._noise_calls
-        if self._has_rapl:
-            for p, pkg in enumerate(kernel.rapl.packages):
-                self._rapl_core_uj[i, p] = pkg.core._energy_uj
-                self._rapl_dram_uj[i, p] = pkg.dram._energy_uj
-                self._rapl_pkg_uj[i, p] = pkg.package._energy_uj
-                self._rapl_keys[i, p] = stream_key(seed, f"rapl-noise-{p}")
-            self._rapl_calls[i] = kernel.rapl._noise_calls
-            self._rapl_range = float(kernel.rapl.packages[0].package.max_energy_range_uj)
+        self._therm_base[i] = kernel.thermal._noise_calls - kernel.ticks_taken
+        self._rapl_base[i] = kernel.rapl._noise_calls - kernel.ticks_taken
 
         self._adopt_t[i] = self.clock.now
         self._ranges[i] = []
@@ -704,11 +686,12 @@ class ColumnarHostEngine:
                 f"replay desync on host {i}: kernel at tick "
                 f"{kernel.ticks_taken}, columns at {int(self._ticks[i])}"
             )
-        if self._has_rapl and kernel.rapl._noise_calls != int(self._rapl_calls[i]):
+        ticks = int(self._ticks[i])
+        if self._has_rapl and kernel.rapl._noise_calls != ticks + self._rapl_base[i]:
             raise SimulationError(f"RAPL noise cursor desync on host {i}")
         if (
             self._has_coretemp
-            and kernel.thermal._noise_calls != int(self._therm_calls[i])
+            and kernel.thermal._noise_calls != ticks + self._therm_base[i]
         ):
             raise SimulationError(f"thermal noise cursor desync on host {i}")
         # release the host's cold bookkeeping
@@ -825,10 +808,6 @@ class ColumnarHostEngine:
         d = self._s_demand[order]
         scale = self._scale.reshape(-1)[tgt]
         granted = (d * scale) * dt
-        busy = np.zeros(n * C, dtype=np.float64)
-        # ufunc.at is unbuffered: repeated targets accumulate in element
-        # order, i.e. task order — the scalar busy_seconds fold
-        np.add.at(busy, tgt, granted)
         cycles = (granted * self._freq).astype(np.int64)
         instructions = (cycles * self._s_ipc[order]).astype(np.int64)
         cache_misses = (instructions * self._s_cmr[order] / 1000.0).astype(np.int64)
@@ -839,8 +818,6 @@ class ColumnarHostEngine:
         np.add.at(cyc, tgt, cycles)
         np.add.at(cm, tgt, cache_misses)
         np.add.at(bm, tgt, branch_misses)
-        busy = busy.reshape(n, C)
-        util = np.minimum(1.0, busy / dt)
 
         # --- power.tick_energy (per-package sequential fold) ----------
         dyn_core = (
@@ -868,57 +845,6 @@ class ColumnarHostEngine:
         )
         self._wall[part] = wall[part]
         self._ticks[part] += 1
-
-        # --- thermal (ThermalSubsystem.tick) --------------------------
-        if self._has_coretemp:
-            mean = 0 + util[:, 0]
-            for c in range(1, C):
-                mean = mean + util[:, c]
-            mean = mean / C
-            alpha = min(1.0, dt / ThermalSubsystem.TAU_S)
-            coupling = ThermalSubsystem.COUPLING
-            effective = (1 - coupling) * util + coupling * mean[:, None]
-            target = (
-                ThermalSubsystem.AMBIENT_C
-                + ThermalSubsystem.FULL_LOAD_DELTA_C * effective
-            )
-            noise = keyed_gauss_at(
-                self._temp_keys,
-                self._therm_calls[:, None],
-                ThermalSubsystem.NOISE_SIGMA,
-            )
-            temps = self._temps + (
-                (target - self._temps) * alpha + noise * alpha
-            )
-            self._temps[part] = temps[part]
-            self._therm_calls[part] += 1
-
-        # --- RAPL accumulation (with MSR wraparound) -------------------
-        if self._has_rapl:
-            max_range = self._rapl_range
-            for p in range(P):
-                gauss = keyed_gauss_at(
-                    self._rapl_keys[:, p],
-                    self._rapl_calls,
-                    params.noise_fraction,
-                )
-                noisy = np.maximum(0.5, 1.0 + gauss)
-                new_core = np.remainder(
-                    self._rapl_core_uj[:, p] + (core_j[:, p] * noisy) * 1e6,
-                    max_range,
-                )
-                new_dram = np.remainder(
-                    self._rapl_dram_uj[:, p] + (dram_j[:, p] * noisy) * 1e6,
-                    max_range,
-                )
-                new_pkg = np.remainder(
-                    self._rapl_pkg_uj[:, p] + (pkg_j[:, p] * noisy) * 1e6,
-                    max_range,
-                )
-                self._rapl_core_uj[part, p] = new_core[part]
-                self._rapl_dram_uj[part, p] = new_dram[part]
-                self._rapl_pkg_uj[part, p] = new_pkg[part]
-            self._rapl_calls[part] += 1
 
     # ------------------------------------------------------------------
 

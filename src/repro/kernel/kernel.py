@@ -189,7 +189,8 @@ class Kernel:
         one clock); :class:`Machine` wraps both for single-host use.
 
         The stage calls below, in this order, are the scalar reference
-        semantics that the columnar host engine mirrors.
+        semantics: the columnar host engine mirrors the scheduler and
+        energy stages up to wall power, and replays the rest.
         """
         result = self.scheduler.tick(dt)
         self.memory.tick(result)

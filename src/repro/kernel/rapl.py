@@ -83,8 +83,8 @@ class RaplSubsystem:
         self._noise_fraction = config.power.noise_fraction
         self._rng = rng
         #: accumulate-call cursor: draw ``n`` of ``rapl-noise-{pid}`` is
-        #: the noise of call ``n``, so a columnar engine that knows how
-        #: many ticks a host took computes the identical draws by index
+        #: the noise of call ``n``, so a replay that ticks a cold host
+        #: late draws what the never-deferred run drew
         self._noise_calls = 0
         self.packages: List[RaplPackage] = (
             [RaplPackage(package_id=p) for p in range(config.packages)]

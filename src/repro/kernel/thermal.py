@@ -51,8 +51,8 @@ class ThermalSubsystem:
         self.present = present
         self._rng = rng
         #: tick cursor: draw ``n`` of ``temp-noise-{core}`` is the noise
-        #: of tick ``n`` — index-addressed so the columnar engine can
-        #: compute the same draws without visiting the stateful stream
+        #: of tick ``n`` — index-addressed, so a replay that ticks a cold
+        #: host late draws what the never-deferred run drew
         self._noise_calls = 0
         #: keys of the ``temp-noise-{core}`` streams in sensor order, built
         #: at the first tick (cold columnar hosts never tick this object)
@@ -94,8 +94,7 @@ class ThermalSubsystem:
                 dtype=np.uint64,
             )
         # one vector draw for every core: element c equals the scalar
-        # keyed_gauss of stream temp-noise-{c} bit for bit (the columnar
-        # engine draws the same array the same way)
+        # keyed_gauss of stream temp-noise-{c} bit for bit
         noises = keyed_gauss_array(keys, index, self.NOISE_SIGMA).tolist()
         for sensor, noise in zip(self.sensors, noises):
             util = result.utilization.get(sensor.core, 0.0)

@@ -47,8 +47,10 @@ from repro.errors import SimulationError
 #: stacks, a dirty-host mask, no per-host slot lists or row cursors;
 #: 8: the shard's ``monitors`` map observer ids to bare monitors, with no
 #: shared-memory slot; 9: the payload's ``runtime`` is the pickled shard
-#: runtime itself, without the dark-set delta cursor or a wall-power memo)
-SNAPSHOT_VERSION = 9
+#: runtime itself, without the dark-set delta cursor or a wall-power memo;
+#: 10: the columnar host engine carries no thermal or RAPL columns, only
+#: the two noise cursors' offsets from ``ticks_taken``)
+SNAPSHOT_VERSION = 10
 
 #: version stamp embedded in the driver-side manifest
 #: (4: the manifest pins the whole ``FleetConfig`` the fleet was built

@@ -116,23 +116,6 @@ def keyed_u01_at(keys: "np.ndarray", indices: "np.ndarray") -> "np.ndarray":
     return (x >> np.uint64(11)).astype(np.float64) * _U01_SCALE
 
 
-def keyed_gauss_at(
-    keys: "np.ndarray", indices: "np.ndarray", sigma: float
-) -> "np.ndarray":
-    """Per-element-index vector form of :func:`keyed_gauss`.
-
-    Box–Muller over sub-draws ``2*indices`` and ``2*indices + 1``, the
-    same addressing as :func:`keyed_gauss_array`, so element ``i`` equals
-    ``keyed_gauss(int(keys[i]), int(indices[i]), sigma)`` exactly.
-    """
-    with np.errstate(over="ignore"):
-        two_i = indices.astype(np.uint64) * np.uint64(2)
-        u1 = keyed_u01_at(keys, two_i)
-        u2 = keyed_u01_at(keys, two_i + np.uint64(1))
-    radius = np.sqrt(-2.0 * np.log1p(-u1))
-    return sigma * (radius * np.cos((2.0 * np.pi) * u2))
-
-
 def keyed_uniform_array(
     keys: "np.ndarray", index: int, lo: float, hi: float
 ) -> "np.ndarray":

@@ -33,6 +33,8 @@ CHURN_READS = (
     "/proc/loadavg",
     "/proc/stat",
     "/sys/class/powercap/intel-rapl:0/energy_uj",
+    "/sys/devices/platform/coretemp.0/hwmon/hwmon1/temp1_input",
+    "/sys/devices/platform/coretemp.0/hwmon/hwmon1/temp2_input",
 )
 
 
@@ -369,6 +371,21 @@ class TestMaterializationLifecycle:
         # demote: back to the cold column, bitwise consistent
         assert he.maybe_demote(0)
         assert fleet.host_watts()[0] == he.wall_watts(0)
+
+    @pytest.mark.parametrize("stage, name", [("thermal", "thermal"), ("rapl", "RAPL")])
+    def test_noise_cursor_desync_refused(self, stage, name):
+        col = build("columnar")
+        he = col.host_engine
+        col.run(5.0, dt=1.0)
+        assert he.is_cold(2) and he.is_cold(3)
+        getattr(col.cloud.hosts[2].kernel, stage)._noise_calls += 1
+        with pytest.raises(
+            SimulationError, match=f"{name} noise cursor desync on host 2"
+        ):
+            he.ensure_hot(2)
+        # an untouched host still materializes cleanly
+        he.ensure_hot(3)
+        assert not he.is_cold(3)
 
     def test_dark_hosts_skip_column_ticks(self):
         schedule = FaultSchedule(

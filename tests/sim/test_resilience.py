@@ -160,9 +160,10 @@ class TestSnapshotFiles:
         # version 6 pickled the columnar host engine's op log as per-host
         # arrays, beside per-host slot lists and per-row cursors; version
         # 7 mapped each shard monitor to a (shared-memory slot, monitor)
-        # pair; version 8 spelled the runtime's state out field by field
+        # pair; version 8 spelled the runtime's state out field by field;
+        # version 9's columnar host engine carried thermal and RAPL columns
         path = shard_snapshot_path(str(tmp_path), 0, 1)
-        for version in (6, 7, 8):
+        for version in (6, 7, 8, 9):
             atomic_write(path, pickle.dumps({"version": version}))
             with pytest.raises(
                 SimulationError, match=f"has version {version}"

@@ -11,7 +11,6 @@ from repro.sim.rng import (
     DeterministicRNG,
     keyed_gauss,
     keyed_gauss_array,
-    keyed_gauss_at,
     randint,
     stream_key,
 )
@@ -108,7 +107,5 @@ class TestKeyedGaussArray:
             warnings.simplefilter("error")
             for index in self.INDICES:
                 bits = keyed_gauss_array(keys, index, 0.3).view(np.uint64).tolist()
-                at = keyed_gauss_at(keys, np.full(n, index, dtype=np.int64), 0.3)
-                assert bits == at.view(np.uint64).tolist()
                 scalar = np.array([keyed_gauss(int(k), index, 0.3) for k in keys])
                 assert bits == scalar.view(np.uint64).tolist()
