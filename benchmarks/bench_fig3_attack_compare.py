@@ -124,8 +124,8 @@ def test_fig3(benchmark, results_dir):
 def test_fig3_parallel_golden(results_dir):
     """The fig3 synergistic campaign is bit-identical under --parallel.
 
-    The shard-resident monitors and driver-side coordinator must walk
-    the exact serial decision sequence: same crest triggers, same spike
+    Monitors reading through shard instance views must walk the exact
+    serial decision sequence: same crest triggers, same spike
     heights, same bill, float for float.
     """
     serial_sim, serial_inst = setup(seed=105)

@@ -144,47 +144,6 @@ class RaplPowerMonitor:
         return watts
 
 
-class ShardMonitorHandle:
-    """Driver-side proxy for a monitor living inside a shard worker.
-
-    In parallel fleet mode the monitor object (e.g.
-    :class:`RaplPowerMonitor`) is built *inside* the shard worker that
-    owns the monitored instance's host — it reads its local kernel's
-    RAPL channel directly, like Deterland-style co-located observers.
-    The driver holds this handle: :meth:`sample` returns the worker-side
-    reading for the current virtual instant (piggybacked on the run's
-    final commit, or fetched with an explicit sample frame), and
-    :meth:`degradation` pulls the worker monitor's loss summary. The
-    handle quacks like the monitor it proxies, so strategies use the two
-    interchangeably.
-    """
-
-    def __init__(self, engine, observer_id: str, instance_id: str):
-        self.engine = engine
-        self.observer_id = observer_id
-        self.instance_id = instance_id
-
-    def available(self) -> bool:
-        """Handles only exist for channels that probed available."""
-        return True
-
-    def sample(self, now: float) -> Optional[float]:
-        """The shard-resident monitor's reading at the current instant."""
-        return self.engine.observer_sample(self.observer_id, now)
-
-    def degradation(self) -> dict:
-        """The shard-resident monitor's degradation summary."""
-        return self.engine.observer_degradation(self.observer_id)
-
-    def release(self) -> None:
-        """Tear down the worker-side monitor.
-
-        The handle is dead afterwards: the engine no longer knows its
-        observer id, so sampling it raises.
-        """
-        self.engine.release_observer(self.observer_id)
-
-
 @dataclass
 class CrestDetector:
     """Online crest detection over a trailing watt window.

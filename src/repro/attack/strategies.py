@@ -15,13 +15,14 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, List, Optional
 
-from repro.attack.monitor import CrestDetector, RaplPowerMonitor, ShardMonitorHandle
+from repro.attack.monitor import CrestDetector, RaplPowerMonitor
 from repro.attack.virus import power_virus
 from repro.datacenter.simulation import DatacenterSimulation
 from repro.errors import AttackError
 from repro.runtime.cloud import Instance
 from repro.runtime.workload import Workload
 from repro.sim.fastforward import DriverHorizon
+from repro.sim.parallel import ShardInstanceView
 
 
 @dataclass
@@ -257,11 +258,10 @@ class SynergisticAttack(_StrategyBase):
         #: short prefix.
         self.learn_s = learn_s
         #: checkpoint/resume participation (``docs/resilience.md``): with
-        #: a key set, the strategy contributes its driver-side campaign
-        #: state to every checkpoint manifest and, on a resumed sim that
-        #: restored such a manifest, reconstructs itself from it instead
-        #: of re-attaching monitors (the restored shard workers already
-        #: hold them).
+        #: a key set, the strategy contributes its campaign state —
+        #: monitors included — to every checkpoint manifest and, on a
+        #: resumed sim that restored such a manifest, reconstructs itself
+        #: from it instead of building fresh monitors.
         self.resume_key = resume_key
         restored = (
             self.sim.restored_extras.get(resume_key)
@@ -269,10 +269,9 @@ class SynergisticAttack(_StrategyBase):
             else None
         )
         #: the leaked signal source: RAPL by default, or the Section
-        #: VII-A utilization estimator on hosts without RAPL. In parallel
-        #: mode each monitor is built *inside* the shard worker owning
-        #: the instance's host (it reads its local kernel's channel) and
-        #: the dict holds driver-side handles instead.
+        #: VII-A utilization estimator on hosts without RAPL. Monitors
+        #: live on the driver in both modes; sharded, each reads through
+        #: a ShardInstanceView whose reads run in the owning worker.
         self.monitors: Dict[str, object] = {}
         self._monitors_unavailable = 0
         #: campaign state promoted to attributes so a checkpoint taken at
@@ -288,30 +287,20 @@ class SynergisticAttack(_StrategyBase):
                     "restored campaign state requires the parallel engine"
                     " (resume the simulation before building the strategy)"
                 )
-            # the restored shard workers hold this campaign's monitors
-            # already (they rode the snapshots); rebuild only the
-            # driver-side handles and detector state
-            for instance_id, observer_id in restored["observers"].items():
-                self.monitors[instance_id] = ShardMonitorHandle(
-                    self._par, observer_id, instance_id
-                )
+            # the monitors rode the manifest with views unbound from any
+            # engine; point them at the resumed one
+            self.monitors = restored["monitors"]
+            for monitor in self.monitors.values():
+                monitor.instance.engine = self._par
             self._monitors_unavailable = restored["monitors_unavailable"]
             self.detector = restored["detector"]
             self._restored_campaign = restored["campaign"]
         else:
             for instance in self.instances:
+                view = instance
                 if self._par is not None:
-                    observer_id = self._par.attach_monitor(
-                        instance.instance_id, monitor_factory
-                    )
-                    if observer_id is None:
-                        self._monitors_unavailable += 1
-                        continue
-                    self.monitors[instance.instance_id] = ShardMonitorHandle(
-                        self._par, observer_id, instance.instance_id
-                    )
-                    continue
-                monitor = monitor_factory(instance)
+                    view = ShardInstanceView(self._par, instance.instance_id)
+                monitor = monitor_factory(view)
                 if not monitor.available():
                     # a masked or currently-faulted channel degrades
                     # coverage; only losing *every* channel kills the
@@ -336,14 +325,11 @@ class SynergisticAttack(_StrategyBase):
         """Driver-side campaign state for the checkpoint manifest.
 
         Captured only at safepoints (top of a campaign iteration), where
-        the loop state is exactly these four scalars plus the detector;
-        worker-side monitor state rides the shard snapshots.
+        the loop state is exactly these four scalars plus the detector
+        and the monitors (differentiator, backoff and gap state).
         """
         state = {
-            "observers": {
-                instance_id: handle.observer_id
-                for instance_id, handle in self.monitors.items()
-            },
+            "monitors": self.monitors,
             "monitors_unavailable": self._monitors_unavailable,
             "detector": self.detector,
             "campaign": None,
@@ -386,23 +372,9 @@ class SynergisticAttack(_StrategyBase):
         needs a RAPL delta every ``dt`` to see crests, so the strategy's
         event horizon is always one sampling period out. ``coalesce``
         only lets the engine tighten the burst windows' bookkeeping.
-
-        In parallel mode the shard-resident monitors are *armed* around
-        each monitoring tick: the final commit of the tick samples them
-        worker-side at exactly the instant a serial strategy would call
-        ``monitor.sample()``, and the readings come back in the epoch
-        reply. Burst windows run disarmed (serial code does not sample
-        during a burst); the post-burst re-prime goes through an explicit sample frame that flushes the
-        queued reap first, preserving the serial reap-then-sample order.
         """
         self._check_mode()
         tracer = self._trace()
-        par = self._par
-        observer_ids = (
-            tuple(handle.observer_id for handle in self.monitors.values())
-            if par is not None
-            else ()
-        )
         # a resumed sim replays already-covered windows as no-ops; drain
         # them at the monitoring cadence (burst_s is a dt multiple, so
         # the replay cursor lands exactly on the checkpoint time)
@@ -440,11 +412,7 @@ class SynergisticAttack(_StrategyBase):
             if tracer is not None:
                 m_t0, m_w0 = self.sim.now, perf_counter()
             self._next_event = self.sim.now + dt
-            if par is not None:
-                par.arm_observation(observer_ids)
             self.sim.run(dt, dt=dt, coalesce=coalesce)
-            if par is not None:
-                par.disarm_observation()
             aggregate = self._aggregate_sample()
             is_crest = aggregate is not None and self.detector.observe(aggregate)
             if tracer is not None:
@@ -497,16 +465,9 @@ class SynergisticAttack(_StrategyBase):
         return self._finish(outcome, start)
 
     def release_monitors(self) -> None:
-        """Retire this campaign's monitors and reclaim their resources.
+        """Drop this campaign's monitors.
 
-        In parallel mode every shard-resident monitor is torn down and
-        the engine forgets its observer id, so rotating campaigns (new
-        strategy per epoch over fresh instances) keep only live monitors
-        in the workers. Serial monitors are simply dropped. The strategy cannot sample after this; call it once the
-        campaign (and any degradation reporting) is finished.
+        The strategy cannot sample after this; call it once the campaign
+        (and any degradation reporting) is finished.
         """
-        for monitor in self.monitors.values():
-            release = getattr(monitor, "release", None)
-            if release is not None:
-                release()
         self.monitors = {}

@@ -162,7 +162,7 @@ def _cmd_attack(args: argparse.Namespace) -> int:
                 instances.append(inst)
         # the first run decides the execution mode: with --parallel the
         # warmup shards the fleet, and the strategies built afterwards
-        # get shard-resident monitors automatically
+        # read their monitors through shard instance views
         sim.run(300.0, dt=1.0, parallel=args.parallel,
                 resume=resilient and args.resume)
         return sim, instances

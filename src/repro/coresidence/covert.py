@@ -34,13 +34,6 @@ def loadavg_extractor(content: str) -> float:
     return float(match.group(2))  # number of running tasks: host-global
 
 
-def stat_busy_extractor(content: str) -> float:
-    """Aggregate busy ticks from /proc/stat (differentiated by caller)."""
-    first = content.splitlines()[0]
-    fields = [int(x) for x in first.split()[1:]]
-    return float(fields[0] + fields[2])
-
-
 @dataclass(frozen=True)
 class CovertConfig:
     """Modulation parameters shared by sender and receiver."""

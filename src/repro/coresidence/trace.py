@@ -24,14 +24,6 @@ def memfree_extractor(content: str) -> float:
     return float(match.group(1))
 
 
-def first_number_extractor(content: str) -> float:
-    """The first numeric token (entropy_avail, energy_uj, ...)."""
-    match = re.search(r"-?\d+(?:\.\d+)?", content)
-    if match is None:
-        raise AttackError("no numeric field in channel content")
-    return float(match.group(0))
-
-
 class TraceCorrelator:
     """Simultaneous two-instance trace sampling + correlation."""
 

@@ -38,6 +38,10 @@ from repro.runtime.cloud import ProviderProfile
 from repro.sim.faults import FaultInjector, FaultSchedule
 from repro.sim.rng import DeterministicRNG
 
+#: a rack whose load exceeds this fraction of its breaker rating is near
+#: the trip knee, and coalescing keeps it at base ``dt``
+BREAKER_KNEE_RATIO = 0.98
+
 
 @dataclass(frozen=True)
 class FleetConfig:
@@ -61,7 +65,6 @@ class FleetConfig:
     #: "columnar" (vectorized cold-host ticks) or "objects" (per-kernel)
     hosts: str
     power_config: ServerPowerConfig
-    breaker_knee_ratio: float
 
     def __post_init__(self) -> None:
         if self.servers < 1 or self.rack_size < 1:
@@ -83,11 +86,6 @@ class FleetConfig:
             raise SimulationError(
                 "hosts='columnar' requires the columnar population: the"
                 " cold-host deferral couples to its demand columns"
-            )
-        if not 0.0 < self.breaker_knee_ratio <= 1.0:
-            raise SimulationError(
-                "breaker knee ratio must be in (0, 1]:"
-                f" {self.breaker_knee_ratio}"
             )
 
     @property
@@ -337,11 +335,10 @@ class FleetSlice:
         phase-stable (constant-power) window cannot trip, so skipping is
         legal. Tripped racks are dark and cannot get darker.
         """
-        knee = self.config.breaker_knee_ratio
         for rack, watts in zip(self.racks, self.rack_watts(self._crashed())):
             if rack.breaker.tripped:
                 continue
-            if watts / rack.breaker.rated_watts > knee:
+            if watts / rack.breaker.rated_watts > BREAKER_KNEE_RATIO:
                 return False
         return True
 

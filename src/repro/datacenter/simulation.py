@@ -205,8 +205,6 @@ class DatacenterSimulation:
         tenant_profile: Optional[DiurnalProfile] = None,
         power_config: Optional[ServerPowerConfig] = None,
         sample_interval_s: float = 1.0,
-        breaker_knee_ratio: float = 0.98,
-        max_coalesce_s: float = 3600.0,
         tenants_per_host: int = 1,
         population: str = "columnar",
         hosts: str = "objects",
@@ -227,7 +225,6 @@ class DatacenterSimulation:
             population=population,
             hosts=hosts,
             power_config=power_config or ServerPowerConfig(),
-            breaker_knee_ratio=breaker_knee_ratio,
         )
         self.profile = self.config.profile
         self.cloud = ContainerCloud(
@@ -265,7 +262,7 @@ class DatacenterSimulation:
         self._sample_count = 0
 
         #: tick-coalescing fast-forward (engaged by ``run(coalesce=True)``)
-        self.fastforward = FastForwardEngine(max_step_s=max_coalesce_s)
+        self.fastforward = FastForwardEngine()
         self.metrics: SimMetrics = self.fastforward.metrics
         if self.host_engine is not None:
             self.host_engine.use_registry(self.metrics.registry)
@@ -609,8 +606,8 @@ class DatacenterSimulation:
         ``control_plane`` is kept only for the benchmark harness, which
         passes ``"shm"``, the one accepted value; any other raises. The
         shard pipes are the one IPC channel: every barrier frame rides
-        them, and the replies carry the sampled rows and observer
-        readings (``docs/parallel.md``).
+        them, and the replies carry the sampled rows and instance reads
+        (``docs/parallel.md``).
         """
         if seconds <= 0:
             raise SimulationError(f"run needs positive duration: {seconds}")

@@ -79,13 +79,6 @@ class TrainedPowerModel:
         """Modelled active core+DRAM energy for one window."""
         return self.core_active_j(window) + self.dram_active_j(window)
 
-    def host_package_j(self, window: PerfWindow, dt: float) -> float:
-        """M_package for the whole host over a dt-second window."""
-        return (
-            self.active_j(window)
-            + (self.idle_core_watts + self.idle_dram_watts + self.lambda_watts) * dt
-        )
-
 
 class TrainingHarness:
     """Runs the modelling benchmarks and records (counters, energy) windows.

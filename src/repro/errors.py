@@ -23,27 +23,41 @@ class PseudoFileError(KernelError):
     """A pseudo-filesystem operation failed."""
 
 
-class PermissionDeniedError(PseudoFileError):
+class _PathError(PseudoFileError):
+    """A pseudo-file error about one path, formatted as ``prefix: path``.
+
+    It pickles as its path alone, so an error raised inside a shard
+    worker crosses the pipe unchanged (the default exception pickling
+    would pass the formatted message back in and double the prefix).
+    """
+
+    prefix = ""
+
+    def __init__(self, path: str):
+        super().__init__(f"{self.prefix}: {path}")
+        self.path = path
+
+    def __reduce__(self):
+        return (type(self), (self.path,))
+
+
+class PermissionDeniedError(_PathError):
     """Read access to a pseudo file was denied by a masking policy.
 
     This mirrors the ``EACCES`` a real container sees when AppArmor or a
     read-only/unreadable mount masks a ``/proc`` or ``/sys`` entry.
     """
 
-    def __init__(self, path: str):
-        super().__init__(f"permission denied: {path}")
-        self.path = path
+    prefix = "permission denied"
 
 
-class FileNotFoundPseudoError(PseudoFileError):
+class FileNotFoundPseudoError(_PathError):
     """The pseudo path does not exist in the mounted view (``ENOENT``)."""
 
-    def __init__(self, path: str):
-        super().__init__(f"no such file or directory: {path}")
-        self.path = path
+    prefix = "no such file or directory"
 
 
-class TransientReadError(PseudoFileError):
+class TransientReadError(_PathError):
     """A pseudo-file read failed transiently (``EIO``).
 
     Real ``/proc``/``/sys`` reads occasionally fail on live hosts — a
@@ -53,9 +67,7 @@ class TransientReadError(PseudoFileError):
     degrade rather than abort (see ``docs/faults.md``).
     """
 
-    def __init__(self, path: str):
-        super().__init__(f"transient read failure (EIO): {path}")
-        self.path = path
+    prefix = "transient read failure (EIO)"
 
 
 class ContainerError(ReproError):

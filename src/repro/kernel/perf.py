@@ -93,11 +93,6 @@ class PerfSubsystem:
         """Whether accounting is active for this perf_event cgroup."""
         return self._perf_state(cgroup).enabled
 
-    @property
-    def monitored_cgroups(self) -> frozenset:
-        """The currently monitored perf_event cgroups."""
-        return frozenset(self._monitored)
-
     def finish_tick(self, dt: float, total: ActivitySample, monitored_events: int) -> None:
         """Close out a tick: account the host's activity, publish the
         monitored event rate.

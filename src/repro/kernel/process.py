@@ -58,11 +58,6 @@ class Task:
     #: resident memory footprint in bytes (driven by workload)
     rss_bytes: int = 0
 
-    @property
-    def pid_namespace(self) -> Namespace:
-        """The PID namespace the task lives in."""
-        return self.namespaces[NamespaceType.PID]
-
     def pid_in(self, pid_ns: Namespace) -> Optional[int]:
         """The task's pid as seen from ``pid_ns``.
 

@@ -379,7 +379,14 @@ class ContainerCloud:
     # ------------------------------------------------------------------
 
     def tick(self, dt: float) -> None:
-        """Advance the shared clock and every host kernel by ``dt``."""
+        """Advance the shared clock and every host kernel by ``dt``.
+
+        A cold columnar host materializes first, while its kernel and
+        its columns still agree on the tick count; ticking its kernel
+        behind the host engine's back would desync the two.
+        """
+        for host in self.hosts:
+            host.engine.touch_fidelity()
         self.clock.advance(dt)
         for host in self.hosts:
             host.kernel.tick(dt)

@@ -495,10 +495,6 @@ class JitterModel:
         self.until = max(self.until, event.until)
         self.magnitude = event.magnitude or 0.1
 
-    def active(self, now: float) -> bool:
-        """Whether a jitter window is open."""
-        return now < self.until
-
     def jittered_time(self, when: float, interval_s: float, floor: float) -> float:
         """The recorded timestamp for a sample nominally due at ``when``.
 
@@ -624,10 +620,6 @@ class FaultInjector:
     def crashed_now(self) -> frozenset:
         """Server indices currently down due to a crash fault."""
         return frozenset(self._crashed)
-
-    def jitter_active(self, now: float) -> bool:
-        """Whether a clock-jitter window is open."""
-        return self.jitter.active(now)
 
     def jittered_time(self, when: float, interval_s: float, floor: float) -> float:
         """The recorded timestamp for a sample nominally due at ``when``.

@@ -42,7 +42,7 @@ class IpcMetrics:
     Maintained by the parallel driver (``repro.sim.parallel``): control
     frames are the pickled command/reply tuples on the shard pipes, the
     only IPC channel, so their bytes include every sampled row and
-    observer reading the replies carry. ``barrier_wait_s`` is the
+    instance read the replies carry. ``barrier_wait_s`` is the
     driver's cumulative wall time blocked waiting for each shard's
     reply, collected in shard order, so shard 0 absorbs most of every
     barrier's compute. ``shard_busy_s`` is each worker's own wall time

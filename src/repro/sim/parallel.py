@@ -22,24 +22,19 @@ time inside the dispatch (summed per shard into ``ipc.shard_busy_s``,
 the straggler profile), and ``spans`` is the drained worker span-tracer
 buffer (``None`` without tracing). Telemetry rides the results: each
 sampled row comes back as the shard's ``FleetSlice.row()`` list in its
-host order (``None`` = crashed machine, a trace gap; ``0.0`` = dark),
-and each observer reading as the monitor's value (``None`` = no
-sample). Pickle round-trips floats exactly, which keeps the sharded
-traces bit-identical to serial. The frames and their results (``ops``
-are queued attacker ``exec``/``reap`` operations, ``oids`` are observer
-ids of shard-resident attack monitors to sample)::
+host order (``None`` = crashed machine, a trace gap; ``0.0`` = dark).
+Pickle round-trips floats exactly, which keeps the sharded traces
+bit-identical to serial. The frames and their results (``ops`` are
+queued attacker ``exec``/``reap`` operations)::
 
     ("begin", want_row, ops)               -> (changed, row|None)
     ("plan", hint)                         -> (dark, demands, safe, horizon)
-    ("epoch", ((hint|None, step,           -> (changed, rows, readings)
-               want_row), ...), oids)         # batched ticks
+    ("epoch", ((hint|None, step,           -> (changed, rows)
+               want_row), ...))               # batched ticks
     ("watts",)                             -> watts
     ("state",)                             -> {"breakers":..., "stats":...}
     ("meters", ops)                        -> {iid: (cpu_ns, cpu_ns0)}
-    ("monitor", oid, iid, factory)         -> available
-    ("degradation", oid)                   -> {...}
-    ("sample", oids, ops)                  -> readings
-    ("release", oid)                       -> None
+    ("read", iid, path, ops)               -> text | ReproError
     ("checkpoint", seq, dir)               -> (bytes, wall_s)
     ("replay", frames)                     -> count  # respawn catch-up
     ("hang", seconds)                      -> None   # test hook: stall
@@ -62,8 +57,7 @@ the plan hint its worker re-executes; workers run plan+commit per
 entry, bit-identical to ``k`` separate barriers. Without coalescing
 every tick is ``min(dt, remaining)`` and carries its own hint. An epoch
 ends at ``EPOCH_TICKS`` ticks, at a checkpoint boundary, or at the
-run's last tick, whose frame lists the armed observers the workers
-sample after its commit.
+run's last tick.
 
 With tracing enabled (``DatacenterSimulation.enable_tracing`` before the
 first parallel run), workers record ``shard.plan``/``shard.step`` spans
@@ -81,10 +75,12 @@ bit-identical to serial.
 
 Attack support: instances launched before the first parallel run are
 replayed inside the owning shard from the cloud's launch log (the cloud
-is then frozen), attacker monitors live *in the shard* next to the host
-whose RAPL they read (``("monitor", ...)`` registers one), and their
-readings ride the replies — piggybacked on the final epoch of a run when
-armed, or in the reply to an explicit ``("sample")`` frame. Strategy event horizons stay driver-side, wrapped in
+is then frozen). Attack monitors stay on the driver, built on a
+:class:`ShardInstanceView` of the instance: each pseudo-file read is
+one ``("read", ...)`` round trip, served by the worker's own
+``Instance.read``, and a ``ReproError`` that read raised is the reply's
+result, re-raised on the driver (never the ``error`` teardown path).
+Strategy event horizons stay driver-side, wrapped in
 :class:`repro.sim.fastforward.DriverHorizon` so the driver can fold them
 into the merged coalescing horizon.
 
@@ -115,9 +111,9 @@ Determinism rules (the golden-trace tests pin all of them):
    aggregate trace folds watts left-to-right exactly as the serial
    sampler does — float addition order is part of the contract.
 5. Queued attacker ops apply at the shard's next ``begin`` (or
-   ``sample``/``meters``) barrier, before any tick — the same ordering
-   as the serial call-then-``run()`` sequence — and monitors sample at
-   exactly the virtual times the serial strategy would call them.
+   ``read``/``meters``) barrier, before any tick or read — the same
+   ordering as the serial call-then-``run()`` and reap-then-sample
+   sequences.
 
 When serial wins: small fleets (a rack or two) or short runs, where the
 per-step control round trip outweighs the per-host loop; and any
@@ -138,7 +134,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.datacenter.fleet import BreakerSnapshot, FleetConfig, FleetSlice
-from repro.errors import SimulationError
+from repro.errors import ReproError, SimulationError
 from repro.obs.tracer import SpanTracer
 from repro.sim.clock import VirtualClock
 from repro.sim.faults import FaultInjector, FaultSchedule
@@ -240,8 +236,8 @@ class _ShardRuntime:
 
     The slice runs the same per-tick code as the serial driver over
     this shard's racks; the runtime adds what only the barrier protocol
-    needs — reply rows, shard-resident attack observers, spans,
-    checkpoints and replay. All indices in messages are fleet-global.
+    needs — reply rows, instance reads, spans, checkpoints and replay.
+    All indices in messages are fleet-global.
     """
 
     def __init__(self, spec: ShardSpec):
@@ -290,10 +286,6 @@ class _ShardRuntime:
                 )
         if spec.fault_schedule is not None:
             fleet.install_faults(spec.fault_schedule, spec.fault_seed)
-        #: observer id -> slice position of a host holding a fidelity refcount
-        self._observer_hosts: Dict[str, int] = {}
-        #: observer id -> shard-resident monitor
-        self.monitors: Dict[str, object] = {}
         self._last_dark: set = set()
         self._attach(tracer_counters=None)
 
@@ -341,9 +333,9 @@ class _ShardRuntime:
 
         The runtime lands in ONE pickle, so shared identity survives the
         round trip: the kernels referenced by the slice's hosts, racks,
-        population, host engine and fault injector, and by monitors and
-        instances, come back as the same objects, and the slice clock
-        stays the clock those kernels tick against.
+        population, host engine and fault injector, and by instances,
+        come back as the same objects, and the slice clock stays the
+        clock those kernels tick against.
         """
         w0 = time.perf_counter()
         blob = _dumps(
@@ -376,10 +368,10 @@ class _ShardRuntime:
         """Re-execute logged control frames after a restore.
 
         Full dispatch re-execution, not state patching: stateful streams
-        (per-object tenant ``random.Random`` cursors, monitor backoff
-        state, the tracer's ``seq`` counter) advance exactly as the dead
-        worker's did, so every draw after the replay stays bit-identical
-        to the uninterrupted run. Span buffers are drained and discarded
+        (per-object tenant ``random.Random`` cursors, fault draws of
+        replayed reads, the tracer's ``seq`` counter) advance exactly as
+        the dead worker's did, so every draw after the replay stays
+        bit-identical to the uninterrupted run. Span buffers are drained and discarded
         per frame — the driver already ingested these barriers' spans
         from the worker that died.
         """
@@ -426,7 +418,7 @@ class _ShardRuntime:
             )
         return result
 
-    def epoch(self, ticks: tuple, oids: tuple) -> tuple:
+    def epoch(self, ticks: tuple) -> tuple:
         """Execute a batched run of ticks in one barrier.
 
         Each entry is ``(hint, step, want_row)``: a ``hint`` runs the
@@ -436,11 +428,8 @@ class _ShardRuntime:
         head. Per-tick state evolution — tenant stepping, kernel ticks,
         breaker observation, fault replay, ``shard.plan``/``shard.step``
         spans — is exactly ``len(ticks)`` separate barriers' worth; only
-        the synchronization is batched. Returns ``(changed, rows,
-        readings)``: one row per ``want_row`` tick, taken right after
-        its commit, and the readings of the ``oids`` monitors sampled
-        after the last tick: the same virtual instant a serial strategy
-        calls ``monitor.sample()`` right after ``run()`` returns.
+        the synchronization is batched. Returns ``(changed, rows)``: one
+        row per ``want_row`` tick, taken right after its commit.
         """
         changed_any = False
         rows = []
@@ -451,7 +440,7 @@ class _ShardRuntime:
                 changed_any = True
             if want_row:
                 rows.append(self.fleet.row())
-        return changed_any, rows, self.sample_observers(oids, ())
+        return changed_any, rows
 
     def commit(self, step: float) -> bool:
         """The slice's commit step."""
@@ -482,47 +471,18 @@ class _ShardRuntime:
             for iid, instance in self.instances.items()
         }
 
-    def attach_monitor(self, oid: str, iid: str, factory) -> bool:
-        """Build a shard-resident monitor; keep it only when available."""
-        if iid not in self.instances:
-            raise SimulationError(f"instance not on this shard: {iid}")
-        instance = self.instances[iid]
-        host_engine = self.fleet.host_engine
-        local = None
-        if host_engine is not None:
-            # a monitor samples live kernel state every tick: pin the
-            # host hot for as long as the observer exists
-            local = self.fleet.local(instance.host_index)
-            host_engine.observer_acquire(local)
-        monitor = factory(instance)
-        if not monitor.available():
-            if local is not None:
-                host_engine.observer_release(local)
-            return False
-        if local is not None:
-            self._observer_hosts[oid] = local
-        self.monitors[oid] = monitor
-        return True
+    def read(self, iid: str, path: str, ops: tuple):
+        """Read a pseudo-file inside an instance, after the queued ops.
 
-    def degradation(self, oid: str) -> dict:
-        summary = getattr(self.monitors[oid], "degradation", None)
-        return summary() if summary is not None else {}
-
-    def release(self, oid: str) -> None:
-        """Drop a shard-resident monitor."""
-        if oid not in self.monitors:
-            raise SimulationError(f"unknown observer: {oid}")
-        del self.monitors[oid]
-        local = self._observer_hosts.pop(oid, None)
-        if local is not None:
-            # last observer out demotes the host back to columns
-            self.fleet.host_engine.observer_release(local)
-
-    def sample_observers(self, oids: tuple, ops: tuple) -> tuple:
-        """Observer readings in ``oids`` order (flushes queued ops first)."""
+        A ``ReproError`` the read raises is the result, not a failed
+        dispatch: the driver re-raises it, and the frame replays like
+        any other after a respawn.
+        """
         self.apply_ops(ops)
-        now = self.clock.now
-        return tuple(self.monitors[oid].sample(now) for oid in oids)
+        try:
+            return self.instances[iid].read(path)
+        except ReproError as exc:
+            return exc
 
     def state(self) -> dict:
         injector = self.fleet.injector
@@ -539,7 +499,7 @@ class _ShardRuntime:
         if cmd == "plan":
             return self.plan(msg[1])
         if cmd == "epoch":
-            return self.epoch(msg[1], msg[2])
+            return self.epoch(msg[1])
         if cmd == "begin":
             return self.begin(msg[1], msg[2])
         if cmd == "watts":
@@ -548,14 +508,8 @@ class _ShardRuntime:
             return self.state()
         if cmd == "meters":
             return self.meters(msg[1])
-        if cmd == "monitor":
-            return self.attach_monitor(msg[1], msg[2], msg[3])
-        if cmd == "degradation":
-            return self.degradation(msg[1])
-        if cmd == "sample":
-            return self.sample_observers(msg[1], msg[2])
-        if cmd == "release":
-            return self.release(msg[1])
+        if cmd == "read":
+            return self.read(msg[1], msg[2], msg[3])
         if cmd == "checkpoint":
             return self.checkpoint(msg[1], msg[2])
         if cmd == "replay":
@@ -628,6 +582,29 @@ def _serve(runtime: _ShardRuntime, conn) -> None:
         conn.send_bytes(_dumps(reply))
 
 
+class ShardInstanceView:
+    """The driver's stand-in for an instance that lives in a shard worker.
+
+    Attack monitors are built as ``monitor_factory(view)`` and read
+    through it exactly as serial ones read through the
+    :class:`~repro.runtime.cloud.Instance`: :meth:`read` is one
+    :meth:`ParallelFleetEngine.read` round trip, so availability probes,
+    fault backoff and reap-then-sample ordering match serial. It pickles
+    as its instance id alone — no engine, pipe or process rides a
+    checkpoint — and a strategy resuming from one re-points ``engine``.
+    """
+
+    def __init__(self, engine, instance_id: str):
+        self.engine = engine
+        self.instance_id = instance_id
+
+    def read(self, path: str) -> str:
+        return self.engine.read(self.instance_id, path)
+
+    def __reduce__(self):
+        return (ShardInstanceView, (None, self.instance_id))
+
+
 class ParallelFleetEngine:
     """Drives a fleet simulation across rack-sharded worker processes.
 
@@ -635,10 +612,10 @@ class ParallelFleetEngine:
     simulation (no ticks executed, no samples recorded). Instances
     launched before that point are replayed into the owning shards and
     the cloud is frozen. The driver keeps the traces, metrics, sampling
-    grid, stability tracker, jitter injector, and attack-strategy state;
-    everything per-host moves to the workers, and their rows and
-    readings ride the pipe replies. Results are bit-identical to the
-    serial path on equal seeds — the golden-trace tests in
+    grid, stability tracker, jitter injector, and attack-strategy state
+    (monitors included); everything per-host moves to the workers, and
+    their rows and instance reads ride the pipe replies. Results are
+    bit-identical to the serial path on equal seeds — the golden-trace tests in
     ``tests/sim/test_parallel.py`` and ``tests/attack`` enforce it
     sample-for-sample.
     """
@@ -722,15 +699,6 @@ class ParallelFleetEngine:
 
         #: the sim's span tracer, if tracing was enabled pre-fork
         self._tracer = sim.tracer
-
-        #: live observer id -> owning shard index
-        self._observer_shard: Dict[str, int] = {}
-        #: observer ids are ``obs-<n>`` from this monotonic counter, so
-        #: no id ever repeats and a stale handle cannot alias a new one
-        self._next_observer = 0
-        self._armed: Tuple[str, ...] = ()
-        self._observed: Dict[str, Optional[float]] = {}
-        self._observed_at: Optional[float] = None
 
         if manifest is not None and manifest["workers"] != n:
             raise SimulationError(
@@ -902,12 +870,6 @@ class ParallelFleetEngine:
         sim._sample_origin = sample_origin
         sim._sample_count = sample_count
         sim.sample_interval_s = interval
-        observers = manifest["observers"]
-        self._observer_shard = dict(observers["owners"])
-        self._next_observer = observers["next_id"]
-        self._armed = tuple(observers["armed"])
-        self._observed = dict(observers["observed"])
-        self._observed_at = observers["observed_at"]
         self._pending_ops = list(manifest["pending_ops"])
         if manifest["faults"] is not None:
             # the manifest injector carries the schedule cursor and the
@@ -1194,9 +1156,6 @@ class ParallelFleetEngine:
         demands = tuple(self._global_row([plan[1] for plan in plans]))
         return dark, demands, safe, horizon
 
-    def _shard_oids(self, idx: int, oids: tuple) -> tuple:
-        return tuple(oid for oid in oids if self._observer_shard[oid] == idx)
-
     def _global_row(self, parts) -> list:
         """One row in global host order from each shard's slice-order values."""
         row = [None] * self.total_servers
@@ -1265,10 +1224,9 @@ class ParallelFleetEngine:
         serial planning loop locally, each interior tick carrying the
         plan hint the worker re-executes in-shard. Without it every tick
         is ``min(dt, remaining)`` and carries its own hint. Either way a
-        sample-cadence tick asks for its row, a checkpoint boundary ends
-        the epoch, and the run's final tick samples the armed observers
-        — so the per-tick state evolution is identical to
-        ``len(frames)`` separate barriers.
+        sample-cadence tick asks for its row, and a checkpoint boundary
+        or the run's final tick ends the epoch — so the per-tick state
+        evolution is identical to ``len(frames)`` separate barriers.
         """
         sim = self.sim
         engine = sim.fastforward
@@ -1308,7 +1266,6 @@ class ParallelFleetEngine:
                     hint = None  # the head plan ran in the exchange
             remaining -= step
             final = remaining <= _EPS
-            oids = self._armed if final else ()
             t0 = self.clock.now
             stamps, floor, changed = self._plan_tick(step, floor)
             if changed:
@@ -1327,23 +1284,10 @@ class ParallelFleetEngine:
                 )
             ):
                 break
-        frames = tuple(frames)
-        replies = self._exchange(
-            [
-                ("epoch", frames, self._shard_oids(i, oids))
-                for i in range(len(self.conns))
-            ]
-        )
-        if any(reply[0] for reply in replies):
+        replies = self._broadcast(("epoch", tuple(frames)))
+        if any(changed for changed, _ in replies):
             engine.stability.reset()
-        self._fold_rows(stamped, [rows for _, rows, _ in replies])
-        if oids:
-            # cache the piggybacked readings for this instant
-            values = {}
-            for idx, (_, _, readings) in enumerate(replies):
-                values.update(zip(self._shard_oids(idx, oids), readings))
-            self._observed = values
-            self._observed_at = self.clock.now
+        self._fold_rows(stamped, [rows for _, rows in replies])
         wall = (time.perf_counter() - epoch_w0) / len(frames)
         for t0, t1, step in spans:
             sim.metrics.record_tick(step, dt)
@@ -1421,13 +1365,6 @@ class ParallelFleetEngine:
                 sim._sample_count,
                 sim.sample_interval_s,
             ),
-            "observers": {
-                "owners": dict(self._observer_shard),
-                "next_id": self._next_observer,
-                "armed": tuple(self._armed),
-                "observed": dict(self._observed),
-                "observed_at": self._observed_at,
-            },
             "pending_ops": list(self._pending_ops),
             "faults": self.faults,
             "stability": sim.fastforward.stability.snapshot(),
@@ -1537,91 +1474,23 @@ class ParallelFleetEngine:
             raise SimulationError(f"unknown instance: {instance_id}")
         self._pending_ops.append(("reap", instance_id))
 
-    def attach_monitor(self, instance_id: str, factory) -> Optional[str]:
-        """Build a monitor inside the shard owning ``instance_id``.
+    def read(self, instance_id: str, path: str) -> str:
+        """Read a pseudo-file inside an instance, on its owning shard.
 
-        Returns the observer id, or ``None`` when the monitor reports
-        its channel unavailable (mirroring the serial availability
-        check, which the worker performs on its own kernel state).
+        One ``read`` round trip that flushes that shard's queued ops
+        first — the serial reap-then-sample order around attack bursts.
+        A ``ReproError`` the worker's read raised is re-raised here.
         """
         host = self._instance_host.get(instance_id)
         if host is None:
             raise SimulationError(f"unknown instance: {instance_id}")
-        try:
-            _dumps(factory)
-        except Exception as exc:
-            raise SimulationError(
-                "monitor factories crossing into shard workers must be"
-                f" picklable (module-level callables): {exc}"
-            ) from exc
         shard = self._shard_of_host[host]
-        oid = f"obs-{self._next_observer}"
-        self._next_observer += 1
-        if not self._request(shard, ("monitor", oid, instance_id, factory)):
-            return None
-        self._observer_shard[oid] = shard
-        return oid
-
-    def release_observer(self, oid: str) -> None:
-        """Tear down a shard-resident monitor.
-
-        The observer id becomes invalid immediately and the owning
-        worker drops its monitor object. Call this when the monitored
-        instance's campaign retires it.
-        """
-        shard = self._observer_shard.pop(oid, None)
-        if shard is None:
-            raise SimulationError(f"unknown observer: {oid}")
-        self._request(shard, ("release", oid))
-        if oid in self._armed:
-            self._armed = tuple(o for o in self._armed if o != oid)
-        self._observed.pop(oid, None)
-
-    def arm_observation(self, oids) -> None:
-        """Sample these observers after the final tick of the next run."""
-        unknown = [oid for oid in oids if oid not in self._observer_shard]
-        if unknown:
-            raise SimulationError(f"unknown observers: {unknown}")
-        self._armed = tuple(oids)
-
-    def disarm_observation(self) -> None:
-        """Stop piggybacking observer samples on run epochs."""
-        self._armed = ()
-
-    def observer_sample(self, oid: str, now: float) -> Optional[float]:
-        """One observer's reading at ``now`` (must be the current time).
-
-        Served from the piggyback cache when the final epoch of the
-        last run sampled this observer at exactly ``now``; otherwise an
-        explicit ``("sample")`` frame goes to the owning shard, flushing
-        that shard's queued ops first — the serial reap-then-sample
-        ordering around attack bursts.
-        """
-        shard = self._observer_shard.get(oid)
-        if shard is None:
-            raise SimulationError(f"unknown observer: {oid}")
-        if self._observed_at == now and oid in self._observed:
-            return self._observed[oid]
-        if now != self.clock.now:
-            raise SimulationError(
-                f"observers sample at the current virtual time only:"
-                f" asked {now}, now {self.clock.now}"
-            )
-        (value,) = self._request(
-            shard, ("sample", (oid,), self._take_ops_for(shard))
+        result = self._request(
+            shard, ("read", instance_id, path, self._take_ops_for(shard))
         )
-        if self._observed_at != now:
-            self._observed = {}
-            self._observed_at = now
-        self._observed[oid] = value
-        return value
-
-    def observer_degradation(self, oid: str) -> dict:
-        """A shard-resident monitor's degradation summary."""
-        shard = self._observer_shard.get(oid)
-        if shard is None:
-            raise SimulationError(f"unknown observer: {oid}")
-        return self._request(shard, ("degradation", oid))
+        if isinstance(result, ReproError):
+            raise result
+        return result
 
     def billing_meters(self) -> Dict[str, Tuple[int, int]]:
         """cpuacct meters of every live instance, merged across shards.

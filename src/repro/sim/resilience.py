@@ -49,8 +49,9 @@ from repro.errors import SimulationError
 #: shared-memory slot; 9: the payload's ``runtime`` is the pickled shard
 #: runtime itself, without the dark-set delta cursor or a wall-power memo;
 #: 10: the columnar host engine carries no thermal or RAPL columns, only
-#: the two noise cursors' offsets from ``ticks_taken``)
-SNAPSHOT_VERSION = 10
+#: the two noise cursors' offsets from ``ticks_taken``; 11: the runtime
+#: holds no attack monitors — they ride the manifest's strategy extras)
+SNAPSHOT_VERSION = 11
 
 #: version stamp embedded in the driver-side manifest
 #: (4: the manifest pins the whole ``FleetConfig`` the fleet was built
@@ -58,8 +59,10 @@ SNAPSHOT_VERSION = 10
 #: driver's jitter state is a target-less ``FaultInjector``; 6: the
 #: pickled power traces hold their samples as ``array('d')``; 7: no
 #: telemetry bank cursor, and the observer block is ``{owners, next_id,
-#: armed, observed, observed_at}``; 8: no per-shard dark sets)
-MANIFEST_VERSION = 8
+#: armed, observed, observed_at}``; 8: no per-shard dark sets; 9: no
+#: observer block — a strategy's monitors ride its extras, their shard
+#: instance views pickled as bare instance ids)
+MANIFEST_VERSION = 9
 
 
 @dataclass(frozen=True)

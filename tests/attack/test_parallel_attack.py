@@ -2,17 +2,24 @@
 
 The paper's figure-3 comparison (periodic vs synergistic) must produce
 bit-identical outcomes whether the fleet runs serially or sharded across
-worker processes with shard-resident monitors — same trial counts, same
-spike heights, same utilization bill, same degradation counters.
+worker processes with monitors reading through shard instance views —
+same trial counts, same spike heights, same utilization bill, same
+degradation counters.
 """
 
 import pytest
 
-from repro.attack.monitor import CrestDetector, RaplPowerMonitor
+from repro.attack.monitor import (
+    DEFAULT_ENERGY_PATH,
+    CrestDetector,
+    RaplPowerMonitor,
+)
 from repro.attack.strategies import PeriodicAttack, SynergisticAttack
 from repro.datacenter.simulation import DatacenterSimulation
-from repro.errors import AttackError
+from repro.errors import AttackError, ReproError
+from repro.runtime.cloud import PROVIDER_PROFILES
 from repro.sim.faults import FaultEvent, FaultKind, FaultSchedule
+from repro.sim.parallel import ShardInstanceView
 
 SEED = 61
 WARMUP_S = 120.0
@@ -30,10 +37,10 @@ def attack_faults():
     )
 
 
-def build_campaign(parallel, servers=4, rack_size=2, faults=False):
+def build_campaign(parallel, servers=4, rack_size=2, faults=False, profile=None):
     """One sim with an attacker instance per server, warmed up in-mode."""
     sim = DatacenterSimulation(
-        servers=servers, rack_size=rack_size, seed=SEED,
+        profile=profile, servers=servers, rack_size=rack_size, seed=SEED,
         sample_interval_s=1.0,
     )
     if faults:
@@ -128,10 +135,12 @@ class TestGoldenCampaign:
 
 
 class TestArmedRuns:
+    """Sharded monitors read through shard instance views, like serial."""
+
     @pytest.mark.parametrize("seconds", [10.0, 37.5])
     @pytest.mark.parametrize("coalesce", [False, True], ids=["fixed", "coalesced"])
     def test_armed_multi_tick_runs_sample_like_serial(self, coalesce, seconds):
-        # the armed final tick joins the run's last epoch: its monitors
+        # a view's read lands after the run's last epoch: its monitors
         # must read what serial monitors read after the same runs
         serial_sim, serial_inst = build_campaign(0)
         monitors = [RaplPowerMonitor(inst) for inst in serial_inst]
@@ -139,30 +148,25 @@ class TestArmedRuns:
         par_sim, par_inst = build_campaign(2)
         try:
             engine = par_sim._parallel
-            oids = [
-                engine.attach_monitor(inst.instance_id, RaplPowerMonitor)
+            par_monitors = [
+                RaplPowerMonitor(ShardInstanceView(engine, inst.instance_id))
                 for inst in par_inst
             ]
-            assert None not in oids
+            assert all(m.available() for m in par_monitors)
             for _ in range(3):
                 serial_sim.run(seconds, dt=1.0, coalesce=coalesce)
                 expected = [m.sample(serial_sim.now) for m in monitors]
-                engine.arm_observation(oids)
                 par_sim.run(seconds, dt=1.0, coalesce=coalesce)
-                engine.disarm_observation()
-                assert engine._observed_at == par_sim.now  # piggybacked
-                got = [engine.observer_sample(oid, par_sim.now) for oid in oids]
+                got = [m.sample(par_sim.now) for m in par_monitors]
                 assert got == expected
             assert expected[0] is not None
             assert trace_snapshot(serial_sim) == trace_snapshot(par_sim)
         finally:
             par_sim.close()
 
-
     def test_many_monitors_attach_and_read_like_serial(self):
-        # more monitors than the old fixed observer capacity, max(16,
-        # 2 * servers), and none released: every one attaches, and both
-        # piggybacked and explicit readings match serial monitors
+        # several monitors per instance, more than the fleet has hosts:
+        # every one probes available and reads what serial monitors read
         per_instance = 5
         serial_sim, serial_inst = build_campaign(0)
         monitors = [
@@ -174,28 +178,53 @@ class TestArmedRuns:
         par_sim, par_inst = build_campaign(2)
         try:
             engine = par_sim._parallel
-            oids = [
-                engine.attach_monitor(inst.instance_id, RaplPowerMonitor)
+            par_monitors = [
+                RaplPowerMonitor(ShardInstanceView(engine, inst.instance_id))
                 for inst in par_inst
                 for _ in range(per_instance)
             ]
-            assert None not in oids
-            assert len(set(oids)) == len(oids)
-            for armed in (True, False, True):
+            assert all(m.available() for m in par_monitors)
+            for _ in range(3):
                 serial_sim.run(10.0, dt=1.0)
                 expected = [m.sample(serial_sim.now) for m in monitors]
-                if armed:
-                    engine.arm_observation(oids)
                 par_sim.run(10.0, dt=1.0)
-                engine.disarm_observation()
-                # piggybacked on the run's last epoch, or one explicit
-                # sample frame per observer
-                assert (engine._observed_at == par_sim.now) == armed
-                got = [engine.observer_sample(oid, par_sim.now) for oid in oids]
+                got = [m.sample(par_sim.now) for m in par_monitors]
                 assert got == expected
             assert None not in expected
         finally:
             par_sim.close()
+
+
+class TestMaskedChannel:
+    def test_masked_rapl_refuses_like_serial_and_keeps_the_engine(self):
+        # CC5 masks the RAPL channel: the sharded view re-raises the
+        # worker's read error, the attack refuses with serial's error,
+        # and the engine keeps running (no error teardown)
+        refusals, read_errors = [], []
+        for parallel in (0, 2):
+            sim, instances = build_campaign(
+                parallel, profile=PROVIDER_PROFILES["CC5"]
+            )
+            try:
+                view = instances[0]
+                if parallel:
+                    view = ShardInstanceView(
+                        sim._parallel, instances[0].instance_id
+                    )
+                with pytest.raises(ReproError) as read_info:
+                    view.read(DEFAULT_ENERGY_PATH)
+                read_errors.append(
+                    (type(read_info.value), str(read_info.value))
+                )
+                with pytest.raises(AttackError) as info:
+                    synergistic(sim, instances)
+                refusals.append(str(info.value))
+                sim.run(10.0, dt=1.0)
+            finally:
+                sim.close()
+        assert refusals[0] == refusals[1]
+        assert "no instance can read the leaked signal" in refusals[0]
+        assert read_errors[0] == read_errors[1]
 
 
 class TestParallelPlumbing:
@@ -206,7 +235,7 @@ class TestParallelPlumbing:
             ipc = sim.metrics.ipc
             assert ipc is not None
             assert ipc.control_frames > 0
-            # the replies carry the sampled rows and observer readings
+            # the replies carry the sampled rows and instance reads
             assert ipc.control_bytes_received > 0
             assert ipc.shm_bytes == 0
             assert ipc.workers == 2

@@ -34,7 +34,6 @@ def config(population, hosts):
         population=population,
         hosts=hosts,
         power_config=ServerPowerConfig(),
-        breaker_knee_ratio=0.98,
     )
 
 
@@ -169,7 +168,6 @@ def test_vector_watts_and_fingerprints_match_per_host(hosts):
         servers=12, rack_size=8, breaker_rated_watts=1300.0,
         tenant_profile=None, tenants_per_host=2, population="columnar",
         hosts=hosts, power_config=ServerPowerConfig(),
-        breaker_knee_ratio=0.98,
     )
     fleet = build(cfg)
     assert [len(rack.kernels) for rack in fleet.racks] == [8, 4]

@@ -387,6 +387,31 @@ class TestMaterializationLifecycle:
         he.ensure_hot(3)
         assert not he.is_cold(3)
 
+    def test_cloud_run_between_fleet_runs_stays_in_step(self):
+        # ContainerCloud.run ticks every host kernel directly: cold hosts
+        # must materialize first, or their columns fall behind the kernel
+        sims = []
+        for hosts in ("objects", "columnar"):
+            sim = build(hosts)
+            sim.run(60.0, dt=1.0)
+            sim.cloud.run(5.0)
+            inst = sim.cloud.launch_instance("attacker")
+            sim.run(30.0, dt=1.0)
+            if sim.host_engine is not None:
+                for i in range(sim.host_engine.n):
+                    sim.host_engine.ensure_hot(i)
+            leak = inst.read("/sys/class/powercap/intel-rapl:0/energy_uj")
+            kernels = [
+                (
+                    host.kernel.ticks_taken,
+                    host.kernel.thermal._noise_calls,
+                    host.kernel.rapl._noise_calls,
+                )
+                for host in sim.cloud.hosts
+            ]
+            sims.append((snapshot(sim), kernels, leak))
+        assert sims[0] == sims[1]
+
     def test_dark_hosts_skip_column_ticks(self):
         schedule = FaultSchedule(
             [FaultEvent(at=30.0, kind=FaultKind.BREAKER_TRIP,

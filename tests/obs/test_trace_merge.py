@@ -10,10 +10,9 @@ bit-identical sim-time span timelines on the mode-independent tracks
 
 import pytest
 
-from repro.attack.monitor import CrestDetector, RaplPowerMonitor
+from repro.attack.monitor import CrestDetector
 from repro.attack.strategies import SynergisticAttack
 from repro.datacenter.simulation import DatacenterSimulation
-from repro.errors import SimulationError
 from repro.obs.tracer import INSTANT, SPAN
 from repro.sim.faults import FaultEvent, FaultKind, FaultSchedule
 
@@ -182,47 +181,3 @@ class TestGoldenCampaignTimeline:
         # sanity: the parallel run *did* exercise worker tracks too
         spans = [e for e in serial if e[0] == SPAN]
         assert len(spans) > 100
-
-
-class TestObserverReclamation:
-    def test_rotating_campaigns_recycle_slots(self):
-        sim, instances = build_campaign(2)
-        engine = sim._parallel
-        try:
-            seen = set()
-            for _ in range(3):
-                attack = synergistic(sim, instances)
-                assert len(attack.monitors) == SERVERS
-                live = {h.observer_id for h in attack.monitors.values()}
-                # fresh ids every rotation: none ever repeats
-                assert not live & seen
-                seen |= live
-                assert set(engine._observer_shard) == live
-                attack.release_monitors()
-                assert attack.monitors == {}
-                # the driver keeps only live observers
-                assert engine._observer_shard == {}
-        finally:
-            sim.close()
-
-    def test_release_unknown_observer_raises(self):
-        sim, _ = build_campaign(2)
-        engine = sim._parallel
-        try:
-            with pytest.raises(SimulationError, match="unknown observer"):
-                engine.release_observer("obs-999")
-        finally:
-            sim.close()
-
-    def test_released_observer_cannot_be_sampled(self):
-        sim, instances = build_campaign(2)
-        engine = sim._parallel
-        try:
-            oid = engine.attach_monitor(
-                instances[0].instance_id, RaplPowerMonitor
-            )
-            engine.release_observer(oid)
-            with pytest.raises(SimulationError):
-                engine.observer_sample(oid, sim.now)
-        finally:
-            sim.close()

@@ -161,9 +161,10 @@ class TestSnapshotFiles:
         # arrays, beside per-host slot lists and per-row cursors; version
         # 7 mapped each shard monitor to a (shared-memory slot, monitor)
         # pair; version 8 spelled the runtime's state out field by field;
-        # version 9's columnar host engine carried thermal and RAPL columns
+        # version 9's columnar host engine carried thermal and RAPL columns;
+        # version 10's runtime held the shard-resident attack monitors
         path = shard_snapshot_path(str(tmp_path), 0, 1)
-        for version in (6, 7, 8, 9):
+        for version in (6, 7, 8, 9, 10):
             atomic_write(path, pickle.dumps({"version": version}))
             with pytest.raises(
                 SimulationError, match=f"has version {version}"
@@ -192,9 +193,10 @@ class TestSnapshotFiles:
     def test_version_5_manifest_refused(self, tmp_path):
         # version 5 pickled the power traces' samples as lists of floats;
         # version 6 carried a telemetry bank cursor and an observer slot
-        # table; version 7 carried per-shard dark sets
+        # table; version 7 carried per-shard dark sets; version 8 carried
+        # the observer block of shard-resident attack monitors
         path = manifest_path(str(tmp_path))
-        for version in (5, 6, 7):
+        for version in (5, 6, 7, 8):
             atomic_write(
                 path, pickle.dumps({"version": version, "faults": None})
             )
