@@ -416,6 +416,7 @@ class DatacenterSimulation:
                 "barriers": len(he._bar_t0),
                 "op_log_bytes": he.op_log_bytes(),
                 "materializations": he.materializations,
+                "sweeps": he._c_sweeps.value,
                 "materialize_s": {
                     "count": lat.count,
                     "p50": lat.quantile(0.5),

@@ -32,9 +32,9 @@ it does not mirror:
   truncations of the workload consume path and the same per-package
   energy fold order. Every reader of a temperature or an energy counter
   first materializes the host.
-* When something needs per-object fidelity — an attached RAPL observer
-  or monitor, a procfs read, a scheduled fault targeting the host,
-  attack exec/placement — :meth:`ensure_hot` **materializes** the host
+* When something needs per-object fidelity — a procfs read (an attack
+  monitor's included), a scheduled fault targeting the host, attack
+  exec/placement — :meth:`ensure_hot` **materializes** the host
   by replaying the logged barriers through the real ``Kernel.tick`` with
   the clock rewound (:meth:`VirtualClock.replay_window`). Nothing
   consumed the kernel's stateful RNG streams while it was cold, so the
@@ -43,9 +43,9 @@ it does not mirror:
   memory/filesystem/random subsystems, cpuacct, perf rates) comes out
   bit-identical *by construction*, and the column/scalar handoff is
   bitwise round-trippable in both directions.
-* When the last observer releases (:meth:`observer_release`) and the
-  host is eligible again, it is demoted back to columns by re-adopting
-  the live kernel state.
+* When the last per-object reason leaves and the host is eligible
+  again, :meth:`maybe_demote` re-adopts the live kernel state into the
+  columns.
 
 The task mirror is flat slot columns. A host's tasks get ascending
 slot ids in task order (compaction keeps it), so every ordered float
@@ -58,6 +58,18 @@ touched hosts. A kill marks its host dirty; a dirty host refolds before
 its next placement, and every other one in one vector pass before
 anything reads the folds (:meth:`tick_all`, the plan fingerprint,
 :meth:`ensure_hot`, a checkpoint pickle).
+
+:meth:`tick_all` remembers its sweep: the slot table gathered in
+live-slot order (CPU target, granted share ``d * scale`` and the three
+activity rates) and the wall vector last computed from it, keyed by
+``dt``. Between churn batches nothing the sweep reads changes, so an
+equal-``dt`` tick reuses the wall vector and a new ``dt`` redoes only
+the per-slot arithmetic and the folds. The memo has three invalidation
+points, the only writers of what the sweep reads: :meth:`_append_slots`
+and :meth:`_kill_slots` (the slot columns and their order) and
+:meth:`_rescale` (the grant scale). Adoption, :meth:`ensure_hot`,
+:meth:`cold_churn`, dirty refolds and compaction all go through them.
+A checkpoint pickle drops it.
 ``tests/datacenter/test_hostengine.py`` pins all of this bit for bit.
 
 Eligibility
@@ -72,6 +84,7 @@ the fleet reference) simply stay hot forever — correct, just slower.
 
 from __future__ import annotations
 
+from array import array
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -190,7 +203,6 @@ class ColumnarHostEngine:
         C = self._C
 
         self.cold = np.zeros(n, dtype=bool)
-        self._observers = np.zeros(n, dtype=np.int64)
         #: per-host mirror of ``kernel.ticks_taken`` while cold
         self._ticks = np.zeros(n, dtype=np.int64)
         self._fp = np.zeros(n, dtype=np.float64)
@@ -224,10 +236,14 @@ class ColumnarHostEngine:
         self._order: Optional[np.ndarray] = None
         #: cold hosts whose ``_fp``/``_cpu_demand``/``_scale`` are stale
         self._dirty = np.zeros(n, dtype=bool)
+        #: the tick sweep's memo, ``(table, dt, wall)`` (``None`` when
+        #: stale): the slot table gathered in live-slot order and the wall
+        #: vector it gave at ``dt``
+        self._sweep: Optional[tuple] = None
 
-        # deferred-replay log
-        self._bar_t0: List[float] = []
-        self._bar_dt: List[float] = []
+        # deferred-replay log: each barrier's (t0, dt), unboxed
+        self._bar_t0 = array("d")
+        self._bar_dt = array("d")
         #: per-host closed participation ranges [start_seq, end_seq)
         self._ranges: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
         self._run_start = np.full(n, -1, dtype=np.int64)
@@ -262,6 +278,7 @@ class ColumnarHostEngine:
         self._refold_dirty()
         state = dict(self.__dict__)
         state["_kernel_index"] = None  # id()-keyed; rebuilt on restore
+        state["_sweep"] = None  # rebuilt by the next tick
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -284,6 +301,9 @@ class ColumnarHostEngine:
             "columnar.materialize_s",
             "wall seconds per host materialization (deferred replay)",
             bounds=MATERIALIZE_BOUNDS,
+        )
+        self._c_sweeps = registry.counter(
+            "columnar.sweeps", "tick sweeps run (ticks that missed the memo)"
         )
 
     def bind_population(self, population) -> None:
@@ -395,6 +415,7 @@ class ColumnarHostEngine:
         self._s_alive[new] = alive
         self._s_len = end
         self._order = None
+        self._sweep = None
         return first
 
     def _live(self) -> np.ndarray:
@@ -424,6 +445,7 @@ class ColumnarHostEngine:
         self._s_alive[slots] = False
         self._dead_slots += len(slots)
         self._order = None
+        self._sweep = None
 
     def _adopt(self, i: int) -> None:
         """Snapshot one eligible (hot, so slot-less) host's live state
@@ -468,6 +490,7 @@ class ColumnarHostEngine:
         self._scale[hosts] = np.divide(
             1.0, totals, out=np.ones_like(totals), where=totals > 1.0
         )
+        self._sweep = None
 
     def _refold(self, hosts: np.ndarray, slots: np.ndarray, loads_only=False) -> None:
         """Refold ``hosts`` (distinct) from ``slots``: live slots in
@@ -730,24 +753,9 @@ class ColumnarHostEngine:
         if idx is not None:
             self.ensure_hot(idx)
 
-    def observer_acquire(self, i: int) -> None:
-        """A per-object observer (monitor, walker) now watches host ``i``."""
-        self.ensure_hot(i)
-        self._observers[i] += 1
-
-    def observer_release(self, i: int) -> None:
-        """Release one observer; demote back to columns on the last one."""
-        if self._observers[i] <= 0:
-            raise SimulationError(f"observer refcount underflow on host {i}")
-        self._observers[i] -= 1
-        if self._observers[i] == 0:
-            self.maybe_demote(i)
-
     def maybe_demote(self, i: int) -> bool:
         """Re-adopt host ``i`` into the columns if it is eligible again."""
-        if self.cold[i] or self._observers[i] > 0:
-            return False
-        if not self._eligible(i):
+        if self.cold[i] or not self._eligible(i):
             return False
         self._adopt(i)
         self.demotions += 1
@@ -768,8 +776,8 @@ class ColumnarHostEngine:
         any_cold = cold.any()
         seq = len(self._bar_t0)
         if any_cold:
-            self._bar_t0.append(float(t0))
-            self._bar_dt.append(float(dt))
+            self._bar_t0.append(t0)
+            self._bar_dt.append(dt)
             self._g_barriers.value = seq + 1
             self._g_op_bytes.value = self.op_log_bytes()
         # hot hosts: the per-object reference path, exactly as before
@@ -797,21 +805,39 @@ class ColumnarHostEngine:
             return
         self.cold_host_ticks += int(part.sum())
 
-        order = self._live()
+        sweep = self._sweep
+        if sweep is None or sweep[1] != dt:
+            sweep = self._sweep = self._sweep_walls(dt, sweep)
+        wall = sweep[2]
+        self._wall[part] = wall[part]
+        self._ticks[part] += 1
+
+    def _sweep_walls(self, dt: float, memo: Optional[tuple]) -> tuple:
+        """The tick sweep at ``dt``: every host's wall watts, from the
+        memo's gathered slot table if it has one; returns the new memo."""
         n, C, P = self.n, self._C, self._P
         params = self._params
+        self._c_sweeps.value += 1
 
         # --- scheduler sweep (mirrors Scheduler.tick per-CPU loop) ----
-        hosts = self._s_host[order]
-        cpus = self._s_cpu[order]
-        tgt = hosts * C + cpus
-        d = self._s_demand[order]
-        scale = self._scale.reshape(-1)[tgt]
-        granted = (d * scale) * dt
+        if memo is None:
+            order = self._live()
+            tgt = self._s_host[order] * C + self._s_cpu[order]
+            table = (
+                tgt,
+                self._s_demand[order] * self._scale.reshape(-1)[tgt],
+                self._s_ipc[order],
+                self._s_cmr[order],
+                self._s_bmr[order],
+            )
+        else:
+            table = memo[0]
+        tgt, share, ipc, cmr, bmr = table
+        granted = share * dt
         cycles = (granted * self._freq).astype(np.int64)
-        instructions = (cycles * self._s_ipc[order]).astype(np.int64)
-        cache_misses = (instructions * self._s_cmr[order] / 1000.0).astype(np.int64)
-        branch_misses = (instructions * self._s_bmr[order] / 1000.0).astype(np.int64)
+        instructions = (cycles * ipc).astype(np.int64)
+        cache_misses = (instructions * cmr / 1000.0).astype(np.int64)
+        branch_misses = (instructions * bmr / 1000.0).astype(np.int64)
         cyc = np.zeros(n * C, dtype=np.int64)
         cm = np.zeros(n * C, dtype=np.int64)
         bm = np.zeros(n * C, dtype=np.int64)
@@ -843,8 +869,7 @@ class ColumnarHostEngine:
         wall = self.power_config.platform_base_watts + (
             self.power_config.package_scaling * (acc / dt)
         )
-        self._wall[part] = wall[part]
-        self._ticks[part] += 1
+        return table, dt, wall
 
     # ------------------------------------------------------------------
 
@@ -858,6 +883,7 @@ class ColumnarHostEngine:
             "hot_host_ticks": self.hot_host_ticks,
             "barriers": len(self._bar_t0),
             "op_log_bytes": self.op_log_bytes(),
+            "sweeps": self._c_sweeps.value,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -50,8 +50,10 @@ from repro.errors import SimulationError
 #: runtime itself, without the dark-set delta cursor or a wall-power memo;
 #: 10: the columnar host engine carries no thermal or RAPL columns, only
 #: the two noise cursors' offsets from ``ticks_taken``; 11: the runtime
-#: holds no attack monitors — they ride the manifest's strategy extras)
-SNAPSHOT_VERSION = 11
+#: holds no attack monitors — they ride the manifest's strategy extras;
+#: 12: the columnar host engine carries no observer pin counts, and its
+#: barrier log is two ``array('d')``)
+SNAPSHOT_VERSION = 12
 
 #: version stamp embedded in the driver-side manifest
 #: (4: the manifest pins the whole ``FleetConfig`` the fleet was built

@@ -71,3 +71,13 @@ def make_cpu_workload(
         branch_miss_per_kinst=1.0,
         duration=duration,
     )
+
+
+def hold_hot(host_engine, i: int) -> None:
+    """Materialize host ``i`` of a columnar host engine and keep it hot.
+
+    A no-op tick listener makes the host ineligible to go cold, so no
+    later ``maybe_demote`` re-adopts it.
+    """
+    host_engine.ensure_hot(i)
+    host_engine.kernels[i].tick_listeners.append(lambda result: None)

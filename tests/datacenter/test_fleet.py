@@ -16,6 +16,7 @@ from repro.sim.clock import VirtualClock
 from repro.sim.fastforward import FastForwardEngine
 from repro.sim.faults import FaultEvent, FaultKind, FaultSchedule
 from repro.sim.rng import DeterministicRNG
+from tests.conftest import hold_hot
 
 SEED = 3
 SERVERS, RACK = 4, 2
@@ -187,7 +188,7 @@ def test_vector_watts_and_fingerprints_match_per_host(hosts):
     while remaining > 1e-9:
         now = fleet.clock.now
         if he is not None and now >= 30.0 and he.is_cold(3):
-            he.observer_acquire(3)
+            hold_hot(he, 3)
         dark = fleet.dark()
         fp, horizon = fleet.plan(now, min(1.0, remaining), dark)
         assert fp == old_fingerprints(fleet, dark)

@@ -10,6 +10,8 @@ trace (fine and coalesced), the Figure 3 attack campaign, and chaos
 schedules that force materialization mid-run.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from repro.datacenter.tenants import DiurnalProfile
 from repro.datacenter.topology import wall_power_watts
 from repro.errors import SimulationError
 from repro.sim.faults import FaultEvent, FaultKind, FaultSchedule
+from tests.conftest import hold_hot
 
 SEED = 7
 
@@ -141,7 +144,7 @@ def assert_materialized_equal(ref, col):
     """Materialize every cold host; traces and replayed kernels match."""
     he = col.host_engine
     for i in range(he.n):
-        he.observer_acquire(i)
+        hold_hot(he, i)
     assert he.cold_count() == 0
     assert snapshot(ref) == snapshot(col)
     for r_host, c_host in zip(ref.cloud.hosts, col.cloud.hosts):
@@ -298,7 +301,7 @@ class TestSerialGolden:
         ref.run(120.0, dt=1.0, coalesce=False)
         col = build("columnar")
         for i in range(len(col.cloud.hosts)):
-            col.host_engine.observer_acquire(i)
+            hold_hot(col.host_engine, i)
         assert col.host_engine.cold_count() == 0  # every host pinned hot
         col.run(120.0, dt=1.0, coalesce=False)
         assert snapshot(ref) == snapshot(col)
@@ -535,6 +538,165 @@ class TestColdChurn:
         assert web.tolist() == [
             _draws_web(int(key), int(o)) for key, o in zip(keys, ordinals)
         ]
+
+
+def build_memo(hosts, schedule=None):
+    """8 hosts in two racks, 4 tenants each, churn every 60 s."""
+    sim = DatacenterSimulation(
+        servers=8, rack_size=4, seed=SEED, sample_interval_s=CHURN_SLICE_S,
+        tenants_per_host=4, population="columnar", hosts=hosts,
+        tenant_profile=CHURN_PROFILE, breaker_rated_watts=4000.0,
+    )
+    if schedule is not None:
+        sim.install_faults(schedule)
+    return sim
+
+
+def reconcile(sim, rows, want):
+    """Reconcile tenant ``rows`` to ``want(workers)`` workers at once,
+    between two ticks (cold rows churn through the host engine)."""
+    pop = sim.population
+    rows = np.asarray(rows, dtype=np.int64)
+    goal = [want(int(pop.workers[r])) for r in rows]
+    pop._reconcile(rows, np.array(goal, dtype=np.int64))
+
+
+def materialize(sim):
+    he = sim.host_engine
+    if he is not None:
+        he.ensure_hot(2)
+        assert he._sweep is None  # the host's slots died
+
+
+def demote(sim):
+    he = sim.host_engine
+    if he is not None:
+        assert he.maybe_demote(2)
+        assert he._sweep is None  # the host's slots are back
+
+
+#: each case's mutations of both fleets, injected at 90 s and at 100 s,
+#: mid-slice between two 1-s ticks; and whether the first drops the memo
+MEMO_CASES = {
+    "cold spawn": (lambda sim: reconcile(sim, [5], lambda w: w + 2), None, True),
+    "cold kill": (lambda sim: reconcile(sim, [9], lambda w: w - 1), None, True),
+    # a kill leaves host 3 dirty; the spawn's batch refolds it first
+    "dirty refold": (
+        lambda sim: (
+            reconcile(sim, [12], lambda w: w - 1),
+            reconcile(sim, [13], lambda w: w + 1),
+        ),
+        None,
+        True,
+    ),
+    # every worker dies: the dead slots dominate and the next gather
+    # compacts them out of the columns
+    "compaction": (lambda sim: reconcile(sim, range(32), lambda w: 0), None, True),
+    "ensure_hot then demotion": (materialize, demote, True),
+    # rack 0 trips at 90 s and recloses at 110 s: the memo survives
+    "rack dark and back": (None, None, False),
+}
+
+
+class TestTickSweepMemo:
+    """``tick_all`` reuses its sweep until something it reads changes."""
+
+    @pytest.mark.parametrize("case", list(MEMO_CASES))
+    def test_mutation_between_equal_dt_ticks(self, case):
+        first, second, drops = MEMO_CASES[case]
+        schedule = None
+        if case == "rack dark and back":
+            schedule = FaultSchedule(
+                [FaultEvent(at=90.0, kind=FaultKind.BREAKER_TRIP,
+                            duration_s=20.0, server=0)],
+                seed=13,
+            )
+        ref = build_memo("objects", schedule)
+        col = build_memo("columnar", schedule)
+        he = col.host_engine
+        hooks = {90.0: first, 100.0: second}
+        for _ in range(150):
+            hook = hooks.get(col.now)
+            if hook is not None:
+                warm = he._sweep is not None
+                sweeps = he.stats()["sweeps"]
+                for sim in (ref, col):
+                    hook(sim)
+            for sim in (ref, col):
+                sim.run(1.0, dt=1.0)
+            if hook is first and first is not None:
+                assert warm
+                assert he.stats()["sweeps"] == sweeps + drops
+                if case == "compaction":
+                    assert he._dead_slots == 0 and he._s_len == len(he._live())
+            assert col.fleet.host_watts().tolist() == ref.fleet.host_watts().tolist()
+            assert snapshot(col) == snapshot(ref)
+        if case == "rack dark and back":
+            # the dark rack's tick mirrors froze for the outage
+            assert he.ticks_taken(0) == he.ticks_taken(7) - 20
+        assert he.cold_count() == he.n
+        # 150 equal-dt ticks sweep only after the churn at 0, 60 and 120 s
+        # and after each mutation that dropped the memo
+        assert he.stats()["sweeps"] < col.metrics.ticks
+        assert he.stats()["sweeps"] == 3 + drops + (second is not None)
+
+    def test_pickle_drops_the_memo(self):
+        sim = build_memo("columnar")
+        sim.run(90.0, dt=1.0)
+        he = sim.host_engine
+        assert he._sweep is not None
+        warm = pickle.dumps(he)
+        memo, he._sweep = he._sweep, None
+        cold = pickle.dumps(he)
+        he._sweep = memo
+        assert warm == cold
+        copy = pickle.loads(warm)
+        assert copy._sweep is None
+        sweeps = he.stats()["sweeps"]
+        t0 = sim.now
+        sim.run(1.0, dt=1.0)  # the live engine's memo is warm: no sweep
+        copy.tick_all(1.0, frozenset(), t0)  # the copy's is cold: one sweep
+        assert he.stats()["sweeps"] == sweeps
+        assert copy.stats()["sweeps"] == sweeps + 1
+        assert copy.walls().tolist() == he.walls().tolist()
+        assert copy._ticks.tolist() == he._ticks.tolist()
+        assert copy._bar_t0 == he._bar_t0 and copy._bar_dt == he._bar_dt
+
+    def test_dt_miss_reuses_the_gathered_table(self):
+        # a coalesced slice's shape: a 1-s tick after churn, then a 59-s
+        # tick that regathers nothing
+        sim = build_memo("columnar")
+        sim.run(90.0, dt=1.0)
+        blob = pickle.dumps(sim.host_engine)
+        t0 = sim.now
+        warm, cold = pickle.loads(blob), pickle.loads(blob)
+        for he in (warm, cold):
+            he.tick_all(1.0, frozenset(), t0)
+        table = warm._sweep[0]
+        cold._sweep = None
+        for he in (warm, cold):
+            he.tick_all(59.0, frozenset(), t0 + 1.0)
+        assert warm._sweep[0] is table and warm._sweep[1] == 59.0
+        assert warm.walls().tolist() == cold.walls().tolist()
+        assert warm.stats()["sweeps"] == cold.stats()["sweeps"]
+
+    def test_every_writer_drops_the_memo(self):
+        # the cases above cannot single one writer out: before any tick,
+        # every slot change is followed by a rescale and every rescale
+        # follows a slot change, so each writer's drop backs the others
+        sim = build_memo("columnar")
+        he = sim.host_engine
+        none = np.zeros(0, dtype=np.int64)
+        writers = {
+            "_append_slots": lambda: he._append_slots(none, np.zeros((4, 0))),
+            "_kill_slots": lambda: he._kill_slots(none),
+            "_rescale": lambda: he._rescale(none),
+        }
+        for name, write in writers.items():
+            sim.run(1.0, dt=1.0)
+            assert he._sweep is not None
+            write()
+            assert he._sweep is None, name
 
 
 class TestParallelGolden:

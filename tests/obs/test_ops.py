@@ -440,7 +440,7 @@ class TestSimulationOps:
             sim.close()
         assert before == {
             "cold": 4, "barriers": 0, "op_log_bytes": 0, "materializations": 0,
-            "materialize_s": {"count": 0, "p50": 0.0, "max": 0.0},
+            "sweeps": 0, "materialize_s": {"count": 0, "p50": 0.0, "max": 0.0},
         }
         assert after["cold"] == 4 and after["materializations"] == 0
         assert after["barriers"] == 60
@@ -448,6 +448,11 @@ class TestSimulationOps:
         reg = sim.metrics.registry
         assert reg.gauge("columnar.deferred_barriers").value == 60
         assert reg.gauge("columnar.op_log_bytes").value == after["op_log_bytes"]
+        # equal-dt ticks between churn batches reuse the tick sweep
+        assert 0 < after["sweeps"] < after["barriers"]
+        assert reg.counter("columnar.sweeps").value == after["sweeps"]
+        last = (tmp_path / "metrics.jsonl").read_text().splitlines()[-1]
+        assert json.loads(last)["metrics"]["columnar.sweeps"] == after["sweeps"]
 
     def test_status_reports_materialization_latency(self):
         sim = DatacenterSimulation(
