@@ -18,6 +18,16 @@ fingerprint and the slice horizon are one decision, not two copies that
 must agree. Every index a slice reports is fleet-global (its *labels*);
 RNG forks are keyed on global indices too, so a slice over hosts
 ``(2, 3)`` evolves bit-identically to hosts 2 and 3 of the whole fleet.
+
+A steady tick recomputes nothing whose inputs did not change. The
+slice keeps the per-host watts vector (keyed on the host engine's
+``wall_gen``, or on the clock for object hosts), the rack totals folded
+from it (kept with that vector and the crash set) and the dark set
+(dropped by a breaker trip in the feed and by any fault-state change).
+:func:`feed_breakers` calls :meth:`CircuitBreaker.observe` only where it
+can change something: a rack over its rating, or with a warm thermal
+element; on a cool rack under its rating ``observe`` is an exact no-op
+(the proof is in its docstring). Snapshots drop every memo.
 """
 
 from __future__ import annotations
@@ -164,9 +174,14 @@ class FleetSlice:
              for j in range(len(m))],
             dtype=np.int64,
         )
-        #: the per-host wall watts of the current tick, and its clock reading
+        # memos (dropped from snapshots, rebuilt on first use): the
+        # per-host wall watts and their key, the rack totals folded from
+        # them, and the dark labels with the crashed positions
         self._watts: Optional[np.ndarray] = None
-        self._watts_at: Optional[float] = None
+        self._watts_key = None
+        self._totals: Optional[tuple] = None
+        self._dark: Optional[frozenset] = None
+        self._crash: Optional[frozenset] = None
         self.racks: List[Rack] = [
             Rack(
                 name=f"rack-{r}",
@@ -180,6 +195,7 @@ class FleetSlice:
             )
             for r, m in zip(self.rack_indices, members)
         ]
+        self._breakers = [rack.breaker for rack in self.racks]
 
         # Tenant RNG forks are keyed by the *global* tenant id, so the
         # draws are the same whichever slice holds the host.
@@ -231,6 +247,12 @@ class FleetSlice:
                 engine.host_index = local
             self.host_engine.adopt_all()
 
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        for name in ("_watts", "_watts_key", "_totals", "_dark", "_crash"):
+            state[name] = None
+        return state
+
     def install_faults(self, schedule: FaultSchedule, seed: int) -> FaultInjector:
         """Attach a fault injector seeded with ``seed`` to these hosts."""
         injector = FaultInjector(
@@ -253,30 +275,50 @@ class FleetSlice:
 
     # -- state queries --------------------------------------------------
 
-    def dark(self) -> set:
-        """Global indices of hosts without power (tripped or crashed)."""
-        dark = set()
-        for members, rack in zip(self._rack_members, self.racks):
-            if rack.breaker.tripped:
-                dark.update(members)
-        labels = self.labels
-        dark.update(labels[local] for local in self._crashed())
-        return dark
+    def dark(self) -> frozenset:
+        """Global indices of hosts without power (tripped or crashed).
+
+        Kept until a breaker trips or recloses or a crash starts or
+        ends: the breaker feed in :meth:`commit` and the fault injector
+        (through :meth:`advance_faults`) are the only writers of breaker
+        and crash state, and each drops the memo. A newly installed
+        injector holds no crash.
+        """
+        if self._dark is None:
+            crashed = (
+                self.injector.crashed_now()
+                if self.injector is not None
+                else frozenset()
+            )
+            dark = {self.labels[local] for local in crashed}
+            for members, rack in zip(self._rack_members, self.racks):
+                if rack.breaker.tripped:
+                    dark.update(members)
+            self._dark, self._crash = frozenset(dark), crashed
+        return self._dark
 
     def host_watts(self) -> np.ndarray:
         """Per-host wall watts in slice order (crashed hosts included).
 
-        Built once per tick and shared by every wall-power read — the
+        Built once per change and shared by every wall-power read — the
         breaker feed, the knee guard, the trace row, the simulation's
         ``server_wall_watts`` and a shard's ``watts`` reply: cold hosts
         read the host engine's wall column, hot hosts compute
-        :func:`wall_power_watts` from their kernel. Wall power changes
-        only when a host ticks, and every tick advances the clock, so
-        the clock reading keys the vector. Read-only.
+        :func:`wall_power_watts` from their kernel. On object hosts
+        wall power changes only when a host ticks, and every tick
+        advances the clock, so the clock reading keys the vector. A
+        columnar fleet keys it on the engine's ``wall_gen``, which
+        bumps at every engine write that can move a wall; a hot kernel
+        can also tick outside the engine (``CloudEnvironment.tick``),
+        always after a clock advance, so while any host is hot the clock
+        reading joins the key. Read-only.
         """
-        now = self.clock.now
-        if self._watts_at != now:
-            he = self.host_engine
+        he = self.host_engine
+        if he is None:
+            key = self.clock.now
+        else:
+            key = (he.wall_gen, self.clock.now if he.hot_hosts() else None)
+        if self._watts_key != key:
             power = self.config.power_config
             kernels = self.kernels
             if he is None:
@@ -285,30 +327,38 @@ class FleetSlice:
                 )
             else:
                 watts = he.walls()
-                for i in np.flatnonzero(~he.cold).tolist():
+                for i in he.hot_hosts():
                     watts[i] = wall_power_watts(kernels[i], power)
-            self._watts, self._watts_at = watts, now
+            self._watts, self._watts_key = watts, key
         return self._watts
 
-    def rack_watts(self, crashed=()) -> List[float]:
+    def rack_watts(self, crashed=frozenset()) -> List[float]:
         """Each rack's wall power: ``Rack.wall_power`` over the watts row.
 
         ``crashed`` holds slice positions drawing no power. The fold runs
         column by column over the (racks x rack_size) matrix, from int
         0 like ``sum()``; crashed hosts and a short rack's spare cells
-        add 0.0, which leaves these non-negative totals unchanged.
+        add 0.0, which leaves these non-negative totals unchanged. The
+        totals are kept with the watts vector and the crash set they
+        were folded from. Read-only.
         """
         watts = self.host_watts()
+        memo = self._totals
+        if memo is not None and memo[0] is watts and memo[1] == crashed:
+            return memo[2]
+        folded = watts
         if crashed:
-            watts = watts.copy()
-            watts[list(crashed)] = 0.0
+            folded = watts.copy()
+            folded[list(crashed)] = 0.0
         cells = np.zeros(len(self.racks) * self.config.rack_size, dtype=np.float64)
-        cells[self._rack_cells] = watts
+        cells[self._rack_cells] = folded
         cells = cells.reshape(len(self.racks), self.config.rack_size)
         totals = 0 + cells[:, 0]
         for j in range(1, self.config.rack_size):
             totals = totals + cells[:, j]
-        return totals.tolist()
+        totals = totals.tolist()
+        self._totals = (watts, frozenset(crashed), totals)
+        return totals
 
     def breaker_states(self) -> List[BreakerSnapshot]:
         """Each rack breaker's state, in rack order."""
@@ -323,9 +373,10 @@ class FleetSlice:
             for r, rack in zip(self.rack_indices, self.racks)
         ]
 
-    def _crashed(self):
-        """Slice positions of crashed servers."""
-        return self.injector.crashed_now() if self.injector is not None else ()
+    def _crashed(self) -> frozenset:
+        """Slice positions of crashed servers (kept with :meth:`dark`)."""
+        self.dark()
+        return self._crash
 
     def breakers_safe(self) -> bool:
         """Whether every rack is far enough from its breaker's trip knee.
@@ -356,7 +407,10 @@ class FleetSlice:
 
     def advance_faults(self) -> bool:
         """Apply due fault events now; True when any state changed."""
-        return self.injector is not None and self.injector.advance(self.clock.now)
+        changed = self.injector is not None and self.injector.advance(self.clock.now)
+        if changed:
+            self._dark = None
+        return changed
 
     def plan(
         self, now: float, hint: float, dark: set, coalesce: bool = True
@@ -389,7 +443,7 @@ class FleetSlice:
             hot = range(len(kernels))
         else:
             fp = he.fingerprints()
-            hot = np.flatnonzero(~he.cold).tolist()
+            hot = he.hot_hosts()
         for i in hot:
             fp[i] = kernels[i].demand_fingerprint()
         if pop is not None:
@@ -414,10 +468,17 @@ class FleetSlice:
             horizon = min(horizon, self.injector.next_barrier(now))
         return demands, horizon
 
-    def commit(self, step: float, dark: set) -> bool:
+    def commit(self, step: float, dark) -> bool:
         """Advance, tick the lit hosts, feed the breakers, apply faults.
 
-        Returns True when a fault changed state at the new instant.
+        Returns True when a fault changed state at the new instant. The
+        breakers are fed the kept rack totals through
+        :func:`feed_breakers`, which calls ``observe`` only on a rack
+        over its rating or with a warm thermal element: on a cool rack
+        under its rating, ``observe`` leaves a tripped breaker as it is
+        and cools a closed one from 0.0 to ``max(0.0, -cooling) == 0.0``
+        with ``cooling >= 0``, an exact no-op. A trip drops the
+        :meth:`dark` memo.
         """
         clock = self.clock
         t0 = clock.now
@@ -431,7 +492,40 @@ class FleetSlice:
             for g, kernel in zip(self.labels, self.kernels):
                 if g not in dark:
                     kernel.tick(step)
-        now = clock.now
-        for rack, watts in zip(self.racks, self.rack_watts(self._crashed())):
-            rack.breaker.observe(watts, step, now)
+        if feed_breakers(
+            self._breakers, self.rack_watts(self._crashed()), step, clock.now
+        ):
+            self._dark = None
         return self.advance_faults()
+
+
+def feed_breakers(
+    breakers: Sequence[CircuitBreaker], loads: Sequence[float], dt: float, now: float
+) -> bool:
+    """Feed each breaker its rack's load over ``dt``; True if one tripped.
+
+    A breaker is skipped only where :meth:`CircuitBreaker.observe` is an
+    exact no-op: ``dt > 0``, ``0 <= load <= rated_watts`` and a zero
+    thermal accumulator. There ``observe`` passes both checks; a tripped
+    breaker returns unchanged, and a closed one gets ``ratio = load /
+    rated <= 1`` (a correctly rounded quotient of ``load <= rated`` is at
+    most 1.0; ``rated_watts > 0`` and ``instant_trip_ratio > 1`` hold
+    from construction), so it neither trips instantly nor heats, and cools by
+    ``(1 - ratio**2) * dt * 0.5 >= 0``: ``max(0.0, 0.0 - cooling)`` is
+    ``0.0`` again. Every other rack, a non-positive ``dt`` or a negative
+    load included, goes through ``observe`` in rack order, which raises
+    where the per-rack loop raised.
+    """
+    tripped = False
+    positive = dt > 0
+    for breaker, watts in zip(breakers, loads):
+        if (
+            positive
+            and 0.0 <= watts <= breaker.rated_watts
+            and not breaker.thermal_accumulator
+        ):
+            continue
+        was = breaker.state
+        if breaker.observe(watts, dt, now) is not was:
+            tripped = True
+    return tripped

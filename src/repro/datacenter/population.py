@@ -91,6 +91,9 @@ _WORKER_PHASES = (_WEB_PHASE, _BATCH_PHASE)
 #: the share of web workers among a row's spawns
 _WEB_SHARE = 0.6
 
+#: ``min(next_k)`` of a population with no rows: never due
+_NEVER = np.iinfo(np.int64).max
+
 
 def _draws_web(kind_key: int, seq: int) -> bool:
     """A row's ``seq``-th worker kind: a keyed draw, 60% web, else batch."""
@@ -227,6 +230,9 @@ class TenantPopulation:
         self._task_info: Dict[int, Tuple[int, float]] = {}
         self._dirty_any = False
         self._day_cache: Optional[int] = None
+        #: ``min(next_k)``, the earliest grid index a row is due at
+        #: (``None`` when stale); rebuilt on first use after a due-row step
+        self._due_k: Optional[int] = None
         #: columnar host engine (``repro.kernel.columnar``); when bound,
         #: rows on cold hosts reconcile column-to-column — spawns/kills
         #: become deferred ops and the host's aggregate-demand column
@@ -243,6 +249,7 @@ class TenantPopulation:
     # restore rebuilds the id-keyed dict from the unpickled task objects.
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
+        state["_due_k"] = None  # a memo, rebuilt on first use
         state["_task_info"] = [
             [self._task_info.get(id(task), (0, None))[1] for task in row]
             for row in self._tasks
@@ -429,6 +436,9 @@ class TenantPopulation:
         one vector burst lottery for the current boundary, evaluate all
         targets in array math, then touch per-object state only for rows
         whose worker set changes.
+
+        With no dark host and every row on the grid, nothing is due
+        before ``min(next_k)``: until then a step only counts itself.
         """
         if dt <= 0:
             raise SimulationError(f"tenant step needs positive dt: {dt}")
@@ -436,6 +446,18 @@ class TenantPopulation:
         active = self._active_rows(dark_hosts)
         self._c_ticks.value += self.n if active is None else int(active.sum())
         k_now = self.grid.index_at(now)
+        if active is None:
+            due = self._due_k
+            if due is None:
+                due = self._due_k = int(self.next_k.min(initial=_NEVER))
+            # a negative entry is a row not yet on the grid
+            if 0 <= due and k_now < due:
+                return
+        self._step_due(now, k_now, active)
+
+    def _step_due(self, now: float, k_now: int, active) -> None:
+        """The due-row half of :meth:`step`: adopt, replay, draw, reconcile."""
+        self._due_k = None
         nk = self.next_k
         fresh = nk < 0
         if active is not None:

@@ -4,8 +4,10 @@ RAPL meters the *package* (CPU+DRAM) only; the facility breaker sees wall
 power — package plus the platform floor (PSU losses, fans, disks, NICs).
 :func:`wall_power_watts` converts one to the other, with the constants
 tuned so an 8-server rack spans roughly the 899–1199 W band of Figure 2
-under benign diurnal load. A fleet reads every host's wall power once
-per tick, through :meth:`repro.datacenter.fleet.FleetSlice.host_watts`.
+under benign diurnal load. A fleet reads every host's wall power at
+most once per tick, through
+:meth:`repro.datacenter.fleet.FleetSlice.host_watts`, which keeps the
+vector until a wall can have moved.
 """
 
 from __future__ import annotations

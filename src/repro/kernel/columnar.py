@@ -70,6 +70,14 @@ and :meth:`_kill_slots` (the slot columns and their order) and
 :meth:`_rescale` (the grant scale). Adoption, :meth:`ensure_hot`,
 :meth:`cold_churn`, dirty refolds and compaction all go through them.
 A checkpoint pickle drops it.
+
+It also keeps the lit set: the hot host list, the participation mask
+of one dark set and its count. Only :meth:`_adopt` and
+:meth:`ensure_hot` write the cold mask, and both drop it
+(:meth:`_recolor`). With both memos hits, a tick logs its barrier, adds
+the count and bumps the tick mirror; it writes ``_wall`` only for a new
+sweep or a new lit set, and each such write bumps ``wall_gen``, which
+keys the fleet's watts vector. Pickles drop these memos too.
 ``tests/datacenter/test_hostengine.py`` pins all of this bit for bit.
 
 Eligibility
@@ -240,6 +248,16 @@ class ColumnarHostEngine:
         #: stale): the slot table gathered in live-slot order and the wall
         #: vector it gave at ``dt``
         self._sweep: Optional[tuple] = None
+        #: the hot host indices, ascending (``None`` when stale)
+        self._hot: Optional[List[int]] = None
+        #: the lit-set memo, ``(dark, hot, any_cold, part, count)`` for
+        #: one dark set (``None`` when stale): the lit hot hosts, whether
+        #: any host is cold, the cold hosts that tick and their count
+        self._lit: Optional[tuple] = None
+        #: the generation of :meth:`walls` and :meth:`hot_hosts`: bumps
+        #: when a sweep or a new lit set writes ``_wall`` and when the
+        #: cold mask changes (adoption, materialization)
+        self.wall_gen = 0
 
         # deferred-replay log: each barrier's (t0, dt), unboxed
         self._bar_t0 = array("d")
@@ -278,7 +296,8 @@ class ColumnarHostEngine:
         self._refold_dirty()
         state = dict(self.__dict__)
         state["_kernel_index"] = None  # id()-keyed; rebuilt on restore
-        state["_sweep"] = None  # rebuilt by the next tick
+        # memos, rebuilt on first use
+        state["_sweep"] = state["_hot"] = state["_lit"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:
@@ -338,6 +357,13 @@ class ColumnarHostEngine:
 
     def is_cold(self, i: int) -> bool:
         return bool(self.cold[i])
+
+    def hot_hosts(self) -> List[int]:
+        """Indices of the hot hosts, ascending (cached with the cold
+        mask; read-only)."""
+        if self._hot is None:
+            self._hot = np.flatnonzero(~self.cold).tolist()
+        return self._hot
 
     def cold_count(self) -> int:
         return int(self.cold.sum())
@@ -483,6 +509,13 @@ class ColumnarHostEngine:
         self._ranges[i] = []
         self._run_start[i] = -1
         self.cold[i] = True
+        self._recolor()
+
+    def _recolor(self) -> None:
+        """The cold mask changed: drop the memos it keys."""
+        self._hot = None
+        self._lit = None
+        self.wall_gen += 1
 
     def _rescale(self, hosts: np.ndarray) -> None:
         """The scheduler's per-CPU grant scale from the demand folds."""
@@ -723,6 +756,7 @@ class ColumnarHostEngine:
         self._ranges[i] = []
         if nrec:
             self._drop_ops(i)
+        self._recolor()
         self.materializations += 1
         self._h_materialize.observe(perf_counter() - began)
 
@@ -770,10 +804,21 @@ class ColumnarHostEngine:
         ``t0`` is the clock reading *before* the driver advanced it (the
         barrier time recorded for deferred replay); ``dark`` holds host
         indices that draw no power this tick (tripped racks, crashes).
+
+        With the lit set and the sweep both memo hits, a tick logs its
+        barrier, counts its cold host-ticks and bumps ``_ticks``: the
+        participation runs are already open and closed for that lit
+        set, and ``_wall`` already holds the sweep's walls. The lit set
+        is taken before the hot ticks: a tick listener touches only its
+        own kernel, so no hot tick moves a host across the cold mask.
         """
-        self._refold_dirty()
-        cold = self.cold
-        any_cold = cold.any()
+        if self._sweep is None:
+            self._refold_dirty()  # a hit has none: writers of ``_dirty`` drop it
+        lit = self._lit
+        fresh = lit is None or lit[0] != dark
+        if fresh:
+            lit = self._lit = self._light(dark)
+        hot, any_cold = lit[1], lit[2]
         seq = len(self._bar_t0)
         if any_cold:
             self._bar_t0.append(t0)
@@ -781,36 +826,48 @@ class ColumnarHostEngine:
             self._g_barriers.value = seq + 1
             self._g_op_bytes.value = self.op_log_bytes()
         # hot hosts: the per-object reference path, exactly as before
-        for i in np.flatnonzero(~cold).tolist():
-            if i not in dark:
-                self.kernels[i].tick(dt)
-                self.hot_host_ticks += 1
+        for i in hot:
+            self.kernels[i].tick(dt)
+        self.hot_host_ticks += len(hot)
         if not any_cold:
             return
-
-        part = cold.copy()
-        if dark:
-            for i in dark:
-                part[i] = False
-        # participation-run bookkeeping (vectorized; darkness is rare)
-        opening = part & (self._run_start < 0)
-        if opening.any():
-            self._run_start[opening] = seq
-        closing = cold & ~part & (self._run_start >= 0)
-        if closing.any():
-            for i in np.nonzero(closing)[0]:
-                self._ranges[i].append((int(self._run_start[i]), seq))
-                self._run_start[i] = -1
-        if not part.any():
+        part, count = lit[3], lit[4]
+        if fresh:
+            # participation-run bookkeeping (vectorized; darkness is rare)
+            opening = part & (self._run_start < 0)
+            if opening.any():
+                self._run_start[opening] = seq
+            closing = self.cold & ~part & (self._run_start >= 0)
+            if closing.any():
+                for i in np.nonzero(closing)[0]:
+                    self._ranges[i].append((int(self._run_start[i]), seq))
+                    self._run_start[i] = -1
+        if not count:
             return
-        self.cold_host_ticks += int(part.sum())
+        self.cold_host_ticks += count
 
         sweep = self._sweep
         if sweep is None or sweep[1] != dt:
             sweep = self._sweep = self._sweep_walls(dt, sweep)
-        wall = sweep[2]
-        self._wall[part] = wall[part]
-        self._ticks[part] += 1
+            fresh = True
+        if fresh:
+            self._wall[part] = sweep[2][part]
+            self.wall_gen += 1
+        self._ticks += part
+
+    def _light(self, dark) -> tuple:
+        """The lit-set memo for ``dark`` under the current cold mask."""
+        hot = self.hot_hosts()
+        part = self.cold.copy()
+        for i in dark:
+            part[i] = False
+        return (
+            frozenset(dark),
+            [i for i in hot if i not in dark],
+            len(hot) < self.n,
+            part,
+            int(part.sum()),
+        )
 
     def _sweep_walls(self, dt: float, memo: Optional[tuple]) -> tuple:
         """The tick sweep at ``dt``: every host's wall watts, from the

@@ -52,8 +52,10 @@ from repro.errors import SimulationError
 #: the two noise cursors' offsets from ``ticks_taken``; 11: the runtime
 #: holds no attack monitors — they ride the manifest's strategy extras;
 #: 12: the columnar host engine carries no observer pin counts, and its
-#: barrier log is two ``array('d')``)
-SNAPSHOT_VERSION = 12
+#: barrier log is two ``array('d')``; 13: the fleet slice, host engine and
+#: population carry their steady-tick memos as ``None``, and the slice's
+#: watts vector is keyed on the engine's ``wall_gen``, not a clock reading)
+SNAPSHOT_VERSION = 13
 
 #: version stamp embedded in the driver-side manifest
 #: (4: the manifest pins the whole ``FleetConfig`` the fleet was built

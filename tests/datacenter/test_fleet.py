@@ -216,3 +216,54 @@ def test_vector_watts_and_fingerprints_match_per_host(hosts):
         remaining -= step
     want = {"crashed", "tripped"} | ({"hot among cold"} if he else set())
     assert seen == want
+
+
+def test_steady_ticks_elide_their_work(monkeypatch):
+    """Between two tenant adjustments a 1-s tick of a cold fleet feeds no
+    cool breaker, runs no tick sweep and reaches no due tenant row.
+
+    The perfbench fleet-sharded shape (128 columnar hosts in racks of 8,
+    4 tenants each); calls are counted, nothing is timed.
+    """
+    from repro.datacenter.breaker import CircuitBreaker
+    from repro.datacenter.population import TenantPopulation
+    from repro.datacenter.simulation import DatacenterSimulation
+    from repro.datacenter.tenants import DiurnalProfile
+
+    sim = DatacenterSimulation(
+        servers=128, rack_size=8, seed=SEED, tenants_per_host=4,
+        sample_interval_s=60.0, hosts="columnar",
+        tenant_profile=DiurnalProfile(peak_hour=2.0, day_factor_range=(1.0, 1.0)),
+        breaker_rated_watts=4000.0,
+    )
+    sim.run(61.0, dt=1.0)  # through the adjustment at 60 s
+    he, pop = sim.host_engine, sim.population
+    assert he.cold_count() == he.n
+    totals = sim.fleet.rack_watts()
+    assert all(w <= rack.breaker.rated_watts for w, rack in zip(totals, sim.racks))
+
+    cool = []
+    observe = CircuitBreaker.observe
+
+    def counted(breaker, watts, dt, now):
+        if not breaker.thermal_accumulator and 0.0 <= watts <= breaker.rated_watts:
+            cool.append(breaker.name)
+        return observe(breaker, watts, dt, now)
+
+    due = []
+    step_due = TenantPopulation._step_due
+
+    def counted_due(population, *args):
+        due.append(args)
+        return step_due(population, *args)
+
+    monkeypatch.setattr(CircuitBreaker, "observe", counted)
+    monkeypatch.setattr(TenantPopulation, "_step_due", counted_due)
+    sweeps, steps, ticks = he.stats()["sweeps"], pop.steps, pop.tenant_ticks
+    sim.run(59.0, dt=1.0)
+    assert sim.now == 120.0
+    assert cool == []
+    assert he.stats()["sweeps"] == sweeps
+    assert due == []
+    # the elided work is still counted
+    assert pop.steps == steps + 59 and pop.tenant_ticks == ticks + 59 * pop.n

@@ -22,7 +22,7 @@ from repro.datacenter.tenants import DiurnalProfile
 from repro.datacenter.topology import wall_power_watts
 from repro.errors import SimulationError
 from repro.sim.faults import FaultEvent, FaultKind, FaultSchedule
-from tests.conftest import hold_hot
+from tests.conftest import hold_hot, make_cpu_workload
 
 SEED = 7
 
@@ -697,6 +697,143 @@ class TestTickSweepMemo:
             assert he._sweep is not None
             write()
             assert he._sweep is None, name
+
+
+def forget(sim):
+    """Drop the slice's steady-tick memos, so its next reads rebuild
+    every one from the live state (the oracle's side)."""
+    fleet = sim.fleet
+    fleet._watts_key = fleet._totals = fleet._dark = None
+    sim.population._due_k = None
+
+
+def steady(sim):
+    """What a steady tick keeps and reports: walls, rack totals, the dark
+    set, breaker state, traces and the tenant-tick count."""
+    fleet = sim.fleet
+    crashed = fleet.injector.crashed_now() if fleet.injector else frozenset()
+    return (
+        fleet.host_watts().tolist(),
+        fleet.rack_watts(crashed),
+        sorted(fleet.dark()),
+        [
+            (b.state, b.thermal_accumulator, repr(b.tripped_at), b.trip_count)
+            for b in fleet._breakers
+        ],
+        snapshot(sim),
+        sim.population.tenant_ticks,
+    )
+
+
+def overload_rack_1(sim):
+    # rack 1 draws ~1018 W, then ~1076 W after the churn at 120 s: at
+    # 600 W its thermal element heats and trips it through the feed
+    sim.racks[1].breaker.rated_watts = 600.0
+
+
+#: each case's mutations of both fleets, keyed by the time they run
+#: (mid-slice, between two equal-dt ticks), and its fault schedule
+STEADY_CASES = {
+    "cold spawn": ({90.0: MEMO_CASES["cold spawn"][0]}, ()),
+    "cold kill": ({90.0: MEMO_CASES["cold kill"][0]}, ()),
+    "rescale": ({90.0: MEMO_CASES["dirty refold"][0]}, ()),
+    "ensure_hot then demotion": ({90.0: materialize, 100.0: demote}, ()),
+    # rack 0 is dark across the churn at 120 s
+    "rack dark for 20 s": (
+        {},
+        [FaultEvent(at=110.0, kind=FaultKind.BREAKER_TRIP, duration_s=20.0,
+                    server=0)],
+    ),
+    "crash and reboot": (
+        {},
+        [FaultEvent(at=90.0, kind=FaultKind.MACHINE_CRASH, duration_s=20.0,
+                    server=5)],
+    ),
+    # a forced trip and its reclose on a rack whose thermal element is
+    # warm; the reclose zeroes it and the overload later trips the rack
+    "forced trip then reset": (
+        {85.0: overload_rack_1},
+        [FaultEvent(at=90.0, kind=FaultKind.BREAKER_TRIP, duration_s=10.0,
+                    server=1)],
+    ),
+}
+
+
+class TestSteadyTick:
+    """A steady 1-s tick keeps its walls, rack totals, dark set, lit set
+    and tenant due-time until something they read changes."""
+
+    @pytest.mark.parametrize("case", list(STEADY_CASES))
+    def test_mutation_between_equal_dt_ticks(self, case):
+        hooks, events = STEADY_CASES[case]
+        schedule = FaultSchedule(list(events), seed=13) if events else None
+        ref = build_memo("objects", schedule)
+        col = build_memo("columnar", schedule)
+        he = col.host_engine
+        steady_ticks = 0
+        for _ in range(150):
+            hook = hooks.get(col.now)
+            if hook is not None:
+                for sim in (ref, col):
+                    hook(sim)
+            gen = he.wall_gen
+            forget(ref)
+            for sim in (ref, col):
+                sim.run(1.0, dt=1.0)
+            steady_ticks += he.wall_gen == gen
+            forget(ref)
+            assert steady(col) == steady(ref)
+        # most ticks moved no wall: the memos were live
+        assert steady_ticks > 100
+        if case == "forced trip then reset":
+            breaker = col.racks[1].breaker
+            assert breaker.trip_count == 2 and breaker.tripped_at > 100.0
+        assert_materialized_equal(ref, col)
+
+    def test_relit_host_takes_the_current_sweep(self):
+        # host 0 goes dark, the sweep reruns at a new dt while it is
+        # dark, and it comes back on a memo hit: the new lit set writes
+        # its wall from that sweep, as a cold copy's fresh sweep does
+        sim = build_memo("columnar")
+        sim.run(90.0, dt=1.0)
+        he, t0 = sim.host_engine, sim.now
+        he.tick_all(1.0, {0}, t0)
+        he.tick_all(59.0, {0}, t0 + 1.0)
+        cold = pickle.loads(pickle.dumps(he))
+        for engine in (he, cold):
+            engine.tick_all(59.0, frozenset(), t0 + 60.0)
+        assert he.stats()["sweeps"] + 1 == cold.stats()["sweeps"]
+        assert he.walls().tolist() == cold.walls().tolist()
+
+    def test_hot_kernel_ticked_outside_the_engine(self):
+        # ``CloudEnvironment.tick`` ticks every (materialized) kernel
+        # behind the host engine: the clock keys the hot hosts' walls
+        ref, col = build_memo("objects"), build_memo("columnar")
+        for sim in (ref, col):
+            sim.run(90.0, dt=1.0)
+            sim.cloud.tick(1.0)
+            sim.fleet.host_watts()
+            kernel = sim.cloud.hosts[2].kernel
+            kernel.spawn("spike", workload=make_cpu_workload(demand=1.0))
+            sim.cloud.tick(1.0)
+        forget(ref)
+        assert col.host_engine.cold_count() == 0
+        assert steady(col) == steady(ref)
+
+    def test_pickles_drop_the_memos(self):
+        sim = build_memo("columnar")
+        sim.run(90.0, dt=1.0)
+        fleet = sim.fleet
+        pop, he = sim.population, sim.host_engine
+        assert fleet._totals is not None and pop._due_k is not None
+        assert he._lit is not None and he._hot is not None
+        warm = pickle.dumps(fleet)
+        forget(sim)
+        he._sweep = he._lit = he._hot = None
+        assert pickle.dumps(fleet) == warm
+        copy = pickle.loads(warm)
+        assert copy._dark is None and copy._totals is None
+        assert copy.population._due_k is None and copy.host_engine._lit is None
 
 
 class TestParallelGolden:

@@ -163,9 +163,11 @@ class TestSnapshotFiles:
         # pair; version 8 spelled the runtime's state out field by field;
         # version 9's columnar host engine carried thermal and RAPL columns;
         # version 10's runtime held the shard-resident attack monitors;
-        # version 11's columnar host engine carried observer pin counts
+        # version 11's columnar host engine carried observer pin counts;
+        # version 12's fleet slice pickled its watts vector and the clock
+        # reading that keyed it
         path = shard_snapshot_path(str(tmp_path), 0, 1)
-        for version in (6, 7, 8, 9, 10, 11):
+        for version in (6, 7, 8, 9, 10, 11, 12):
             atomic_write(path, pickle.dumps({"version": version}))
             with pytest.raises(
                 SimulationError, match=f"has version {version}"
